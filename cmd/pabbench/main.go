@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"pab/internal/cli"
+	"pab/internal/prof"
 	"pab/internal/scenario"
 	"pab/internal/sim"
 	"pab/internal/telemetry"
@@ -214,11 +215,12 @@ func run(jobs, workers int, service time.Duration, durable bool, fsync wal.Fsync
 		}
 		latencies = append(latencies, (v.QueueWaitS+v.RunS)*1000)
 	}
+	sort.Float64s(latencies)
 	rep.Physics = PhysicsResult{
 		WallS:      wall.Seconds(),
 		OpsPerSec:  float64(jobs) / wall.Seconds(),
-		P50JobMS:   percentile(latencies, 50),
-		P99JobMS:   percentile(latencies, 99),
+		P50JobMS:   prof.PercentileSorted(latencies, 50),
+		P99JobMS:   prof.PercentileSorted(latencies, 99),
 		AllDone:    allDone,
 		CacheReady: sched.Stats().CacheSize,
 	}
@@ -377,21 +379,4 @@ func shutdown(s *sim.Scheduler) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
-}
-
-// percentile returns the pth percentile (nearest-rank) of vals.
-func percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

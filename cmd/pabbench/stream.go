@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
 	"pab/internal/cli"
 	"pab/internal/frame"
+	"pab/internal/prof"
 	"pab/internal/stream"
 	"pab/internal/stream/streamd"
 )
@@ -279,14 +281,15 @@ func benchStreams(count int) (*StreamRun, error) {
 		return nil, err
 	}
 
+	sort.Float64s(latencies)
 	return &StreamRun{
 		Streams:        count,
 		WallS:          wall.Seconds(),
 		StreamsPerSec:  float64(count) / wall.Seconds(),
 		FramesDecoded:  decoded,
 		BytesPerStream: perStream,
-		P50DecodeMS:    percentile(latencies, 50),
-		P99DecodeMS:    percentile(latencies, 99),
+		P50DecodeMS:    prof.PercentileSorted(latencies, 50),
+		P99DecodeMS:    prof.PercentileSorted(latencies, 99),
 	}, nil
 }
 

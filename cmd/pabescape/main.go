@@ -50,7 +50,7 @@ var hotFuncs = map[string][]string{
 	"pab/internal/dsp": {
 		"Downconvert", "DownconvertLP", "Envelope",
 		"CrossCorrelate", "NormalizedCrossCorrelate",
-		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate", "DecimateComplex",
+		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).EncodeTemplate",

@@ -1,8 +1,7 @@
 // Command pablint runs the PAB domain lint suite (internal/lint) over
 // the module: the syntactic tier (determinism, floatcmp, unitsafety,
-// telemetryhygiene, errdiscard), the flow tier (dimflow, seedflow,
-// nanguard), the concurrency tier (lockdiscipline, goroleak,
-// chanproto) and the hot-path performance tier (allocloop, boxiface,
+// telemetryhygiene), the flow tier (nanguard), the concurrency tier
+// (lockdiscipline) and the hot-path performance tier (allocloop,
 // invhoist) — the invariants the paper's reproducibility and
 // throughput claims rest on, encoded as machine-checked rules.
 //
@@ -12,13 +11,11 @@
 //	go run ./cmd/pablint -exclude lockdiscipline ./...
 //	go run ./cmd/pablint -list            # show the rules
 //	go run ./cmd/pablint -json ./... > findings.json
-//	go run ./cmd/pablint -baseline findings.json ./...   # only NEW findings fail
 //	go run ./cmd/pablint -dir internal/lint/testdata/src ./...  # fixtures
 //
 // With -json the machine-readable report goes to stdout and the
 // human-readable findings to stderr (where CI problem matchers pick
-// them up). With -baseline, findings already recorded in the given
-// report are accepted; only new ones are printed and fail the run.
+// them up).
 //
 // Exit codes: 0 clean, 1 findings reported, 2 load/usage error.
 // Suppress a finding with "//pablint:ignore <rule> <reason>" on (or
@@ -46,15 +43,13 @@ func main() {
 }
 
 func realMain() int {
-	rules := flag.String("rules", "", "alias for -only (kept for compatibility)")
 	only := flag.String("only", "", "comma-separated rule subset to run (default: all)")
 	exclude := flag.String("exclude", "", "comma-separated rules to skip")
 	list := flag.Bool("list", false, "list available rules and exit")
 	dir := flag.String("dir", ".", "module root to analyze (patterns resolve relative to it)")
 	jsonOut := flag.Bool("json", false, "write a JSON report to stdout (findings still print to stderr)")
-	baseline := flag.String("baseline", "", "JSON report of accepted findings; only new findings fail")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: pablint [-dir root] [-only r1,r2] [-exclude r1,r2] [-json] [-baseline file] [-list] [patterns]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: pablint [-dir root] [-only r1,r2] [-exclude r1,r2] [-json] [-list] [patterns]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -73,15 +68,7 @@ func realMain() int {
 		}
 		return exitClean
 	}
-	if *only != "" && *rules != "" && *only != *rules {
-		fmt.Fprintln(os.Stderr, "pablint: -only and -rules are aliases; give just one")
-		return exitError
-	}
-	keepSet := *only
-	if keepSet == "" {
-		keepSet = *rules
-	}
-	analyzers, err := selectAnalyzers(analyzers, keepSet, *exclude)
+	analyzers, err := selectAnalyzers(analyzers, *only, *exclude)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pablint: %v\n", err)
 		return exitError
@@ -130,20 +117,12 @@ func realMain() int {
 	prog := &lint.Program{Pkgs: pkgs, Loader: loader}
 	all := lint.RunAll(prog, cfg, analyzers)
 
-	// The failing set: active findings, minus the baseline if given.
+	// The failing set: active findings.
 	failing := make([]lint.Finding, 0, len(all))
 	for _, f := range all {
 		if !f.Suppressed {
 			failing = append(failing, f)
 		}
-	}
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pablint: %v\n", err)
-			return exitError
-		}
-		failing = base.FilterNew(loader.ModRoot, all)
 	}
 
 	// Human-readable findings: stdout normally, stderr under -json so

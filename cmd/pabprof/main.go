@@ -147,8 +147,8 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 		BitrateBps:       bitrate,
 		Decoded:          decoded,
 		WallS:            wall,
-		ChainP50MS:       percentileSorted(durs, 50) * 1e3,
-		ChainP99MS:       percentileSorted(durs, 99) * 1e3,
+		ChainP50MS:       prof.PercentileSorted(durs, 50) * 1e3,
+		ChainP99MS:       prof.PercentileSorted(durs, 99) * 1e3,
 		Stages:           prof.CollectStageStats(snap.Spans),
 	}
 	if wall > 0 {
@@ -221,20 +221,4 @@ func readReport(path string) (prof.BenchReport, error) {
 		return rep, err
 	}
 	return rep, nil
-}
-
-// percentileSorted returns the pth percentile (nearest-rank) of an
-// ascending-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

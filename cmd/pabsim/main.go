@@ -158,7 +158,7 @@ func smokeExchange() error {
 	if err := link.EnsurePowered(120); err != nil {
 		return err
 	}
-	poller, err := mac.NewPoller(linkTransport{link}, 2)
+	poller, err := mac.NewPoller(link.Transport(), 2)
 	if err != nil {
 		return err
 	}
@@ -176,17 +176,6 @@ func smokeExchange() error {
 	fmt.Printf("inventory: %d nodes in %d rounds (%d slots, efficiency %.2f)\n",
 		len(inv.Identified), inv.Rounds, inv.Slots, inv.Efficiency())
 	return nil
-}
-
-// linkTransport adapts a core.Link to the MAC polling interface.
-type linkTransport struct{ l *core.Link }
-
-func (t linkTransport) Exchange(q frame.Query) (mac.Exchange, error) {
-	reply, airtime, snr, err := t.l.Exchange(q)
-	if err != nil {
-		return mac.Exchange{}, err
-	}
-	return mac.Exchange{Reply: reply, AirtimeSeconds: airtime, SNRLinear: snr}, nil
 }
 
 // run executes one experiment, optionally rendering its TSV as a chart.

@@ -245,13 +245,6 @@ func (t Tank) pathGain(r, f float64) float64 {
 	return 1 / r * units.DBToAmplitude(units.DB(-t.Water.AbsorptionDBPerKm(f)*r/1000))
 }
 
-// DirectGain returns the direct-path-only amplitude gain between two
-// points (no reverberation), used for link-budget style calculations.
-func (t Tank) DirectGain(src, dst Vec3, f float64) float64 {
-	r := math.Max(src.Distance(dst), 0.05)
-	return t.pathGain(r, f)
-}
-
 // MaxDelay returns the largest tap delay in seconds (0 if empty).
 func (ir *ImpulseResponse) MaxDelay() float64 {
 	if len(ir.Taps) == 0 {

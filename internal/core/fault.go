@@ -48,9 +48,6 @@ func (l *Link) SetFaultEngine(e *fault.Engine) {
 	}
 }
 
-// FaultEngine returns the attached engine (nil when none).
-func (l *Link) FaultEngine() *fault.Engine { return l.fault }
-
 // applyLevel installs the current rung into the live config.
 func (l *Link) applyLevel() {
 	op := l.ladder[l.level]

@@ -130,7 +130,7 @@ func NewFDMANetwork(cfg FDMANetworkConfig, maxRetries int) (*FDMANetwork, error)
 			return nil, fmt.Errorf("core: link %02x: %w", spec.Addr, err)
 		}
 		links[spec.Addr] = link
-		transports[spec.Addr] = linkTransportAdapter{link}
+		transports[spec.Addr] = link.Transport()
 	}
 	net, err := mac.NewNetwork(transports, maxRetries)
 	if err != nil {
@@ -155,11 +155,14 @@ func newTunedNode(addr byte, bitrate, tunedHz float64, env sensors.Environment) 
 	return NewTunedNode(addr, bitrate, tunedHz, env)
 }
 
-// linkTransportAdapter exposes a Link as a mac.Transport.
-type linkTransportAdapter struct{ l *Link }
+// Transport adapts the link to the MAC layer's polling interface.
+func (l *Link) Transport() mac.Transport { return linkTransport{l} }
+
+// linkTransport exposes a Link as a mac.Transport.
+type linkTransport struct{ l *Link }
 
 // Exchange implements mac.Transport.
-func (t linkTransportAdapter) Exchange(q frame.Query) (mac.Exchange, error) {
+func (t linkTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 	reply, airtime, snr, err := t.l.Exchange(q)
 	if err != nil {
 		return mac.Exchange{}, err

@@ -19,16 +19,41 @@ import (
 	"pab/internal/telemetry"
 )
 
+// The receive chain's fixed parameters, shared by the batch Receiver
+// and the streaming decoder.
+const (
+	// FilterOrder of the Butterworth channel low-pass used after mixing.
+	FilterOrder = 4
+	// DetectThreshold is the normalised preamble correlation threshold.
+	DetectThreshold = 0.55
+	// CoarseThreshold is the generous first-pass threshold: the global
+	// axis may be far from the modulation axis, and payload structure
+	// can out-correlate the true preamble on the coarse projection, so
+	// the coarse pass keeps several candidates for refinement.
+	CoarseThreshold = DetectThreshold / 2
+)
+
+// ChannelCutoff is the channel low-pass cutoff in Hz for a backscatter
+// bitrate at sample rate fs: four times the FM0 occupied bandwidth
+// keeps the bit transitions sharp enough for the half-bit correlators,
+// floored at 200 Hz and capped at fs/4.
+func ChannelCutoff(fs, bitrate float64) float64 {
+	cutoff := 4 * phy.OccupiedBandwidth(bitrate)
+	if cutoff < 200 {
+		cutoff = 200
+	}
+	if cutoff > fs/4 {
+		cutoff = fs / 4
+	}
+	return cutoff
+}
+
 // Receiver is the hydrophone-side offline decoder (paper §5.1b): FFT
 // carrier identification, downconversion, Butterworth channel filtering,
 // packet detection, CFO correction and ML FM0 decoding.
 type Receiver struct {
 	Hydro      hydrophone.Hydrophone
 	SampleRate float64
-	// FilterOrder of the Butterworth low-pass used after mixing.
-	FilterOrder int
-	// DetectThreshold is the normalised preamble correlation threshold.
-	DetectThreshold float64
 }
 
 // NewReceiver returns the paper's receiver configuration.
@@ -38,12 +63,7 @@ func NewReceiver(fs float64) (*Receiver, error) {
 	}
 	hyd := hydrophone.H2a()
 	hyd.AutoGain = true // the operator trims the input level to avoid clipping
-	return &Receiver{
-		Hydro:           hyd,
-		SampleRate:      fs,
-		FilterOrder:     4,
-		DetectThreshold: 0.55,
-	}, nil
+	return &Receiver{Hydro: hyd, SampleRate: fs}, nil
 }
 
 // FindCarriers identifies up to maxN downlink carrier frequencies in a
@@ -59,18 +79,10 @@ func (r *Receiver) FindCarriers(recording []float64, maxN int) []float64 {
 
 // Demodulate mixes the recording down by the carrier and low-pass
 // filters, returning the complex baseband whose magnitude is the
-// amplitude trace of Fig 2. The cutoff tracks the backscatter bandwidth.
+// amplitude trace of Fig 2. The cutoff tracks the backscatter bandwidth
+// (ChannelCutoff).
 func (r *Receiver) Demodulate(recording []float64, carrier, bitrate float64) ([]complex128, error) {
-	// Four times the FM0 occupied bandwidth keeps the bit transitions
-	// sharp enough for the half-bit correlators.
-	cutoff := 4 * phy.OccupiedBandwidth(bitrate)
-	if cutoff < 200 {
-		cutoff = 200
-	}
-	if cutoff > r.SampleRate/4 {
-		cutoff = r.SampleRate / 4
-	}
-	return r.DemodulateBand(recording, carrier, cutoff)
+	return r.DemodulateBand(recording, carrier, ChannelCutoff(r.SampleRate, bitrate))
 }
 
 // DemodulateBand is Demodulate with an explicit low-pass cutoff — needed
@@ -80,7 +92,7 @@ func (r *Receiver) DemodulateBand(recording []float64, carrier, cutoff float64) 
 	if cutoff > r.SampleRate/4 {
 		cutoff = r.SampleRate / 4
 	}
-	return dsp.DownconvertLP(recording, carrier, r.SampleRate, cutoff, r.FilterOrder)
+	return dsp.DownconvertLP(recording, carrier, r.SampleRate, cutoff, FilterOrder)
 }
 
 // CoherentWave projects a complex baseband stream onto its modulation
@@ -350,7 +362,7 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	preLen := len(phy.PreambleBits) * spb
 	for _, block := range []int{preLen, preLen / 2, preLen / 4} {
 		tracked := CoherentWaveTracked(bb, block)
-		sync, err := phy.DetectPacket(tracked, fm0, r.DetectThreshold)
+		sync, err := phy.DetectPacket(tracked, fm0, DetectThreshold)
 		if err != nil {
 			continue
 		}
@@ -520,19 +532,19 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	return best, bestBER, nil
 }
 
-// detectRefined runs two-pass coherent detection: a coarse pass with the
-// axis estimated over the whole stream locates the preamble, then the
-// axis is re-estimated over the detected preamble alone — where the
-// modulation is guaranteed present — and detection and decoding proceed
-// on the refined projection. This is the per-packet channel estimation
-// of the paper's receiver (§5.1b).
+// refinedLock is one candidate preamble lock on its refined projection.
 type refinedLock struct {
 	wave []float64
 	sync phy.Sync
 }
 
-// detectRefinedAll returns every surviving candidate lock, best refined
-// score first.
+// detectRefinedAll runs two-pass coherent detection: a coarse pass with
+// the axis estimated over the whole stream locates the preamble, then
+// the axis is re-estimated over the detected preamble alone — where the
+// modulation is guaranteed present — and detection and decoding proceed
+// on the refined projection. This is the per-packet channel estimation
+// of the paper's receiver (§5.1b). It returns every surviving candidate
+// lock, best refined score first.
 func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, error) {
 	// The global second-moment axis can sit arbitrarily far from the
 	// true modulation axis when the stream is mostly unmodulated
@@ -542,15 +554,11 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 	axis := estimateAxis(bb)
 	axisQ := axis
 	axisQ.rot *= complex(0, 1)
-	firstThresh := r.DetectThreshold / 2
-	if firstThresh > 0.3 {
-		firstThresh = 0.3
-	}
 	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
 	cands := make([]phy.Sync, 0, 16) // two projections × maxK=8 below
 	for _, a := range []modAxis{axis, axisQ} {
 		coarse := projectAxis(bb, a)
-		cs, err := phy.DetectPacketCandidates(coarse, fm0, firstThresh, 8, preambleLen)
+		cs, err := phy.DetectPacketCandidates(coarse, fm0, CoarseThreshold, 8, preambleLen)
 		if err != nil {
 			continue
 		}
@@ -578,7 +586,7 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 		if hi > len(wave) {
 			hi = len(wave)
 		}
-		sync, err := phy.DetectPacket(wave[lo:hi], fm0, r.DetectThreshold)
+		sync, err := phy.DetectPacket(wave[lo:hi], fm0, DetectThreshold)
 		if err != nil {
 			continue
 		}
@@ -613,45 +621,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// detectRefined returns the best candidate lock (compat wrapper).
-func (r *Receiver) detectRefined(bb []complex128, fm0 *phy.FM0) ([]float64, phy.Sync, error) {
-	coarse := CoherentWave(bb)
-	// Generous threshold for the first pass: the global axis may be far
-	// from the modulation axis, and payload structure can out-correlate
-	// the true preamble on the coarse projection — so evaluate several
-	// candidates and keep the one whose refined projection scores best.
-	firstThresh := r.DetectThreshold / 2
-	if firstThresh > 0.3 {
-		firstThresh = 0.3
-	}
-	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
-	cands, err := phy.DetectPacketCandidates(coarse, fm0, firstThresh, 8, preambleLen)
-	if err != nil {
-		return nil, phy.Sync{}, err
-	}
-	var bestWave []float64
-	var bestSync phy.Sync
-	found := false
-	for _, cand := range cands {
-		end := cand.Index + preambleLen
-		if end > len(bb) {
-			end = len(bb)
-		}
-		wave := projectAxis(bb, estimateAxis(bb[cand.Index:end]))
-		sync, err := phy.DetectPacket(wave, fm0, r.DetectThreshold)
-		if err != nil {
-			continue
-		}
-		if !found || sync.Score > bestSync.Score {
-			bestWave, bestSync, found = wave, sync, true
-		}
-	}
-	if !found {
-		return nil, phy.Sync{}, fmt.Errorf("core: no candidate packet survived axis refinement")
-	}
-	return bestWave, bestSync, nil
 }
 
 // CoherentWaveAround projects bb using the axis estimated over

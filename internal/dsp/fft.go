@@ -149,15 +149,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
-// Magnitudes returns |x[i]| for each element.
-func Magnitudes(x []complex128) []float64 {
-	m := make([]float64, len(x))
-	for i, v := range x {
-		m[i] = cmplx.Abs(v)
-	}
-	return m
-}
-
 // PowerSpectrum returns |X[k]|² of the DFT of x, for bins 0..N/2 (real
 // input spectra are symmetric, so only the first half is meaningful).
 func PowerSpectrum(x []float64) []float64 {

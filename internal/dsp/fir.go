@@ -33,10 +33,6 @@ func (f *FIR) Taps() []float64 {
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.taps) }
 
-// GroupDelay returns the filter's group delay in samples (linear-phase
-// filters only, which all the design functions here produce).
-func (f *FIR) GroupDelay() float64 { return float64(len(f.taps)-1) / 2 }
-
 // Filter convolves x with the filter taps and returns the "same"-length
 // output aligned so that output[i] corresponds to input[i] delayed by the
 // group delay.

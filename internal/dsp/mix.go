@@ -20,9 +20,6 @@ func NewOscillator(f, fs float64) *Oscillator {
 	return &Oscillator{freq: f, fs: fs}
 }
 
-// SetPhase sets the oscillator phase in radians.
-func (o *Oscillator) SetPhase(p float64) { o.phase = math.Mod(p, 2*math.Pi) }
-
 // Next returns sin(phase) and advances one sample.
 func (o *Oscillator) Next() float64 {
 	v := math.Sin(o.phase)
@@ -31,15 +28,6 @@ func (o *Oscillator) Next() float64 {
 		o.phase -= 2 * math.Pi
 	}
 	return v
-}
-
-// Block returns the next n samples.
-func (o *Oscillator) Block(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = o.Next()
-	}
-	return out
 }
 
 // Sine synthesises amplitude·sin(2πft + phase) sampled at fs for n samples.
@@ -140,50 +128,6 @@ func Decimate(x []float64, factor int) []float64 {
 	out := make([]float64, 0, len(x)/factor+1)
 	for i := 0; i < len(x); i += factor {
 		out = append(out, x[i])
-	}
-	return out
-}
-
-// DecimateComplex is Decimate for complex baseband signals.
-func DecimateComplex(x []complex128, factor int) []complex128 {
-	if factor <= 1 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]complex128, 0, len(x)/factor+1)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// ResampleLinear linearly interpolates x (length n) to m samples.
-func ResampleLinear(x []float64, m int) []float64 {
-	if m <= 0 || len(x) == 0 {
-		return nil
-	}
-	out := make([]float64, m)
-	if len(x) == 1 {
-		for i := range out {
-			out[i] = x[0]
-		}
-		return out
-	}
-	scale := float64(len(x)-1) / float64(m-1)
-	if m == 1 {
-		out[0] = x[0]
-		return out
-	}
-	for i := range out {
-		pos := float64(i) * scale
-		j := int(pos)
-		if j >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := pos - float64(j)
-		out[i] = x[j]*(1-frac) + x[j+1]*frac
 	}
 	return out
 }

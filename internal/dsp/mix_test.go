@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
+// TestOscillatorPhaseContinuity steps the oscillator past many phase
+// wraps and checks every sample against the closed-form sinusoid.
 func TestOscillatorPhaseContinuity(t *testing.T) {
-	o := NewOscillator(15000, 96000)
-	a := o.Block(100)
-	b := o.Block(100)
-	whole := NewOscillator(15000, 96000).Block(200)
-	for i := 0; i < 100; i++ {
-		if !approx(a[i], whole[i], 1e-12) || !approx(b[i], whole[100+i], 1e-9) {
-			t.Fatal("oscillator blocks are not phase continuous")
+	const f, fs = 15000.0, 96000.0
+	o := NewOscillator(f, fs)
+	for i := 0; i < 200; i++ {
+		want := math.Sin(2 * math.Pi * f / fs * float64(i))
+		if got := o.Next(); !approx(got, want, 1e-9) {
+			t.Fatalf("sample %d = %g, want %g: oscillator is not phase continuous", i, got, want)
 		}
 	}
 }
@@ -106,34 +107,6 @@ func TestDecimate(t *testing.T) {
 	same[0] = 99
 	if x[0] == 99 {
 		t.Error("Decimate(x,1) must copy, not alias")
-	}
-}
-
-func TestDecimateComplex(t *testing.T) {
-	x := []complex128{0, 1i, 2i, 3i}
-	got := DecimateComplex(x, 2)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2i {
-		t.Errorf("DecimateComplex = %v", got)
-	}
-}
-
-func TestResampleLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	got := ResampleLinear(x, 7)
-	if len(got) != 7 {
-		t.Fatalf("len = %d, want 7", len(got))
-	}
-	if got[0] != 0 || got[6] != 3 {
-		t.Errorf("endpoints %g, %g; want 0, 3", got[0], got[6])
-	}
-	if !approx(got[3], 1.5, 1e-12) {
-		t.Errorf("midpoint %g, want 1.5", got[3])
-	}
-	if out := ResampleLinear(nil, 5); out != nil {
-		t.Error("nil input should give nil")
-	}
-	if out := ResampleLinear([]float64{2}, 3); len(out) != 3 || out[1] != 2 {
-		t.Error("single-sample input should replicate")
 	}
 }
 

@@ -39,9 +39,6 @@ func (m *Downmixer) MixInto(dst []complex128, x []float64) []complex128 {
 	return out
 }
 
-// Reset rewinds the oscillator to phase zero.
-func (m *Downmixer) Reset() { m.phase = 0 }
-
 // IIRStream applies a biquad cascade causally one block at a time,
 // carrying the per-section direct-form-II-transposed state across
 // calls: a signal fed through in blocks of any size produces

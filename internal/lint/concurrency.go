@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// This file is the shared syntactic/abstract-interpretation substrate
-// behind the concurrency analyzers (lockdiscipline, goroleak,
-// chanproto): mutex-expression resolution, a must-hold lock-region
-// walker, blocking-operation classification, and loop-exit analysis.
+// This file is the syntactic/abstract-interpretation substrate behind
+// the lockdiscipline analyzer: mutex-expression resolution, a must-hold
+// lock-region walker, loop-break analysis, and static callee
+// resolution.
 //
 // The walker threads a *must-hold* set of mutexes through a function
 // body in syntactic order: Lock() adds, Unlock() removes, `defer
@@ -615,89 +615,52 @@ func loopHasBreak(body ast.Stmt) bool {
 	return found
 }
 
-// loopCanExit reports whether the loop body contains any statement
-// that leaves the loop: return, break (of this loop), or goto.
-func loopCanExit(body ast.Stmt) bool {
-	if loopHasBreak(body) {
-		return true
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ReturnStmt:
-			found = true
-			return false
-		case *ast.FuncLit:
-			return false // a return inside a closure doesn't exit
+// funcDisplayName renders pkg.Func or pkg.Type.Method.
+func funcDisplayName(fn *types.Func) string {
+	name := fn.Name()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
 		}
-		return !found
-	})
-	return found
+		if named, ok := t.(*types.Named); ok {
+			name = named.Obj().Name() + "." + name
+		}
+	}
+	if fn.Pkg() != nil {
+		name = fn.Pkg().Name() + "." + name
+	}
+	return name
 }
 
-// chanObj resolves an expression to the object of a channel-typed
-// variable (local, param, field or package var); nil otherwise.
-func chanObj(pkg *Package, e ast.Expr) types.Object {
-	switch x := e.(type) {
+// staticCallee resolves a call expression to its statically known
+// callee: a package-level function (local or imported) or a concrete
+// method. Interface methods and func-typed values return nil — those
+// are dynamic, and deliberately invisible so dependency injection
+// works.
+func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
+	switch f := call.Fun.(type) {
 	case *ast.Ident:
-		obj := pkg.Info.Uses[x]
-		if obj == nil {
-			obj = pkg.Info.Defs[x]
-		}
-		if obj == nil {
-			return nil
-		}
-		if _, isChan := obj.Type().Underlying().(*types.Chan); isChan {
-			return obj
+		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
+			return fn
 		}
 	case *ast.SelectorExpr:
-		obj := pkg.Info.Uses[x.Sel]
-		if obj == nil {
-			return nil
+		if sel, ok := pkg.Info.Selections[f]; ok {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				if types.IsInterface(sig.Recv().Type()) {
+					return nil
+				}
+			}
+			return fn
 		}
-		if _, isChan := obj.Type().Underlying().(*types.Chan); isChan {
-			return obj
+		// Package-qualified: pkg.Fn.
+		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
+			return fn
 		}
-	case *ast.ParenExpr:
-		return chanObj(pkg, x.X)
 	}
 	return nil
-}
-
-// unbufferedMake reports whether call is make(chan T) with no capacity
-// (or a constant zero capacity).
-func unbufferedMake(pkg *Package, call *ast.CallExpr) bool {
-	fun, okId := call.Fun.(*ast.Ident)
-	if !okId || fun.Name != "make" || len(call.Args) == 0 {
-		return false
-	}
-	if _, isChan := pkg.Info.Types[call.Args[0]].Type.Underlying().(*types.Chan); !isChan {
-		return false
-	}
-	if len(call.Args) == 1 {
-		return true
-	}
-	tv := pkg.Info.Types[call.Args[1]]
-	if tv.Value != nil && tv.Value.String() == "0" {
-		return true
-	}
-	return false
-}
-
-// funcDeclsByObj indexes a package's function declarations by their
-// types.Func, so `go s.worker()` can resolve to worker's body.
-func funcDeclsByObj(pkg *Package) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, okFd := d.(*ast.FuncDecl)
-			if !okFd || fd.Body == nil {
-				continue
-			}
-			if fn, okFn := pkg.Info.Defs[fd.Name].(*types.Func); okFn {
-				out[fn] = fd
-			}
-		}
-	}
-	return out
 }

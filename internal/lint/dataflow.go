@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// This file is the shared intraprocedural dataflow engine behind the
-// flow-sensitive analyzers (dimflow, nanguard). It computes, per
+// This file is the intraprocedural dataflow engine behind nanguard
+// and the hot-path tier's sample-scaling pass. It computes, per
 // function, a conservative abstract value for every local object
 // (parameter, receiver, named result, local variable, assigned struct
 // field) by iterating the function body to a fixpoint.

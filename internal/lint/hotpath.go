@@ -7,14 +7,14 @@ import (
 )
 
 // This file is the shared substrate behind the hot-path performance
-// tier (allocloop, boxiface, invhoist): per-function loop discovery
-// with nesting depth, and sample-scaling inference — does this loop's
-// trip count grow with the number of input samples? — built as a taint
-// domain on the PR 4 dataflow engine (dataflow.go).
+// tier (allocloop, invhoist): per-function loop discovery with nesting
+// depth, and sample-scaling inference — does this loop's trip count
+// grow with the number of input samples? — built as a taint domain on
+// the dataflow engine (dataflow.go).
 //
 // The receiver chain runs at sample rate: a 1.1-second recording at
-// 96 kHz is ~10^5 samples, so any per-iteration heap allocation,
-// interface boxing or redundant transcendental inside a sample-scaled
+// 96 kHz is ~10^5 samples, so any per-iteration heap allocation or
+// redundant transcendental inside a sample-scaled
 // loop is multiplied five orders of magnitude per decode. The tier
 // cannot measure that (the profiler does); it guards the shape of the
 // code so BENCH_decode.json cannot silently regress.

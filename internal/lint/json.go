@@ -2,24 +2,21 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 )
 
 // This file is pablint's machine-readable surface: a stable JSON
-// schema for findings (consumed by CI annotation tooling) and the
-// baseline mechanism (accept a tree's existing findings, fail only on
-// new ones). See internal/lint/README.md for the schema contract.
+// schema for findings, consumed by CI annotation tooling. See
+// internal/lint/README.md for the schema contract.
 
 // jsonSchemaVersion is bumped only on incompatible schema changes;
 // additive fields do not bump it.
 const jsonSchemaVersion = 1
 
 // JSONFinding is one finding in the JSON report. File paths are
-// module-root-relative and slash-separated so reports and baselines
-// are portable across checkouts.
+// module-root-relative and slash-separated so reports are portable
+// across checkouts.
 type JSONFinding struct {
 	Rule           string `json:"rule"`
 	File           string `json:"file"`
@@ -80,70 +77,4 @@ func relPath(modRoot, file string) string {
 		return filepath.ToSlash(file)
 	}
 	return filepath.ToSlash(rel)
-}
-
-// Baseline is a set of accepted findings. The key deliberately omits
-// line/column: unrelated edits shift positions constantly, and a
-// baseline that rots on every edit is worse than none. A finding is
-// "new" when more instances of (rule, file, message) exist than the
-// baseline recorded.
-type Baseline struct {
-	counts map[string]int
-}
-
-func baselineKey(rule, file, message string) string {
-	return rule + "\x00" + file + "\x00" + message
-}
-
-// NewBaseline builds a baseline from a report's active (unsuppressed)
-// findings.
-func NewBaseline(r *JSONReport) *Baseline {
-	b := &Baseline{counts: make(map[string]int)}
-	for _, f := range r.Findings {
-		if f.Suppressed {
-			continue
-		}
-		b.counts[baselineKey(f.Rule, f.File, f.Message)]++
-	}
-	return b
-}
-
-// LoadBaseline reads a JSON report previously written by -json and
-// uses it as the accepted-findings set.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r JSONReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("lint: parsing baseline %s: %w", path, err)
-	}
-	if r.Version != jsonSchemaVersion {
-		return nil, fmt.Errorf("lint: baseline %s has schema version %d, want %d", path, r.Version, jsonSchemaVersion)
-	}
-	return NewBaseline(&r), nil
-}
-
-// FilterNew returns the findings not covered by the baseline:
-// suppressed findings never count, and each baselined (rule, file,
-// message) key absorbs as many occurrences as the baseline recorded.
-func (b *Baseline) FilterNew(modRoot string, findings []Finding) []Finding {
-	remaining := make(map[string]int, len(b.counts))
-	for k, v := range b.counts {
-		remaining[k] = v
-	}
-	var out []Finding
-	for _, f := range findings {
-		if f.Suppressed {
-			continue
-		}
-		k := baselineKey(f.Rule, relPath(modRoot, f.Pos.Filename), f.Msg)
-		if remaining[k] > 0 {
-			remaining[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }

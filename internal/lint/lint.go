@@ -4,8 +4,9 @@
 //
 // The Go compiler cannot check the properties the paper's headline
 // numbers rest on — bit-identical same-seed runs, unit-consistent
-// physics, a stable telemetry namespace — so this package encodes them
-// as analyzers, the way large Go codebases ship custom vet passes:
+// physics, a stable telemetry namespace, a lock-safe service layer, an
+// allocation-free decode loop — so this package encodes them as
+// analyzers, the way large Go codebases ship custom vet passes:
 //
 //   - determinism       — no wall clock, no global math/rand, no
 //     map-iteration-order-dependent results in the deterministic
@@ -17,22 +18,22 @@
 //     unit-bearing names or internal/units types;
 //   - telemetryhygiene  — metric names are compile-time constants
 //     registered in the telemetry package's name registry;
-//   - errdiscard        — no silently discarded errors in the
-//     decode/MAC hot path;
-//   - dimflow           — flow-sensitive physical-dimension checking:
-//     unit-mixing arithmetic, dB/linear confusion, double conversions
-//     (built on the dataflow engine in dataflow.go);
-//   - seedflow          — deterministic packages must not *reach*
-//     time.Now or the global math/rand stream through any chain of
-//     module-internal calls (transitive call-graph analysis);
 //   - nanguard          — divisions and math.Log*/math.Sqrt fed by
-//     unguarded external inputs (NaN/Inf sources).
+//     unguarded external inputs (NaN/Inf sources), built on the
+//     dataflow engine in dataflow.go;
+//   - lockdiscipline    — guarded fields accessed without their mutex,
+//     blocking calls under a lock, and lock-order inversions in the
+//     service packages;
+//   - allocloop         — allocations inside sample-scaled loops of the
+//     decode chain;
+//   - invhoist          — loop-invariant math, divisions and map loads
+//     recomputed per sample.
 //
 // Findings can be suppressed, with a mandatory reason, by a
 // "//pablint:ignore <rules> <reason>" comment on the offending line,
 // on the line directly above it, or — before the package clause — for
-// a whole file. Machine consumers get a stable JSON schema and a
-// baseline mechanism (json.go). See DESIGN.md §11.
+// a whole file. Machine consumers get a stable JSON schema (json.go).
+// See DESIGN.md §11.
 package lint
 
 import (
@@ -121,13 +122,9 @@ type Program struct {
 	// requested pattern (e.g. the telemetry name registry).
 	Loader *Loader
 
-	// flowOnce/flowGraph cache the module call graph shared by the
-	// seedflow passes; built on first use, safe under parallel Run.
-	flowOnce  sync.Once
-	flowGraph *callGraph
-
 	// lockOnce/lockGraph cache the module lock-order graph shared by
-	// the lockdiscipline passes, same lifecycle as flowGraph.
+	// the lockdiscipline passes; built on first use, safe under
+	// parallel Run.
 	lockOnce  sync.Once
 	lockGraph *lockOrderGraph
 }
@@ -140,17 +137,11 @@ type Config struct {
 	DeterministicPkgs []string
 	// PhysicsPkgs are import paths subject to the unitsafety rule.
 	PhysicsPkgs []string
-	// HotPathPkgs are import paths subject to the errdiscard rule.
-	HotPathPkgs []string
-	// FlowPkgs are import paths subject to the flow-sensitive physics
-	// rules (dimflow, nanguard).
+	// FlowPkgs are import paths subject to the flow-sensitive nanguard
+	// rule.
 	FlowPkgs []string
-	// ImpurityExemptPkgs are module packages whose nondeterminism does
-	// not propagate through the seedflow call graph (the telemetry
-	// layer timestamps observations by design).
-	ImpurityExemptPkgs []string
-	// UnitsPkg is the import path of the units package whose DB type
-	// and conversion functions anchor the dimflow lattice.
+	// UnitsPkg is the import path of the units package; nanguard reads
+	// its Clamp's lower bound as a sign guard.
 	UnitsPkg string
 	// TelemetryPkg is the import path of the metrics registry package;
 	// its exported string-typed constants form the registered metric
@@ -159,18 +150,13 @@ type Config struct {
 	// EpsilonHelpers maps import path -> function names whose bodies
 	// may compare floats exactly (they implement the tolerance).
 	EpsilonHelpers map[string][]string
-	// ConcurrencyPkgs are import paths subject to the concurrency rules
-	// (lockdiscipline, goroleak, chanproto) — the service layer, where
-	// mutexes, goroutines and channels live.
+	// ConcurrencyPkgs are import paths subject to the lockdiscipline
+	// rule — the service layer, where mutexes live.
 	ConcurrencyPkgs []string
 	// HotPkgs are import paths subject to the hot-path performance
-	// rules (allocloop, boxiface, invhoist) — the sample-rate decode
-	// chain, where per-iteration costs multiply by the recording
-	// length.
+	// rules (allocloop, invhoist) — the sample-rate decode chain, where
+	// per-iteration costs multiply by the recording length.
 	HotPkgs []string
-	// ProfPkg is the import path of the stage profiler; its calls are
-	// telemetry for the boxiface rule.
-	ProfPkg string
 }
 
 // DefaultConfig returns the configuration for the pab module itself.
@@ -194,13 +180,6 @@ func DefaultConfig() *Config {
 			"pab/internal/circuit",
 			"pab/internal/rectifier",
 		},
-		HotPathPkgs: []string{
-			"pab/internal/phy",
-			"pab/internal/frame",
-			"pab/internal/mac",
-			"pab/internal/core",
-			"pab/internal/dsp",
-		},
 		FlowPkgs: []string{
 			"pab/internal/piezo",
 			"pab/internal/channel",
@@ -211,12 +190,6 @@ func DefaultConfig() *Config {
 			"pab/internal/hydrophone",
 			"pab/internal/projector",
 			"pab/internal/units",
-		},
-		ImpurityExemptPkgs: []string{
-			"pab/internal/telemetry",
-			// The stage profiler timestamps spans, never physics: its
-			// time.Now reads are observability, same as telemetry.
-			"pab/internal/prof",
 		},
 		UnitsPkg:     "pab/internal/units",
 		TelemetryPkg: "pab/internal/telemetry",
@@ -245,7 +218,6 @@ func DefaultConfig() *Config {
 			"pab/internal/acoustics",
 			"pab/internal/stream",
 		},
-		ProfPkg: "pab/internal/prof",
 	}
 }
 
@@ -253,17 +225,15 @@ func DefaultConfig() *Config {
 // `pablint -list`. Rules without a configured scope run module-wide.
 func (cfg *Config) TargetsFor(rule string) []string {
 	switch rule {
-	case "determinism", "seedflow":
+	case "determinism":
 		return cfg.DeterministicPkgs
 	case "unitsafety":
 		return cfg.PhysicsPkgs
-	case "errdiscard":
-		return cfg.HotPathPkgs
-	case "dimflow", "nanguard":
+	case "nanguard":
 		return cfg.FlowPkgs
-	case "lockdiscipline", "goroleak", "chanproto":
+	case "lockdiscipline":
 		return cfg.ConcurrencyPkgs
-	case "allocloop", "boxiface", "invhoist":
+	case "allocloop", "invhoist":
 		return cfg.HotPkgs
 	}
 	return nil // module-wide
@@ -276,15 +246,9 @@ func Analyzers(cfg *Config) []*Analyzer {
 		FloatCmpAnalyzer(),
 		UnitSafetyAnalyzer(),
 		TelemetryHygieneAnalyzer(),
-		ErrDiscardAnalyzer(),
-		DimFlowAnalyzer(),
-		SeedFlowAnalyzer(),
 		NanGuardAnalyzer(),
 		LockDisciplineAnalyzer(),
-		GoroLeakAnalyzer(),
-		ChanProtoAnalyzer(),
 		AllocLoopAnalyzer(),
-		BoxIfaceAnalyzer(),
 		InvHoistAnalyzer(),
 	}
 }

@@ -58,12 +58,13 @@ func runFixtures(t *testing.T) ([]Finding, string) {
 	return Run(prog, cfg, Analyzers(cfg)), prog.Loader.ModRoot
 }
 
-// expectation is one parsed `// want "regex"` comment.
+// expectation is one parsed `// want "regex"` comment; rule names the
+// rule of the finding that matched it, once one has.
 type expectation struct {
 	file string
 	line int
 	re   *regexp.Regexp
-	hit  bool
+	rule string
 }
 
 var quotedRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
@@ -106,34 +107,43 @@ func collectWants(t *testing.T, root string) []*expectation {
 	return wants
 }
 
-// TestGoldenFixtures asserts the suite produces exactly the findings
-// the fixture tree's // want comments declare — no more, no fewer.
-// Suppression-syntax findings are asserted separately.
-func TestGoldenFixtures(t *testing.T) {
-	findings, root := runFixtures(t)
-	wants := collectWants(t, root)
-
+// matchWants pairs each finding with the first unmatched want on its
+// line whose pattern matches its message, and returns the findings no
+// want declared. Suppression-syntax findings are skipped.
+func matchWants(findings []Finding, wants []*expectation) (unexpected []Finding) {
 	for _, f := range findings {
 		if f.Rule == "suppression" {
 			continue
 		}
 		matched := false
 		for _, w := range wants {
-			if w.hit || w.file != f.Pos.Filename || w.line != f.Pos.Line {
+			if w.rule != "" || w.file != f.Pos.Filename || w.line != f.Pos.Line {
 				continue
 			}
 			if w.re.MatchString(f.Msg) {
-				w.hit = true
+				w.rule = f.Rule
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("unexpected finding: %s", f)
+			unexpected = append(unexpected, f)
 		}
 	}
+	return unexpected
+}
+
+// TestGoldenFixtures asserts the suite produces exactly the findings
+// the fixture tree's // want comments declare — no more, no fewer.
+// Suppression-syntax findings are asserted separately.
+func TestGoldenFixtures(t *testing.T) {
+	findings, root := runFixtures(t)
+	wants := collectWants(t, root)
+	for _, f := range matchWants(findings, wants) {
+		t.Errorf("unexpected finding: %s", f)
+	}
 	for _, w := range wants {
-		if !w.hit {
+		if w.rule == "" {
 			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
 		}
 	}
@@ -177,18 +187,38 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestRuleCoverage asserts every analyzer in the suite fires at least
-// once on the fixtures, so a rule that silently stops matching cannot
-// pass the golden test by matching zero wants.
+// TestRuleInventory pins the suite's rule set: adding or deleting a
+// rule is a deliberate change that must update this list, the docs and
+// the fixtures together.
+func TestRuleInventory(t *testing.T) {
+	want := []string{
+		"determinism", "floatcmp", "unitsafety", "telemetryhygiene",
+		"nanguard", "lockdiscipline", "allocloop", "invhoist",
+	}
+	var got []string
+	for _, a := range Analyzers(DefaultConfig()) {
+		got = append(got, a.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("Analyzers(DefaultConfig()) = %v, want %v", got, want)
+	}
+}
+
+// TestRuleCoverage asserts every analyzer in the suite matches at least
+// one // want on the fixtures, so a rule that silently stops matching
+// (or never had a fixture) cannot pass the golden test by matching
+// zero wants.
 func TestRuleCoverage(t *testing.T) {
-	findings, _ := runFixtures(t)
-	fired := make(map[string]bool)
-	for _, f := range findings {
-		fired[f.Rule] = true
+	findings, root := runFixtures(t)
+	wants := collectWants(t, root)
+	matchWants(findings, wants)
+	covered := make(map[string]bool)
+	for _, w := range wants {
+		covered[w.rule] = true
 	}
 	for _, a := range Analyzers(DefaultConfig()) {
-		if !fired[a.Name] {
-			t.Errorf("rule %s produced no findings on the fixtures", a.Name)
+		if !covered[a.Name] {
+			t.Errorf("rule %s matched no // want in the fixtures", a.Name)
 		}
 	}
 }
@@ -255,17 +285,17 @@ func TestFileWideSuppression(t *testing.T) {
 func TestDedupeFindings(t *testing.T) {
 	pos := token.Position{Filename: "a.go", Line: 3, Column: 7}
 	fs := []Finding{
-		{Pos: pos, Rule: "dimflow", Msg: "same conclusion"},
+		{Pos: pos, Rule: "nanguard", Msg: "same conclusion"},
 		{Pos: pos, Rule: "unitsafety", Msg: "same conclusion"},
 		{Pos: pos, Rule: "unitsafety", Msg: "different conclusion"},
-		{Pos: token.Position{Filename: "a.go", Line: 4, Column: 7}, Rule: "dimflow", Msg: "same conclusion"},
+		{Pos: token.Position{Filename: "a.go", Line: 4, Column: 7}, Rule: "nanguard", Msg: "same conclusion"},
 	}
 	sortFindings(fs)
 	out := dedupeFindings(fs)
 	if len(out) != 3 {
 		t.Fatalf("dedupe kept %d findings, want 3: %v", len(out), out)
 	}
-	if out[0].Rule != "dimflow" || out[0].Msg != "same conclusion" {
+	if out[0].Rule != "nanguard" || out[0].Msg != "same conclusion" {
 		t.Errorf("dedupe should keep the alphabetically first rule, got %s", out[0].Rule)
 	}
 }
@@ -278,7 +308,7 @@ func TestDedupeByPosRule(t *testing.T) {
 	fs := []Finding{
 		{Pos: pos, Rule: "allocloop", Msg: "make inside loop"},
 		{Pos: pos, Rule: "allocloop", Msg: "same site, second wording"},
-		{Pos: pos, Rule: "boxiface", Msg: "boxed into any"},
+		{Pos: pos, Rule: "invhoist", Msg: "loop-invariant call"},
 		{Pos: token.Position{Filename: "a.go", Line: 4, Column: 7}, Rule: "allocloop", Msg: "make inside loop"},
 	}
 	out := DedupeByPosRule(fs)
@@ -288,7 +318,7 @@ func TestDedupeByPosRule(t *testing.T) {
 	if out[0].Rule != "allocloop" || out[0].Msg != "make inside loop" {
 		t.Errorf("first finding should survive, got %v", out[0])
 	}
-	if out[1].Rule != "boxiface" {
+	if out[1].Rule != "invhoist" {
 		t.Errorf("distinct rule at same position should survive, got %v", out[1])
 	}
 }
@@ -337,41 +367,6 @@ func TestJSONReportSchema(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip is the acceptance criterion for -baseline: a
-// dirty tree checked against its own baseline is clean, and one new
-// violation fails.
-func TestBaselineRoundTrip(t *testing.T) {
-	prog, cfg := fixtureProgram(t)
-	all := RunAll(prog, cfg, Analyzers(cfg))
-	report := NewJSONReport(prog.Loader.ModPath, prog.Loader.ModRoot, all)
-
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh := base.FilterNew(prog.Loader.ModRoot, all); len(fresh) != 0 {
-		t.Fatalf("tree against its own baseline reports %d new findings: %v", len(fresh), fresh)
-	}
-
-	extra := append(append([]Finding{}, all...), Finding{
-		Pos:  token.Position{Filename: filepath.Join(prog.Loader.ModRoot, "internal", "dsp", "dsp.go"), Line: 9, Column: 1},
-		Rule: "floatcmp",
-		Msg:  "synthetic brand-new violation",
-	})
-	fresh := base.FilterNew(prog.Loader.ModRoot, extra)
-	if len(fresh) != 1 || fresh[0].Msg != "synthetic brand-new violation" {
-		t.Fatalf("one new violation should surface exactly once, got %v", fresh)
-	}
-}
-
 // FuzzParseIgnoreDirective asserts the directive parser's contract on
 // arbitrary comment text: it never panics, non-directives are never
 // malformed, and successful parses have non-empty rules and a
@@ -379,7 +374,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 func FuzzParseIgnoreDirective(f *testing.F) {
 	f.Add("//pablint:ignore floatcmp exact divider outputs")
 	f.Add("//pablint:ignore floatcmp")
-	f.Add("//pablint:ignore floatcmp,dimflow two rules, one reason")
+	f.Add("//pablint:ignore floatcmp,nanguard two rules, one reason")
 	f.Add("//pablint:ignoreX not a directive")
 	f.Add("//pablint:ignore")
 	f.Add("// plain comment")
@@ -414,19 +409,15 @@ func FuzzParseIgnoreDirective(f *testing.F) {
 }
 
 // BenchmarkLintConcurrency times just the concurrency tier
-// (lockdiscipline, goroleak, chanproto) over the real module tree; the
-// lock-order graph is the only module-wide fixpoint in the tier, so
-// this isolates its cost from the physics rules.
+// (lockdiscipline) over the real module tree; the lock-order graph is
+// the suite's only module-wide fixpoint, so this isolates its cost from
+// the physics rules.
 func BenchmarkLintConcurrency(b *testing.B) {
 	prog, cfg, err := loadProgram(filepath.Join("..", ".."))
 	if err != nil {
 		b.Fatal(err)
 	}
-	analyzers := []*Analyzer{
-		LockDisciplineAnalyzer(),
-		GoroLeakAnalyzer(),
-		ChanProtoAnalyzer(),
-	}
+	analyzers := []*Analyzer{LockDisciplineAnalyzer()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh Program rebuilds the cached lock-order graph, matching
@@ -437,7 +428,7 @@ func BenchmarkLintConcurrency(b *testing.B) {
 }
 
 // BenchmarkLintHotpath times just the hot-path tier (allocloop,
-// boxiface, invhoist) over the real module tree; the per-function
+// invhoist) over the real module tree; the per-function
 // sample-taint fixpoint is the tier's only superlinear piece, so this
 // isolates its cost from the rest of the suite.
 func BenchmarkLintHotpath(b *testing.B) {
@@ -445,11 +436,7 @@ func BenchmarkLintHotpath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	analyzers := []*Analyzer{
-		AllocLoopAnalyzer(),
-		BoxIfaceAnalyzer(),
-		InvHoistAnalyzer(),
-	}
+	analyzers := []*Analyzer{AllocLoopAnalyzer(), InvHoistAnalyzer()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh Program matches a cold pablint run.
@@ -470,7 +457,7 @@ func BenchmarkLintTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh Program reuses the loaded packages but rebuilds the
-		// seedflow call-graph cache, matching a cold pablint run.
+		// lock-order graph cache, matching a cold pablint run.
 		iterProg := &Program{Pkgs: prog.Pkgs, Loader: prog.Loader}
 		if fs := RunAll(iterProg, cfg, analyzers); len(fs) == 0 {
 			b.Fatal("suite produced no findings at all (suppressed ones count); wiring broken?")

@@ -44,9 +44,9 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
-	// mu serialises Load: analyzers run in parallel and several of
-	// them (telemetryhygiene, seedflow, dimflow) lazily load packages
-	// outside the requested pattern.
+	// mu serialises Load: analyzers run in parallel and two of them
+	// (telemetryhygiene, lockdiscipline) lazily load packages outside
+	// the requested pattern.
 	mu sync.Mutex
 }
 

@@ -36,7 +36,7 @@ import (
 //     Unlock() paths for the same mutex and no deferred unlock — the
 //     shape where the next early return leaks the lock.
 //  5. Lock-order graph: a module-wide transitive lock-acquisition
-//     graph (seedflow-style witness chains); cycles are reported as
+//     graph with witness chains; cycles are reported as
 //     potential lock-order inversions, self-edges as potential
 //     recursive acquisition (self-deadlock). Mutex identity is per
 //     field (type-keyed), not per instance, so two instances of one
@@ -895,7 +895,7 @@ type lockOrderGraph struct {
 }
 
 // lockOrder returns the program's lock-order graph, building it on
-// first use (Program.lockOnce, like seedflow's call graph).
+// first use (Program.lockOnce).
 func lockOrder(pass *Pass) *lockOrderGraph {
 	prog := pass.Prog
 	prog.lockOnce.Do(func() {
@@ -911,8 +911,7 @@ func buildLockOrder(prog *Program) *lockOrderGraph {
 	}
 
 	// Module package set: requested packages plus module-internal
-	// imports, breadth-first, deterministically ordered (the same
-	// gathering as buildCallGraph).
+	// imports, breadth-first, deterministically ordered.
 	byPath := make(map[string]*Package)
 	var queue []string
 	add := func(pkg *Package) {
@@ -996,7 +995,7 @@ func buildLockOrder(prog *Program) *lockOrderGraph {
 	}
 
 	// Propagate acquire sets callee→caller to a fixpoint, carrying
-	// witness chains (capped like seedflow's).
+	// witness chains (capped at four names).
 	callers := make(map[*types.Func][]*fnInfo)
 	for _, info := range order {
 		for _, callee := range info.calls {

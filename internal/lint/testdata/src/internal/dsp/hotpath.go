@@ -1,6 +1,6 @@
 package dsp
 
-// Hot-path tier fixtures (allocloop, boxiface, invhoist): the dsp
+// Hot-path tier fixtures (allocloop, invhoist): the dsp
 // fixture package is in Config.HotPkgs, so these functions are analyzed
 // as decode-path code. Slice parameters seed the sample-scaling taint;
 // loops over them carry the stronger "sample-scaled loop" label.
@@ -8,8 +8,6 @@ package dsp
 import (
 	"fmt"
 	"math"
-
-	"pab/internal/telemetry"
 )
 
 // Scale allocates a scratch slice per sample; the output buffer itself
@@ -102,32 +100,6 @@ func Retry() []float64 {
 		last = make([]float64, 8) // want "make inside loop in Retry"
 	}
 	return last
-}
-
-// Flush defers per iteration: the defers pile up until return.
-func Flush(chunks [][]float64) {
-	for _, c := range chunks {
-		defer release(c) // want "defer inside sample-scaled loop in Flush"
-	}
-}
-
-func release([]float64) {}
-
-// Count bumps a counter per sample instead of once per batch.
-func Count(xs []float64) {
-	for range xs {
-		telemetry.Inc(telemetry.MGoodTotal) // want "telemetry call \(Inc\) inside sample-scaled loop in Count"
-	}
-}
-
-// sink swallows a value through an any parameter.
-func sink(v any) { _ = v }
-
-// Emit boxes a float into any per sample.
-func Emit(xs []float64) {
-	for _, v := range xs {
-		sink(v) // want "float64 value boxed into any parameter inside sample-scaled loop in Emit"
-	}
 }
 
 // Rotate recomputes an invariant carrier phase per sample.

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"pab/internal/clockutil"
 )
 
 // Stamp leaks the wall clock into a deterministic package.
@@ -74,33 +72,4 @@ func Total(m map[string]int) int {
 		n += v
 	}
 	return n
-}
-
-// Relay launders the wall clock through a module-internal call: the
-// direct determinism rule sees nothing here, seedflow follows the
-// chain.
-func Relay() int64 {
-	return Stamp() // want "call to fault.Stamp reaches a nondeterminism sink"
-}
-
-// DeepRelay is two hops from the sink; the witness chain names them.
-func DeepRelay() int64 {
-	return Relay() // want "call to fault.Relay reaches a nondeterminism sink"
-}
-
-// Backoff launders nondeterminism in from another, non-deterministic
-// package.
-func Backoff() float64 {
-	return clockutil.Jitter() // want "call to clockutil.Jitter reaches a nondeterminism sink"
-}
-
-// Clock is an injected time source: interface dispatch is invisible to
-// seedflow, which is exactly what keeps dependency injection legal.
-type Clock interface {
-	NowNanos() int64
-}
-
-// StampWith reads the injected clock: legal.
-func StampWith(c Clock) int64 {
-	return c.NowNanos()
 }

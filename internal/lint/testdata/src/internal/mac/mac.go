@@ -1,44 +1,8 @@
-// Package mac is an errdiscard- and telemetryhygiene-rule fixture: the
-// decode/MAC hot path may not drop errors, and metric names must be
+// Package mac is a telemetryhygiene-rule fixture: metric names must be
 // registered compile-time constants.
 package mac
 
-import (
-	"errors"
-	"strings"
-
-	"pab/internal/telemetry"
-)
-
-func send() error { return errors.New("mac: fixture send") }
-
-func decode() (int, error) { return 0, errors.New("mac: fixture decode") }
-
-// Drop discards an error-only result as a bare statement.
-func Drop() {
-	send() // want "error result discarded"
-}
-
-// Blank blanks the error half of a tuple.
-func Blank() int {
-	n, _ := decode() // want "error result blanked with _"
-	return n
-}
-
-// Handle does it right.
-func Handle() (int, error) {
-	if err := send(); err != nil {
-		return 0, err
-	}
-	return decode()
-}
-
-// Describe writes into a strings.Builder, documented to never fail.
-func Describe() string {
-	var sb strings.Builder
-	sb.WriteString("mac")
-	return sb.String()
-}
+import "pab/internal/telemetry"
 
 // Count increments a registered constant metric: legal.
 func Count() {
@@ -58,11 +22,4 @@ func CountDynamic(suffix string) {
 // CountRegistry exercises the method form with a non-constant name.
 func CountRegistry(r *telemetry.Registry, name telemetry.Name) {
 	r.Inc(name) // a checked Name value: legal
-}
-
-// ObserveFrame records a timestamped sample: telemetry's clock use is
-// exempt from seedflow propagation by design, so this is legal even in
-// a deterministic package.
-func ObserveFrame() {
-	telemetry.Observe(telemetry.MGoodTotal)
 }

@@ -3,8 +3,6 @@
 // telemetryhygiene rule checks against.
 package telemetry
 
-import "time"
-
 // Name is a registered metric name.
 type Name string
 
@@ -31,13 +29,4 @@ func (r *Registry) Inc(name Name) {
 		r.counts = make(map[Name]int64)
 	}
 	r.counts[name]++
-}
-
-var lastSeen = map[Name]int64{}
-
-// Observe timestamps a sample before counting it; the telemetry layer
-// is allowed wall-clock reads (seedflow exempts it by design).
-func Observe(name Name) {
-	lastSeen[name] = time.Now().UnixNano()
-	counters[name]++
 }

@@ -2,8 +2,6 @@
 // carries the approved epsilon helper the floatcmp rule exempts.
 package units
 
-import "math"
-
 // ApproxEqual is the approved epsilon helper; its body may compare
 // floats exactly because it implements the tolerance.
 func ApproxEqual(a, b, tol float64) bool {
@@ -21,21 +19,4 @@ func ApproxEqual(a, b, tol float64) bool {
 // is flagged like anyone else's.
 func Sloppy(a, b float64) bool {
 	return a == b // want "floating-point == comparison"
-}
-
-// DB is the fixture mirror of the real logarithmic-scale wrapper the
-// dimflow rule anchors on.
-type DB float64
-
-// PowerToDB converts a linear power ratio to decibels.
-func PowerToDB(ratio float64) DB {
-	if ratio <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(ratio))
-}
-
-// DBToPower converts a decibel level back to a linear power ratio.
-func DBToPower(level DB) float64 {
-	return math.Pow(10, float64(level)/10)
 }

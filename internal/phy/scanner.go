@@ -55,9 +55,6 @@ func NewSyncScanner(m *FM0, threshold float64) *SyncScanner {
 	}
 }
 
-// Overlap returns the history length carried between calls.
-func (s *SyncScanner) Overlap() int { return len(s.tmpl) - 1 }
-
 // Offset returns the global index of the next sample Scan will consume.
 func (s *SyncScanner) Offset() int64 { return s.next }
 
@@ -96,11 +93,4 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 	s.nCarry = keep
 	s.next += int64(len(block))
 	return s.hits
-}
-
-// Reset clears the carry and rewinds the global index to zero.
-func (s *SyncScanner) Reset() {
-	s.nCarry = 0
-	s.next = 0
-	s.hits = s.hits[:0]
 }

@@ -107,9 +107,6 @@ var allocTracking atomic.Bool
 // off (off by default).
 func SetAllocTracking(on bool) { allocTracking.Store(on) }
 
-// AllocTracking reports whether stage timers record allocation deltas.
-func AllocTracking() bool { return allocTracking.Load() }
-
 // heapAllocs reads the cumulative heap allocation counter. The sample
 // is process-global — per-stage deltas are exact in a single-threaded
 // harness (pabprof) and an upper bound under concurrency.

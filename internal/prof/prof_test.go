@@ -222,3 +222,29 @@ func TestBenchReportAllocGate(t *testing.T) {
 		t.Fatalf("within-budget alloc flagged: %v", problems)
 	}
 }
+
+// TestPercentileSorted pins the nearest-rank formula shared by the
+// BENCH reports: rank int(p/100·n+0.5)-1, clamped to [0, n-1]. The
+// values are 1..n, so each expectation is the 1-based rank.
+func TestPercentileSorted(t *testing.T) {
+	cases := []struct {
+		n       int
+		p, want float64
+	}{
+		{1, 50, 1}, {1, 99, 1},
+		{60, 50, 30}, {60, 99, 59},
+		{250, 50, 125}, {250, 99, 248},
+	}
+	for _, c := range cases {
+		sorted := make([]float64, c.n)
+		for i := range sorted {
+			sorted[i] = float64(i + 1)
+		}
+		if got := PercentileSorted(sorted, c.p); got != c.want {
+			t.Errorf("n=%d p%g = %g, want %g", c.n, c.p, got, c.want)
+		}
+	}
+	if got := PercentileSorted(nil, 50); got != 0 {
+		t.Errorf("empty slice p50 = %g, want 0", got)
+	}
+}

@@ -71,8 +71,8 @@ func CollectStageStats(spans []telemetry.SpanRecord) map[string]StageStats {
 		n := len(a.durs)
 		st := StageStats{
 			Count:        n,
-			P50MS:        percentileSorted(a.durs, 50) * 1e3,
-			P99MS:        percentileSorted(a.durs, 99) * 1e3,
+			P50MS:        PercentileSorted(a.durs, 50) * 1e3,
+			P99MS:        PercentileSorted(a.durs, 99) * 1e3,
 			MeanMS:       sum / float64(n) * 1e3,
 			MaxMS:        a.durs[n-1] * 1e3,
 			TotalSamples: a.samples,
@@ -101,9 +101,10 @@ func toInt64(v any) int64 {
 	return 0
 }
 
-// percentileSorted returns the pth percentile (nearest-rank) of an
-// ascending-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted returns the pth percentile (nearest-rank) of an
+// ascending-sorted slice: the value at rank round(p/100·n), clamped to
+// the slice. An empty slice yields 0.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -7,7 +7,7 @@
 //
 //	volts ──▶ Downmixer ──▶ IIRStream ×2 ──▶ window ──▶ DecodeBaseband
 //	(chunks)  (carried       (carried I/Q      (bounded:   (full batch
-//	           phase)         filter state)     ≤ WindowPackets
+//	           phase)         filter state)     ≤ windowPackets
 //	                                            packets)    detector)
 //
 // A SyncScanner pair watches the in-phase and quadrature projections
@@ -17,8 +17,7 @@
 // not one recording. The scanner is a latency device only: before any
 // sample leaves the window the decoder always runs a full-window
 // batch attempt, so a frame the scanner missed is still recovered as
-// long as it fits the window — the bound callers set with
-// Config.WindowPackets.
+// long as it fits the window of windowPackets maximum-length packets.
 //
 // A Decoder is not safe for concurrent use; the ingestion hub in
 // stream/streamd serialises access per stream.
@@ -54,16 +53,6 @@ type Config struct {
 	// able to hold whole (default frame.MaxPayload). Smaller values
 	// shrink the window and per-stream memory.
 	MaxPayloadBytes int
-	// WindowPackets sizes the decode window in units of the maximum
-	// packet length (default and minimum 2 — a packet plus the room
-	// for it to straddle the previous one).
-	WindowPackets int
-	// FilterOrder of the Butterworth channel filter (default 4).
-	FilterOrder int
-	// DetectThreshold is the batch detector's normalised correlation
-	// threshold (default 0.55); the scanners run at half of it, like
-	// the batch receiver's coarse pass.
-	DetectThreshold float64
 	// CarrierDetectSamples is how much lead-in the carrier detector
 	// accumulates before the first FFT peak search (default 8192).
 	CarrierDetectSamples int
@@ -84,15 +73,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.MaxPayloadBytes <= 0 || c.MaxPayloadBytes > frame.MaxPayload {
 		c.MaxPayloadBytes = frame.MaxPayload
-	}
-	if c.WindowPackets < 2 {
-		c.WindowPackets = 2
-	}
-	if c.FilterOrder <= 0 {
-		c.FilterOrder = 4
-	}
-	if c.DetectThreshold <= 0 {
-		c.DetectThreshold = 0.55
 	}
 	if c.CarrierDetectSamples <= 0 {
 		c.CarrierDetectSamples = 8192
@@ -139,6 +119,10 @@ var errClosed = errors.New("stream: decoder is closed")
 // maxCands bounds the candidate queue; the pre-slide full-window
 // attempt still covers any hit dropped past the bound.
 const maxCands = 32
+
+// windowPackets sizes the decode window in units of the maximum packet
+// length: a packet plus the room for it to straddle the previous one.
+const windowPackets = 2
 
 // Decoder decodes an uplink voltage stream chunk by chunk.
 type Decoder struct {
@@ -194,17 +178,13 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 		return nil, err
 	}
 	d := &Decoder{
-		cfg: cfg,
-		recv: core.Receiver{
-			SampleRate:      cfg.SampleRate,
-			FilterOrder:     cfg.FilterOrder,
-			DetectThreshold: cfg.DetectThreshold,
-		},
+		cfg:    cfg,
+		recv:   core.Receiver{SampleRate: cfg.SampleRate},
 		spb:    spb,
 		preLen: len(phy.PreambleBits) * spb,
 	}
 	d.maxPacket = (len(phy.PreambleBits) + frame.DataFrameBitLength(cfg.MaxPayloadBytes)) * spb
-	d.windowCap = cfg.WindowPackets * d.maxPacket
+	d.windowCap = windowPackets * d.maxPacket
 	d.keepTail = d.maxPacket
 	d.win = getC128(d.windowCap + cfg.BlockSize)[:0]
 	d.mixBuf = getC128(cfg.BlockSize)
@@ -212,12 +192,8 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	d.imBuf = getF64(cfg.BlockSize)
 	d.projBuf = getF64(cfg.BlockSize)
 	// The scanners run at the batch receiver's coarse-pass threshold.
-	firstThresh := cfg.DetectThreshold / 2
-	if firstThresh > 0.3 {
-		firstThresh = 0.3
-	}
-	d.scanI = phy.NewSyncScanner(fm0, firstThresh)
-	d.scanQ = phy.NewSyncScanner(fm0, firstThresh)
+	d.scanI = phy.NewSyncScanner(fm0, core.CoarseThreshold)
+	d.scanQ = phy.NewSyncScanner(fm0, core.CoarseThreshold)
 	d.cands = make([]int64, 0, maxCands)
 	if cfg.CarrierHz > 0 {
 		if err := d.lock(cfg.CarrierHz); err != nil {
@@ -237,14 +213,8 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 // response, with group delay instead of the backward pass (the
 // backward pass reads the future and cannot stream).
 func (d *Decoder) lock(carrier float64) error {
-	cutoff := 4 * phy.OccupiedBandwidth(d.cfg.BitrateBps)
-	if cutoff < 200 {
-		cutoff = 200
-	}
-	if cutoff > d.cfg.SampleRate/4 {
-		cutoff = d.cfg.SampleRate / 4
-	}
-	lp, err := dsp.DesignButterworthLowpass(cutoff, d.cfg.SampleRate, d.cfg.FilterOrder)
+	cutoff := core.ChannelCutoff(d.cfg.SampleRate, d.cfg.BitrateBps)
+	lp, err := dsp.DesignButterworthLowpass(cutoff, d.cfg.SampleRate, core.FilterOrder)
 	if err != nil {
 		return err
 	}

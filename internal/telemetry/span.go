@@ -159,9 +159,3 @@ func (r *Registry) RecordSpan(name string, parent uint64, start time.Time, d tim
 	r.spanMu.Unlock()
 	return rec.ID
 }
-
-// RecordSpan files an externally measured span into the default
-// registry.
-func RecordSpan(name string, parent uint64, start time.Time, d time.Duration, attrs map[string]any) uint64 {
-	return defaultReg.RecordSpan(name, parent, start, d, attrs)
-}

@@ -179,17 +179,7 @@ func (l *Link) CapVoltage() float64 { return l.inner.Node().CapVoltage() }
 func (l *Link) Core() *core.Link { return l.inner }
 
 // Transport adapts the link to the MAC layer's polling interface.
-func (l *Link) Transport() mac.Transport { return linkTransport{l.inner} }
-
-type linkTransport struct{ l *core.Link }
-
-func (t linkTransport) Exchange(q frame.Query) (mac.Exchange, error) {
-	reply, airtime, snr, err := t.l.Exchange(q)
-	if err != nil {
-		return mac.Exchange{}, err
-	}
-	return mac.Exchange{Reply: reply, AirtimeSeconds: airtime, SNRLinear: snr}, nil
-}
+func (l *Link) Transport() mac.Transport { return l.inner.Transport() }
 
 // NewPoller wraps the link in the ARQ polling MAC (§5.1b's CRC-driven
 // retransmissions).
