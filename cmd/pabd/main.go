@@ -41,11 +41,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -124,9 +122,9 @@ type serveConfig struct {
 }
 
 // serve runs the daemon until ctx is cancelled (SIGINT/SIGTERM or
-// -timeout), then drains: the HTTP listener closes first so no new
-// jobs arrive, queued jobs are cancelled, and in-flight jobs get
-// drainTimeout to finish.
+// -timeout), then drains (cli.Serve): the HTTP listener closes first
+// so no new jobs arrive, queued jobs are cancelled, and in-flight jobs
+// get drainTimeout to finish.
 func serve(ctx context.Context, cfg serveConfig) error {
 	if cfg.walDir != "" {
 		store, err := sim.OpenStore(wal.Options{
@@ -150,42 +148,10 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		fmt.Fprintf(os.Stderr, "pabd: wal replay: %d queued, %d cached results, %d dead letters\n",
 			st.Queued, st.CacheSize, st.DeadLetters)
 	}
-	srv := &http.Server{
-		Addr:    cfg.addr,
-		Handler: sim.NewServer(sched).Handler(),
-		BaseContext: func(net.Listener) context.Context {
-			return ctx
-		},
-	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return fmt.Errorf("pabd: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "pabd: serving on %s (%d workers)\n", ln.Addr(), sched.Workers())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		// The listener died on its own; still drain the pool.
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		sched.Shutdown(drainCtx)
-		return fmt.Errorf("pabd: %w", err)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(os.Stderr, "pabd: shutting down, draining for up to %s\n", cfg.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-	}
-	<-serveErr
-	if err := sched.Shutdown(drainCtx); err != nil && !errors.Is(err, context.Canceled) {
-		return fmt.Errorf("pabd: drain: %w", err)
-	}
-	fmt.Fprintln(os.Stderr, "pabd: drained cleanly")
-	return nil
+	return cli.Serve(ctx, "pabd", ln, sim.NewServer(sched).Handler(), cfg.drainTimeout, nil, sched.Shutdown)
 }

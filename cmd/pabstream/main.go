@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -109,8 +108,8 @@ type serveConfig struct {
 }
 
 // serve runs the daemon until ctx is cancelled (SIGINT/SIGTERM or
-// -timeout), then drains: the listener closes first so no new chunks
-// arrive, then every live stream's window is flushed.
+// -timeout), then drains (cli.Serve): intake stops, the listener closes
+// so no new chunks arrive, then every live stream's window is flushed.
 func serve(ctx context.Context, cfg serveConfig) error {
 	// Fail fast on a bad decoder template rather than per open.
 	if probe, err := stream.NewDecoder(cfg.hub.Decoder); err != nil {
@@ -118,44 +117,13 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	} else {
 		probe.Close()
 	}
-	hub := streamd.NewHub(cfg.hub)
-	srv := &http.Server{
-		Addr:    cfg.addr,
-		Handler: streamd.NewServer(hub).Handler(),
-		BaseContext: func(net.Listener) context.Context {
-			return ctx
-		},
-	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return fmt.Errorf("pabstream: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "pabstream: serving on %s\n", ln.Addr())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		// The listener died on its own; still flush in-flight streams.
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		hub.Drain(drainCtx)
-		return fmt.Errorf("pabstream: %w", err)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(os.Stderr, "pabstream: shutting down, draining for up to %s\n", cfg.drainTimeout)
-	hub.BeginDrain() // stop admitting before the listener finishes in-flight requests
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-	}
-	<-serveErr
-	if err := hub.Drain(drainCtx); err != nil {
-		return fmt.Errorf("pabstream: drain: %w", err)
-	}
-	fmt.Fprintln(os.Stderr, "pabstream: drained cleanly")
-	return nil
+	hub := streamd.NewHub(cfg.hub)
+	// BeginDrain stops admitting before the listener finishes in-flight
+	// requests; Drain then flushes every live stream's window.
+	return cli.Serve(ctx, "pabstream", ln, streamd.NewServer(hub).Handler(), cfg.drainTimeout, hub.BeginDrain, hub.Drain)
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"pab/internal/node"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -154,6 +156,61 @@ func TestFig11PaperNumbers(t *testing.T) {
 	}
 }
 
+func TestFig8PaperShape(t *testing.T) {
+	// The full default sweep: 10 bitrates × 5 placements of the whole
+	// link. Skip under -short like the other heavy runners.
+	if testing.Short() {
+		t.Skip("full fig8 sweep")
+	}
+	cfg := DefaultFig8Config()
+	rows, err := Fig8(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(cfg.Bitrates) {
+		t.Fatalf("%d rows for %d bitrates", len(rows), len(cfg.Bitrates))
+	}
+	mcu := node.PaperMCU()
+	for i, r := range rows {
+		// Each row reports the clock-divider-quantised rate the node
+		// actually ran at (the paper's footnote 13).
+		want, err := mcu.AchievableBitrate(cfg.Bitrates[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BitrateBps != want {
+			t.Errorf("row %d rate %g, want achievable %g for requested %g", i, r.BitrateBps, want, cfg.Bitrates[i])
+		}
+		if r.Trials != cfg.Trials {
+			t.Errorf("%g bit/s: %d trials, want %d", r.BitrateBps, r.Trials, cfg.Trials)
+		}
+		// SNR declines with bitrate, within one trial std of noise.
+		if i > 0 {
+			prev := rows[i-1]
+			if r.MeanSNRdB > prev.MeanSNRdB+prev.StdSNRdB {
+				t.Errorf("SNR rose beyond trial noise: %.1f dB @%g → %.1f dB @%g",
+					prev.MeanSNRdB, prev.BitrateBps, r.MeanSNRdB, r.BitrateBps)
+			}
+		}
+		// Usable through ≈3 kbit/s.
+		if r.BitrateBps <= 3000 && r.MeanSNRdB <= 3 {
+			t.Errorf("%g bit/s at %.1f dB, want > 3 dB below 3 kbit/s", r.BitrateBps, r.MeanSNRdB)
+		}
+	}
+	// Collapse at ≈5 kbit/s: the recto-piezo cannot slew that fast.
+	first, last := rows[0], rows[len(rows)-1]
+	if math.Round(first.BitrateBps*10) != 999 || math.Round(last.BitrateBps) != 4681 {
+		t.Fatalf("sweep spans %g–%g bit/s, want 99.9–4681", first.BitrateBps, last.BitrateBps)
+	}
+	if last.MeanSNRdB >= 0 {
+		t.Errorf("4681 bit/s at %.1f dB, want below 0 dB", last.MeanSNRdB)
+	}
+	if first.MeanSNRdB-last.MeanSNRdB < 20 {
+		t.Errorf("collapse only %.1f dB (%.1f → %.1f), want ≥ 20 dB",
+			first.MeanSNRdB-last.MeanSNRdB, first.MeanSNRdB, last.MeanSNRdB)
+	}
+}
+
 func TestFig9PaperShape(t *testing.T) {
 	cfg := Fig9Config{DrivesV: []float64{50, 150, 350}, StepM: 0.5}
 	rows, err := Fig9(cfg)
@@ -189,6 +246,39 @@ func TestFig9Validation(t *testing.T) {
 	}
 	if _, err := Fig9(Fig9Config{DrivesV: []float64{100}, StepM: 0}); err == nil {
 		t.Error("zero step should error")
+	}
+}
+
+func TestFig10PaperShape(t *testing.T) {
+	rows, err := Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 8 {
+		t.Fatalf("%d locations, want 8", len(rows))
+	}
+	below := 0
+	for _, r := range rows {
+		for k := 0; k < 2; k++ {
+			before, after := r.BeforeDB[k], r.AfterDB[k]
+			// Zero-forcing projection lifts every stream clear of the
+			// collision and decodes it error-free.
+			if after <= before || after <= 3 {
+				t.Errorf("location %d node %d: SINR %.1f → %.1f dB, want a rise to > 3 dB",
+					r.Location, k+1, before, after)
+			}
+			if r.BERAfter[k] != 0 {
+				t.Errorf("location %d node %d: BER after projection %g, want 0", r.Location, k+1, r.BERAfter[k])
+			}
+			if before < 3 {
+				below++
+			}
+		}
+	}
+	// Before projection the collision buries almost every stream; two
+	// placements leave node 1 partly clear (location-dependent SINR).
+	if below != 14 {
+		t.Errorf("%d of 16 streams below 3 dB before projection, want 14", below)
 	}
 }
 

@@ -255,8 +255,8 @@ type Fig8Config struct {
 	Seed     int64
 }
 
-// DefaultFig8Config uses the paper's bitrates and three trials each
-// (§6.1b).
+// DefaultFig8Config uses the paper's bitrates and five trials each,
+// one per jittered node placement (§6.1b).
 func DefaultFig8Config() Fig8Config {
 	return Fig8Config{
 		Bitrates: []float64{100, 200, 400, 600, 800, 1000, 2000, 2800, 3000, 5000},

@@ -4,9 +4,10 @@
 //
 // The Go compiler cannot check the properties the paper's headline
 // numbers rest on — bit-identical same-seed runs, unit-consistent
-// physics, a stable telemetry namespace, a lock-safe service layer, an
-// allocation-free decode loop — so this package encodes them as
-// analyzers, the way large Go codebases ship custom vet passes:
+// physics, a stable telemetry namespace, unlocks that an early return
+// cannot skip, an allocation-free decode loop — so this package
+// encodes them as analyzers, the way large Go codebases ship custom
+// vet passes:
 //
 //   - determinism       — no wall clock, no global math/rand, no
 //     map-iteration-order-dependent results in the deterministic
@@ -21,9 +22,8 @@
 //   - nanguard          — divisions and math.Log*/math.Sqrt fed by
 //     unguarded external inputs (NaN/Inf sources), built on the
 //     dataflow engine in dataflow.go;
-//   - lockdiscipline    — guarded fields accessed without their mutex,
-//     blocking calls under a lock, and lock-order inversions in the
-//     service packages;
+//   - lockdiscipline    — defer-less unlock ladders: two or more manual
+//     Unlock paths for one mutex and no deferred unlock;
 //   - allocloop         — allocations inside sample-scaled loops of the
 //     decode chain;
 //   - invhoist          — loop-invariant math, divisions and map loads
@@ -121,12 +121,6 @@ type Program struct {
 	// Loader gives whole-program rules access to packages outside the
 	// requested pattern (e.g. the telemetry name registry).
 	Loader *Loader
-
-	// lockOnce/lockGraph cache the module lock-order graph shared by
-	// the lockdiscipline passes; built on first use, safe under
-	// parallel Run.
-	lockOnce  sync.Once
-	lockGraph *lockOrderGraph
 }
 
 // Config parameterises the analyzers so the same rules run over the
@@ -150,9 +144,6 @@ type Config struct {
 	// EpsilonHelpers maps import path -> function names whose bodies
 	// may compare floats exactly (they implement the tolerance).
 	EpsilonHelpers map[string][]string
-	// ConcurrencyPkgs are import paths subject to the lockdiscipline
-	// rule — the service layer, where mutexes live.
-	ConcurrencyPkgs []string
 	// HotPkgs are import paths subject to the hot-path performance
 	// rules (allocloop, invhoist) — the sample-rate decode chain, where
 	// per-iteration costs multiply by the recording length.
@@ -197,19 +188,6 @@ func DefaultConfig() *Config {
 			"pab/internal/units": {"ApproxEqual"},
 			"pab/internal/stats": {"ApproxEqual"},
 		},
-		ConcurrencyPkgs: []string{
-			"pab/internal/sim",
-			"pab/internal/wal",
-			"pab/internal/telemetry",
-			"pab/internal/prof",
-			"pab/internal/mac",
-			"pab/internal/cli",
-			"pab/cmd/pabd",
-			"pab/cmd/pabcrash",
-			"pab/internal/stream",
-			"pab/internal/stream/streamd",
-			"pab/cmd/pabstream",
-		},
 		HotPkgs: []string{
 			"pab/internal/dsp",
 			"pab/internal/phy",
@@ -231,8 +209,6 @@ func (cfg *Config) TargetsFor(rule string) []string {
 		return cfg.PhysicsPkgs
 	case "nanguard":
 		return cfg.FlowPkgs
-	case "lockdiscipline":
-		return cfg.ConcurrencyPkgs
 	case "allocloop", "invhoist":
 		return cfg.HotPkgs
 	}

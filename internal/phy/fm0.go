@@ -194,14 +194,6 @@ func meanOf(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// BitDuration returns the duration of one bit at sample rate fs.
-func (m *FM0) BitDuration(fs float64) float64 {
-	if fs <= 0 {
-		return 0
-	}
-	return float64(m.SamplesPerBit) / fs
-}
-
 // Bitrate returns the data rate in bit/s at sample rate fs.
 func (m *FM0) Bitrate(fs float64) float64 {
 	if m.SamplesPerBit <= 0 {

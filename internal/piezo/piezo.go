@@ -278,12 +278,6 @@ func (t *Transducer) ReflectionCoeff(zLoad circuit.Impedance, f float64) complex
 	return gamma * complex(b*b*t.design.Efficiency, 0)
 }
 
-// ReflectionAmplitude returns |ReflectionCoeff| — the reflected
-// amplitude ratio when phase is irrelevant.
-func (t *Transducer) ReflectionAmplitude(zLoad circuit.Impedance, f float64) float64 {
-	return cmplx.Abs(t.ReflectionCoeff(zLoad, f))
-}
-
 // StateReflectionCoeff returns the complex reflection coefficient for a
 // switch state given the matched harvesting load impedance at this
 // frequency.

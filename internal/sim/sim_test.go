@@ -417,6 +417,7 @@ func TestSubmitBatch(t *testing.T) {
 
 	// Queue now holds one job (seed 2) with the worker on seed 1: a
 	// 3-new-spec batch cannot fit and must be rejected whole.
+	waitBusy(t, s, 1)
 	before := s.Stats().Queued
 	_, _, err = s.SubmitBatch([]scenario.Spec{chaosSpec(10), chaosSpec(11), chaosSpec(12)}, 0)
 	if !errors.Is(err, ErrQueueFull) {

@@ -1,8 +1,6 @@
 // Package testutil holds shared test harness helpers. The goroutine
-// leak checker here is the runtime complement to pablint's static
-// goroleak rule: the analyzer proves a termination path exists, this
-// checker proves the path was actually taken by the time the test
-// returned.
+// leak checker here proves, at runtime, that every goroutine a test
+// started has exited by the time the test returns.
 package testutil
 
 import (
