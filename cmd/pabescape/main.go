@@ -48,13 +48,13 @@ import (
 // per-decode path (or is called per candidate inside it).
 var hotFuncs = map[string][]string{
 	"pab/internal/dsp": {
-		"Downconvert", "DownconvertLP", "Envelope",
-		"CrossCorrelate", "NormalizedCrossCorrelate",
+		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "Envelope",
+		"(*StepCorrelator).Correlate",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).EncodeTemplate",
-		"DetectPacket", "DetectPacketCandidates", "MeasureSNR",
+		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates", "MeasureSNR",
 	},
 	"pab/internal/core": {
 		"CoherentWave", "estimateAxis", "projectAxis",

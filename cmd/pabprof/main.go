@@ -8,7 +8,9 @@
 // allocation tracking on, and reports exact p50/p99/mean wall time,
 // ops/sec, samples/sec and bytes-allocated-per-op for every pipeline
 // stage (record → downconvert → filter → sync → decode) plus the full
-// chain.
+// chain. Each stage row also carries its calls and milliseconds per
+// chain, and unattributed_share is the part of the mean chain that no
+// stage covers.
 //
 //	pabprof -o BENCH_decode.json                 # measure and write
 //	pabprof -runs 20 -check BENCH_decode.json    # CI regression gate
@@ -139,6 +141,10 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 
 	snap := telemetry.Default().Snapshot()
 	sort.Float64s(durs)
+	var total float64
+	for _, d := range durs {
+		total += d
+	}
 	rep := prof.BenchReport{
 		SchemaVersion:    1,
 		Runs:             runs,
@@ -149,11 +155,13 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 		WallS:            wall,
 		ChainP50MS:       prof.PercentileSorted(durs, 50) * 1e3,
 		ChainP99MS:       prof.PercentileSorted(durs, 99) * 1e3,
+		ChainMeanMS:      total / float64(runs) * 1e3,
 		Stages:           prof.CollectStageStats(snap.Spans),
 	}
 	if wall > 0 {
 		rep.OpsPerSec = float64(runs) / wall
 	}
+	rep.AttributePerChain()
 
 	// Every pipeline stage must have run: a stage silently dropping out
 	// of the measurement is itself a harness bug.
@@ -192,15 +200,17 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 }
 
 func printSummary(rep prof.BenchReport) {
-	fmt.Printf("decode chain: %d/%d runs decoded, %.1f ops/sec, p50 %.3f ms, p99 %.3f ms\n",
-		rep.Decoded, rep.Runs, rep.OpsPerSec, rep.ChainP50MS, rep.ChainP99MS)
-	fmt.Printf("%-12s %6s %10s %10s %12s %12s\n",
-		"stage", "count", "p50 ms", "p99 ms", "samples/s", "B/op")
+	fmt.Printf("decode chain: %d/%d runs decoded, %.1f ops/sec, p50 %.3f ms, p99 %.3f ms, mean %.3f ms\n",
+		rep.Decoded, rep.Runs, rep.OpsPerSec, rep.ChainP50MS, rep.ChainP99MS, rep.ChainMeanMS)
+	fmt.Printf("%-12s %6s %10s %10s %12s %12s %9s %9s\n",
+		"stage", "count", "p50 ms", "p99 ms", "samples/s", "B/op", "calls/ch", "ms/ch")
 	for _, st := range prof.Stages {
 		s := rep.Stages[st.Key]
-		fmt.Printf("%-12s %6d %10.3f %10.3f %12.3g %12.0f\n",
-			st.Key, s.Count, s.P50MS, s.P99MS, s.SamplesPerSec, s.AllocBytesPerOp)
+		fmt.Printf("%-12s %6d %10.3f %10.3f %12.3g %12.0f %9.1f %9.3f\n",
+			st.Key, s.Count, s.P50MS, s.P99MS, s.SamplesPerSec, s.AllocBytesPerOp, s.CallsPerChain, s.MSPerChain)
 	}
+	fmt.Printf("%-12s %6s %10s %10s %12s %12s %9s %9.3f (%.1f%% of the mean chain)\n",
+		"unattributed", "", "", "", "", "", "", rep.UnattributedShare*rep.ChainMeanMS, 100*rep.UnattributedShare)
 }
 
 func writeReport(path string, rep prof.BenchReport) error {

@@ -135,11 +135,16 @@ func estimateAxis(seg []complex128) modAxis {
 
 // projectAxis applies an axis estimate to a whole stream.
 func projectAxis(bb []complex128, a modAxis) []float64 {
-	out := make([]float64, len(bb))
+	return projectAxisInto(make([]float64, len(bb)), bb, a)
+}
+
+// projectAxisInto is projectAxis writing into dst, len(dst) ≥ len(bb).
+func projectAxisInto(dst []float64, bb []complex128, a modAxis) []float64 {
+	dst = dst[:len(bb)]
 	for i, v := range bb {
-		out[i] = real((v - a.mean) * a.rot)
+		dst[i] = real((v - a.mean) * a.rot)
 	}
-	return out
+	return dst
 }
 
 // CoherentWaveTracked projects bb onto a slowly *rotating* modulation
@@ -282,19 +287,14 @@ func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []fl
 	if spDemod == nil {
 		spDemod = parent.Child("demod")
 	}
-	bb, err := r.Demodulate(volts, carrier, bitrate)
+	if searchFrom < 0 {
+		searchFrom = 0
+	}
+	bb, err := r.demodulateGated(volts, carrier, bitrate, searchFrom)
 	if err != nil {
 		spDemod.End()
 		return nil, err
 	}
-	if searchFrom < 0 {
-		searchFrom = 0
-	}
-	if searchFrom >= len(bb) {
-		spDemod.End()
-		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
-	}
-	bb = bb[searchFrom:]
 	// Estimate and remove the projector/hydrophone oscillator offset
 	// (footnote 12). Multipath-skewed spectra can bias the estimator, so
 	// the correction is only kept when it measurably concentrates the
@@ -302,6 +302,17 @@ func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []fl
 	bb, cfo := r.correctCFOIfReal(bb)
 	spDemod.Attr("samples", len(bb)).Attr("cfo_hz", cfo).End()
 	return r.decodeBasebandStaged(parent, bb, bitrate, cfo, searchFrom)
+}
+
+// demodulateGated returns Demodulate(volts, carrier, bitrate)[searchFrom:]
+// bit for bit, for a decoder gated at searchFrom ≥ 0: the zero-phase
+// filter's backward pass stops at the gate, since nothing reads the
+// baseband before it.
+func (r *Receiver) demodulateGated(volts []float64, carrier, bitrate float64, searchFrom int) ([]complex128, error) {
+	if searchFrom >= len(volts) {
+		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(volts))
+	}
+	return dsp.DownconvertLPFrom(volts, carrier, r.SampleRate, ChannelCutoff(r.SampleRate, bitrate), FilterOrder, searchFrom)
 }
 
 // DecodeBaseband runs the detection and decode half of the chain on
@@ -342,8 +353,8 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	// the real packet (payload structure can out-correlate the preamble
 	// under heavy ISI).
 	var firstErr error
-	for _, c := range cands {
-		dec, err := r.decodeAt(bb, c.wave, c.sync, fm0)
+	for i := range cands {
+		dec, err := r.decodeAt(bb, &cands[i], fm0)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -366,7 +377,7 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 		if err != nil {
 			continue
 		}
-		dec, err := r.decodeAt(bb, tracked, sync, fm0)
+		dec, err := r.decodeAt(bb, &refinedLock{wave: tracked, sync: sync}, fm0)
 		if err != nil {
 			continue
 		}
@@ -378,11 +389,15 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	return nil, firstErr
 }
 
-// decodeAt decodes a length-prefixed data frame at a detected lock.
-func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *phy.FM0) (*Decoded, error) {
+// decodeAt decodes a length-prefixed data frame at a detected lock,
+// projecting only the spans it reads.
+func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*Decoded, error) {
+	sync := lock.sync
+	spb := fm0.SamplesPerBit
 	// Decode the header first to learn the payload length, then the
 	// whole frame.
-	headerBits, _ := fm0.DecodeFrom(env[sync.PayloadIndex:], 24, sync.PayloadLevel)
+	headerWave := lock.project(bb, sync.PayloadIndex, min(len(bb), sync.PayloadIndex+24*spb))
+	headerBits, _ := fm0.DecodeFrom(headerWave, 24, sync.PayloadLevel)
 	if len(headerBits) < 24 {
 		return nil, fmt.Errorf("core: truncated header: %d bits", len(headerBits))
 	}
@@ -395,7 +410,15 @@ func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *
 		return nil, fmt.Errorf("core: implausible payload length %d", payloadLen)
 	}
 	total := frame.DataFrameBitLength(payloadLen)
-	bits, _ := fm0.DecodeFrom(env[sync.PayloadIndex:], total, sync.PayloadLevel)
+	// Everything below reads only the packet (preamble + frame) and the
+	// ±span alignment neighbourhood of the SNR search around it.
+	packetLen := (len(phy.PreambleBits) + total) * spb
+	endIdx := min(len(bb), sync.Index+packetLen)
+	span := spb / 4
+	winLo := max(0, sync.Index-span)
+	winHi := min(len(bb), endIdx+span)
+	env := lock.project(bb, winLo, winHi)
+	bits, _ := fm0.DecodeFrom(env[sync.PayloadIndex-winLo:], total, sync.PayloadLevel)
 	if len(bits) < total {
 		return nil, fmt.Errorf("core: truncated frame: %d of %d bits", len(bits), total)
 	}
@@ -414,39 +437,19 @@ func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *
 	// search a small alignment neighbourhood — multipath can shift the
 	// correlation peak a few samples off the energy-optimal point.
 	allBits := append(append([]phy.Bit{}, phy.PreambleBits...), bits...)
-	packetLen := len(allBits) * fm0.SamplesPerBit
-	endIdx := sync.Index + packetLen
-	if endIdx > len(bb) {
-		endIdx = len(bb)
-	}
-	span := fm0.SamplesPerBit / 4
-	step := fm0.SamplesPerBit / 16
+	step := spb / 16
 	if step < 1 {
 		step = 1
 	}
-	// Project only the packet window (± the alignment span): the SNR
-	// search never reads outside it, and projecting the whole recording
-	// allocated len(bb) floats per decode.
-	winLo := sync.Index - span
-	if winLo < 0 {
-		winLo = 0
-	}
-	winHi := endIdx + span
-	if winHi > len(bb) {
-		winHi = len(bb)
-	}
 	refined := projectAxis(bb[winLo:winHi], estimateAxis(bb[sync.Index:endIdx]))
 	snr := 0.0
-	for _, w := range [...]struct {
-		wave []float64
-		base int // index of wave[0] in recording coordinates
-	}{{env, 0}, {refined, winLo}} {
+	for _, wave := range [...][]float64{env, refined} {
 		for off := -span; off <= span; off += step {
-			idx := sync.Index + off - w.base
-			if idx < 0 || idx >= len(w.wave) {
+			idx := sync.Index + off - winLo
+			if idx < 0 || idx >= len(wave) {
 				continue
 			}
-			if s := phy.MeasureSNR(w.wave[idx:], allBits, fm0); s > snr {
+			if s := phy.MeasureSNR(wave[idx:], allBits, fm0); s > snr {
 				snr = s
 			}
 		}
@@ -456,7 +459,7 @@ func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *
 	// per-packet lock-quality diagnostic (bit errors inside the preamble
 	// mean the correlator locked on a degraded or offset template).
 	preErrs := 0
-	preBits, _ := fm0.DecodeFrom(env[sync.Index:], len(phy.PreambleBits), sync.StartLevel)
+	preBits, _ := fm0.DecodeFrom(env[sync.Index-winLo:], len(phy.PreambleBits), sync.StartLevel)
 	for i, b := range preBits {
 		if b != phy.PreambleBits[i] {
 			preErrs++
@@ -481,17 +484,13 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	if err != nil {
 		return 0, 1, err
 	}
-	bb, err := r.Demodulate(volts, carrier, bitrate)
-	if err != nil {
-		return 0, 1, err
-	}
 	if searchFrom < 0 {
 		searchFrom = 0
 	}
-	if searchFrom >= len(bb) {
-		return 0, 1, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
+	bb, err := r.demodulateGated(volts, carrier, bitrate, searchFrom)
+	if err != nil {
+		return 0, 1, err
 	}
-	bb = bb[searchFrom:]
 	bb, _ = r.correctCFOIfReal(bb)
 	spb, err := phy.SamplesPerBitFor(r.SampleRate, bitrate)
 	if err != nil {
@@ -513,10 +512,11 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	for _, c := range cands {
 		n := len(knownBits)
 		if n == 0 {
-			n = (len(c.wave) - c.sync.Index) / spb
+			n = (len(bb) - c.sync.Index) / spb
 		}
-		got, _ := fm0.DecodeFrom(c.wave[c.sync.Index:], n, c.sync.StartLevel)
-		snr := phy.MeasureSNR(c.wave[c.sync.Index:], got, fm0)
+		wave := c.project(bb, c.sync.Index, min(len(bb), c.sync.Index+n*spb))
+		got, _ := fm0.DecodeFrom(wave, n, c.sync.StartLevel)
+		snr := phy.MeasureSNR(wave, got, fm0)
 		if snr > best {
 			best = snr
 			if knownBits != nil {
@@ -532,10 +532,23 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	return best, bestBER, nil
 }
 
-// refinedLock is one candidate preamble lock on its refined projection.
+// refinedLock is one candidate preamble lock and the projection it was
+// found on: the modulation axis refined over its preamble, or, for the
+// block-tracked fallback, a projection of the whole stream.
 type refinedLock struct {
-	wave []float64
+	axis modAxis
+	wave []float64 // when non-nil, used in place of axis
 	sync phy.Sync
+}
+
+// project returns the lock's projection of bb[lo:hi]. Projection is
+// per sample, so a span equals the same span of a whole-stream
+// projection.
+func (l *refinedLock) project(bb []complex128, lo, hi int) []float64 {
+	if l.wave != nil {
+		return l.wave[lo:hi]
+	}
+	return projectAxis(bb[lo:hi], l.axis)
 }
 
 // detectRefinedAll runs two-pass coherent detection: a coarse pass with
@@ -556,9 +569,10 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 	axisQ.rot *= complex(0, 1)
 	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
 	cands := make([]phy.Sync, 0, 16) // two projections × maxK=8 below
+	det := phy.NewDetector(fm0)
+	coarse := make([]float64, len(bb))
 	for _, a := range []modAxis{axis, axisQ} {
-		coarse := projectAxis(bb, a)
-		cs, err := phy.DetectPacketCandidates(coarse, fm0, CoarseThreshold, 8, preambleLen)
+		cs, err := det.Candidates(projectAxisInto(coarse, bb, a), CoarseThreshold, 8, preambleLen)
 		if err != nil {
 			continue
 		}
@@ -573,26 +587,28 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 		if end > len(bb) {
 			end = len(bb)
 		}
-		wave := projectAxis(bb, estimateAxis(bb[cand.Index:end]))
+		axis := estimateAxis(bb[cand.Index:end])
 		// Re-detect only in a small window around this candidate: a
 		// global re-detect would let every candidate's refined wave
 		// converge onto the single strongest peak, collapsing the
-		// candidate set before the CRC can arbitrate.
+		// candidate set before the CRC can arbitrate. Only that window
+		// is projected; the decoder projects the spans it reads.
 		lo := cand.Index - fm0.SamplesPerBit
 		if lo < 0 {
 			lo = 0
 		}
 		hi := cand.Index + fm0.SamplesPerBit + preambleLen
-		if hi > len(wave) {
-			hi = len(wave)
+		if hi > len(bb) {
+			hi = len(bb)
 		}
-		sync, err := phy.DetectPacket(wave[lo:hi], fm0, DetectThreshold)
+		cs, err := det.Candidates(projectAxis(bb[lo:hi], axis), DetectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
+		sync := cs[0]
 		sync.Index += lo
 		sync.PayloadIndex += lo
-		out = append(out, refinedLock{wave: wave, sync: sync})
+		out = append(out, refinedLock{axis: axis, sync: sync})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no candidate packet survived axis refinement")

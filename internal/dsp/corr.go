@@ -2,83 +2,115 @@ package dsp
 
 import "math"
 
-// CrossCorrelate returns the sliding cross-correlation of signal x with
-// template h: out[i] = Σ_j x[i+j]·h[j], for i in [0, len(x)-len(h)].
-// It returns nil if the template is longer than the signal.
-func CrossCorrelate(x, h []float64) []float64 {
-	if len(h) == 0 || len(h) > len(x) {
+// StepCorrelator is a zero-mean normalised cross-correlator (Pearson
+// correlation per window) for a template that is constant over
+// consecutive steps of width samples, such as an FM0 preamble, constant
+// over each half-bit. With P the prefix sum of the mean-removed input,
+// the numerator at lag i is Σₖ (cₖ − c̄)·(P[i+(k+1)w] − P[i+kw]), and
+// the window variance comes from prefix sums of the input and its
+// square: about two flops per step per lag, and no FFT.
+//
+// Each output lies in [−1, 1] and is invariant to the window's
+// amplitude and DC offset. Local offset invariance matters for
+// preamble detection on projected baseband streams, where residual
+// carrier offsets vary along the recording.
+//
+// A StepCorrelator reuses its prefix-sum scratch across calls, so one
+// value must not be used from several goroutines at once.
+type StepCorrelator struct {
+	coef   []float64 // step levels minus their mean
+	width  int
+	energy float64 // Σ (h − h̄)² over the template's samples
+	// Prefix sums of the mean-removed input and of its square.
+	sum, sumSq []float64
+}
+
+// NewStepCorrelator returns a correlator for the template that holds
+// steps[k] over samples [k·width, (k+1)·width). It panics if steps is
+// empty or width < 1.
+func NewStepCorrelator(steps []float64, width int) *StepCorrelator {
+	if len(steps) == 0 || width < 1 {
+		panic("dsp: step correlator needs at least one step of width ≥ 1")
+	}
+	mean := Mean(steps)
+	c := &StepCorrelator{coef: make([]float64, len(steps)), width: width}
+	for k, v := range steps {
+		c.coef[k] = v - mean
+		c.energy += c.coef[k] * c.coef[k]
+	}
+	c.energy *= float64(width)
+	return c
+}
+
+// Len returns the template length in samples.
+func (c *StepCorrelator) Len() int { return len(c.coef) * c.width }
+
+// Correlate returns the normalised correlation of x with the template
+// at every lag i in [0, len(x)−Len()], written into dst's backing array
+// when it is large enough. A window with zero variance scores 0. It
+// returns nil when x is shorter than the template.
+func (c *StepCorrelator) Correlate(dst, x []float64) []float64 {
+	m := c.Len()
+	if len(x) < m {
 		return nil
 	}
-	n := len(x) - len(h) + 1
-	// Use FFT convolution with the reversed template for large inputs.
-	if len(x)*len(h) > 64*1024 {
-		rev := make([]float64, len(h))
-		for i, v := range h {
-			rev[len(h)-1-i] = v
-		}
-		full := Convolve(x, rev)
-		out := make([]float64, n)
-		copy(out, full[len(h)-1:len(h)-1+n])
-		return out
+	// Removing the input mean first keeps the prefix sums small, so
+	// their differences lose no precision on long recordings.
+	mean := Mean(x)
+	c.sum = growFloats(c.sum, len(x)+1)
+	c.sumSq = growFloats(c.sumSq, len(x)+1)
+	sum, sumSq := c.sum, c.sumSq
+	for i, v := range x {
+		d := v - mean
+		sum[i+1] = sum[i] + d
+		sumSq[i+1] = sumSq[i] + d*d
 	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j, hv := range h {
-			s += x[i+j] * hv
+	n := len(x) - m + 1
+	out := growFloats(dst, n)
+	w := c.width
+	invM := 1 / float64(m)
+	// Rounding leaves a constant window a variance residue of up to
+	// about len(x)·ε of the prefix energy; below that it scores 0.
+	tol := float64(len(x)) * epsilon
+	// Σ x·(h−h̄) equals Σ(x−x̄w)(h−h̄): the centred template sums to
+	// zero, so the window mean drops out of the numerator. It is summed
+	// one step at a time over a block of lags: the lags are independent,
+	// so the inner loop pipelines, and the block's slice of the prefix
+	// sums stays in cache.
+	const block = 1024
+	for b := 0; b < n; b += block {
+		raw := out[b:min(n, b+block)]
+		clear(raw)
+		for k, ck := range c.coef {
+			lo := sum[b+k*w:][:len(raw)]
+			hi := sum[b+(k+1)*w:][:len(raw)]
+			for i := range raw {
+				raw[i] += ck * (hi[i] - lo[i])
+			}
 		}
-		out[i] = s
+		for i := range raw {
+			wSum := sum[b+i+m] - sum[b+i]
+			xVar := sumSq[b+i+m] - sumSq[b+i] - wSum*wSum*invM
+			v := 0.0
+			if den := math.Sqrt(xVar * c.energy); xVar > tol*sumSq[b+i+m] && den > 0 {
+				v = raw[i] / den
+			}
+			raw[i] = v
+		}
 	}
 	return out
 }
 
-// NormalizedCrossCorrelate returns the zero-mean normalised
-// cross-correlation (Pearson correlation per window): both the template
-// mean and each window's local mean are removed, so each output lies in
-// [-1, 1] and is invariant to the window's amplitude *and* DC offset.
-// Local offset invariance matters for preamble detection on projected
-// baseband streams, where residual carrier offsets vary along the
-// recording.
-func NormalizedCrossCorrelate(x, h []float64) []float64 {
-	if len(h) == 0 || len(h) > len(x) {
-		return nil
+// epsilon is the float64 machine epsilon.
+const epsilon = 0x1p-52
+
+// growFloats returns buf resliced to n, reallocated only when its
+// capacity is short.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	m := len(h)
-	hMean := Mean(h)
-	hc := make([]float64, m)
-	hEnergy := 0.0
-	for i, v := range h {
-		hc[i] = v - hMean
-		hEnergy += hc[i] * hc[i]
-	}
-	raw := CrossCorrelate(x, hc) // Σ x·(h−h̄); window mean term handled below
-	if raw == nil {
-		return nil
-	}
-	// Sliding sums of x and x² via prefix sums.
-	sum := make([]float64, len(x)+1)
-	sumSq := make([]float64, len(x)+1)
-	for i, v := range x {
-		sum[i+1] = sum[i] + v
-		sumSq[i+1] = sumSq[i] + v*v
-	}
-	out := make([]float64, len(raw))
-	mf := float64(m)
-	for i := range raw {
-		wSum := sum[i+m] - sum[i]
-		wSumSq := sumSq[i+m] - sumSq[i]
-		// Numerator: Σ(x−x̄w)(h−h̄) = Σx·(h−h̄) − x̄w·Σ(h−h̄) = raw[i]
-		// (the centred template sums to zero).
-		xVar := wSumSq - wSum*wSum/mf
-		if xVar < 0 {
-			xVar = 0
-		}
-		den := math.Sqrt(xVar * hEnergy)
-		if den > 0 {
-			out[i] = raw[i] / den
-		}
-	}
-	return out
+	return buf[:n]
 }
 
 // ArgMax returns the index and value of the maximum element of x.

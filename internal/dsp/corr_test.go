@@ -6,12 +6,57 @@ import (
 	"testing"
 )
 
+// The cross-correlation tests in this file and in mix_test.go exercise
+// StepCorrelator, the package's normalised cross-correlator.
+
+// randomSteps returns n step levels drawn from rng.
+func randomSteps(rng *rand.Rand, n int) []float64 {
+	steps := make([]float64, n)
+	for i := range steps {
+		steps[i] = rng.NormFloat64()
+	}
+	return steps
+}
+
+// expandSteps returns the sample-level template a StepCorrelator built
+// from steps and width matches.
+func expandSteps(steps []float64, width int) []float64 {
+	out := make([]float64, 0, len(steps)*width)
+	for _, v := range steps {
+		for i := 0; i < width; i++ {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// pearson is the O(n·m) reference: the Pearson correlation of h with
+// every full-overlap window of x.
+func pearson(x, h []float64) []float64 {
+	m := len(h)
+	hMean := Mean(h)
+	var hVar float64
+	for _, v := range h {
+		hVar += (v - hMean) * (v - hMean)
+	}
+	out := make([]float64, len(x)-m+1)
+	for i := range out {
+		w := x[i : i+m]
+		wMean := Mean(w)
+		var num, wVar float64
+		for j, v := range w {
+			num += (v - wMean) * (h[j] - hMean)
+			wVar += (v - wMean) * (v - wMean)
+		}
+		out[i] = num / math.Sqrt(wVar*hVar)
+	}
+	return out
+}
+
 func TestCrossCorrelatePeakLocatesTemplate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tmpl := make([]float64, 32)
-	for i := range tmpl {
-		tmpl[i] = rng.NormFloat64()
-	}
+	steps := randomSteps(rng, 8)
+	tmpl := expandSteps(steps, 4)
 	const offset = 211
 	x := make([]float64, 512)
 	for i := range x {
@@ -20,7 +65,7 @@ func TestCrossCorrelatePeakLocatesTemplate(t *testing.T) {
 	for i, v := range tmpl {
 		x[offset+i] += v
 	}
-	out := CrossCorrelate(x, tmpl)
+	out := NewStepCorrelator(steps, 4).Correlate(nil, x)
 	if want := len(x) - len(tmpl) + 1; len(out) != want {
 		t.Fatalf("output length %d, want %d", len(out), want)
 	}
@@ -28,73 +73,100 @@ func TestCrossCorrelatePeakLocatesTemplate(t *testing.T) {
 	if idx != offset {
 		t.Errorf("peak at %d, want %d", idx, offset)
 	}
-	// At the aligned lag the correlation approaches the template energy.
-	if e := Energy(tmpl); math.Abs(val-e) > 0.2*e {
-		t.Errorf("peak value %g far from template energy %g", val, e)
+	if val < 0.95 {
+		t.Errorf("peak value %g, want near 1 at light noise", val)
 	}
 }
 
 func TestCrossCorrelateMatchesDirectComputation(t *testing.T) {
+	// Every two-sample window of a ramp rises by one, so it correlates
+	// with the falling template {1, −1} at exactly −1.
 	x := []float64{1, 2, 3, 4, 5}
-	h := []float64{1, -1}
-	out := CrossCorrelate(x, h)
-	want := []float64{-1, -1, -1, -1} // x[i]-x[i+1]
-	if len(out) != len(want) {
-		t.Fatalf("length %d, want %d", len(out), len(want))
+	out := NewStepCorrelator([]float64{1, -1}, 1).Correlate(nil, x)
+	if len(out) != 4 {
+		t.Fatalf("length %d, want 4", len(out))
 	}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("out[%d] = %g, want %g", i, out[i], want[i])
+	for i, v := range out {
+		if math.Abs(v+1) > 1e-12 {
+			t.Errorf("out[%d] = %g, want -1", i, v)
 		}
 	}
 }
 
-func TestCrossCorrelateFFTPathAgreesWithDirect(t *testing.T) {
-	// Force the FFT branch (len(x)*len(h) > 64k) and compare against the
-	// naive O(n·m) sum.
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 1200)
-	h := make([]float64, 80)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range h {
-		h[i] = rng.NormFloat64()
-	}
-	got := CrossCorrelate(x, h)
-	for i := range got {
-		var s float64
-		for j, hv := range h {
-			s += x[i+j] * hv
-		}
-		if math.Abs(got[i]-s) > 1e-6 {
-			t.Fatalf("FFT path out[%d] = %g, direct %g", i, got[i], s)
+// TestStepCorrelatorMatchesPearsonReference checks the prefix-sum
+// correlator against the brute-force Pearson correlation at the FM0
+// preamble's half-bit widths for 194, 98 and 48 samples per bit, on a
+// noisy recording with an offset, scaled preamble in it. One correlator
+// serves inputs of several lengths, so its scratch is reused, and the
+// output is written into a caller buffer.
+func TestStepCorrelatorMatchesPearsonReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// The FM0 preamble 101100101 at one sample per half-bit.
+	steps := []float64{-1, 1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, 1, -1, -1}
+	for _, width := range []int{97, 49, 24} {
+		tmpl := expandSteps(steps, width)
+		c := NewStepCorrelator(steps, width)
+		var dst []float64
+		for _, n := range []int{len(tmpl), 3 * len(tmpl), 2 * len(tmpl)} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = 0.3 + rng.NormFloat64()
+			}
+			at := n - len(tmpl)
+			for i, v := range tmpl {
+				x[at+i] += 2 * v
+			}
+			dst = c.Correlate(dst, x)
+			want := pearson(x, tmpl)
+			if len(dst) != len(want) {
+				t.Fatalf("width %d, n %d: length %d, want %d", width, n, len(dst), len(want))
+			}
+			for i := range want {
+				if math.Abs(dst[i]-want[i]) > 1e-9 {
+					t.Fatalf("width %d, n %d: lag %d = %.15g, reference %.15g", width, n, i, dst[i], want[i])
+				}
+			}
 		}
 	}
 }
 
 func TestCrossCorrelateDegenerateInputs(t *testing.T) {
-	if out := CrossCorrelate([]float64{1, 2}, nil); out != nil {
-		t.Errorf("empty template: got %v, want nil", out)
+	c := NewStepCorrelator([]float64{1, -1}, 3)
+	if out := c.Correlate(nil, []float64{1, 2, 3, 4, 5}); out != nil {
+		t.Errorf("input shorter than the template: got %v, want nil", out)
 	}
-	if out := CrossCorrelate([]float64{1}, []float64{1, 2}); out != nil {
-		t.Errorf("template longer than signal: got %v, want nil", out)
+	if out := c.Correlate(nil, nil); out != nil {
+		t.Errorf("empty input: got %v, want nil", out)
+	}
+	if out := c.Correlate(nil, []float64{1, 1, 1, 0, 0, 0}); len(out) != 1 || math.Abs(out[0]-1) > 1e-12 {
+		t.Errorf("input exactly one template long: got %v, want [1]", out)
+	}
+	for _, bad := range []struct {
+		steps []float64
+		width int
+	}{{nil, 3}, {[]float64{1}, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewStepCorrelator(%v, %d) did not panic", bad.steps, bad.width)
+				}
+			}()
+			NewStepCorrelator(bad.steps, bad.width)
+		}()
 	}
 }
 
 func TestNormalizedCrossCorrelatePerfectMatchScoresOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tmpl := make([]float64, 48)
-	for i := range tmpl {
-		tmpl[i] = rng.NormFloat64()
-	}
+	steps := randomSteps(rng, 12)
+	tmpl := expandSteps(steps, 4)
 	const offset = 100
 	x := make([]float64, 300)
-	// Embed a scaled and DC-shifted copy: NCC must still score 1 there.
+	// Embed a scaled and DC-shifted copy: the score must still be 1 there.
 	for i, v := range tmpl {
 		x[offset+i] = 3*v + 7
 	}
-	out := NormalizedCrossCorrelate(x, tmpl)
+	out := NewStepCorrelator(steps, 4).Correlate(nil, x)
 	idx, val := ArgMax(out)
 	if idx != offset {
 		t.Errorf("peak at %d, want %d", idx, offset)
@@ -110,13 +182,14 @@ func TestNormalizedCrossCorrelatePerfectMatchScoresOne(t *testing.T) {
 }
 
 func TestNormalizedCrossCorrelateInvertedMatchScoresMinusOne(t *testing.T) {
-	tmpl := []float64{1, -1, 1, 1, -1, -1, 1, -1}
+	steps := []float64{1, -1, 1, 1, -1, -1, 1, -1}
+	tmpl := expandSteps(steps, 2)
 	x := make([]float64, 64)
 	const offset = 20
 	for i, v := range tmpl {
 		x[offset+i] = -v
 	}
-	out := NormalizedCrossCorrelate(x, tmpl)
+	out := NewStepCorrelator(steps, 2).Correlate(nil, x)
 	idx, val := ArgMaxAbs(out)
 	if idx != offset {
 		t.Errorf("peak at %d, want %d", idx, offset)
@@ -127,18 +200,30 @@ func TestNormalizedCrossCorrelateInvertedMatchScoresMinusOne(t *testing.T) {
 }
 
 func TestNormalizedCrossCorrelateZeroVarianceWindow(t *testing.T) {
-	// A constant window has zero variance; the score must be 0 there,
-	// not NaN.
-	tmpl := []float64{1, -1, 1, -1}
-	x := []float64{5, 5, 5, 5, 5, 1, -1, 1, -1, 5}
-	out := NormalizedCrossCorrelate(x, tmpl)
+	// A constant window has zero variance: it must score exactly 0, not
+	// NaN and not a ratio of rounding residues. A constant run of 0.1
+	// between noise leaves the prefix sums a small positive variance
+	// residue in every window inside the run.
+	rng := rand.New(rand.NewSource(3))
+	x := make([]float64, 160)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if i >= 60 && i < 100 {
+			x[i] = 0.1
+		}
+	}
+	c := NewStepCorrelator([]float64{1, -1}, 2)
+	out := c.Correlate(nil, x)
 	for i, v := range out {
 		if math.IsNaN(v) {
 			t.Fatalf("out[%d] is NaN", i)
 		}
+		if i >= 60 && i+c.Len() <= 100 && v != 0 {
+			t.Errorf("constant window at lag %d scored %g, want 0", i, v)
+		}
 	}
-	if out[0] != 0 {
-		t.Errorf("constant window scored %g, want 0", out[0])
+	if out := c.Correlate(nil, make([]float64, 10)); out[0] != 0 || out[6] != 0 {
+		t.Errorf("all-zero input scored %v, want zeros", out)
 	}
 }
 

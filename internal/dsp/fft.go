@@ -3,9 +3,13 @@
 // filters, mixing/downconversion, envelope detection and correlation.
 //
 // Everything operates on float64 (real) or complex128 sample slices. The
-// implementations favour clarity and numerical robustness over ultimate
-// speed; at the simulator's sample rates (≤192 kHz) they are far from the
-// bottleneck.
+// implementations favour clarity and numerical robustness, but the
+// receive chain runs them per decode over recordings of ~10⁵ samples, so
+// their cost shows: FFT-based preamble correlation once took about 45% of
+// the decode CPU. Preamble correlation now uses StepCorrelator, which
+// needs no FFT, and the demodulator skips the backward filter pass below
+// the decode gate (DownconvertLPFrom). The FFTs still serve carrier
+// search, the analytic signal and long FIR convolutions.
 package dsp
 
 import (

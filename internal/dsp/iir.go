@@ -52,6 +52,18 @@ func (f *IIR) Filter(x []float64) []float64 {
 	return out
 }
 
+// cascadeIQ passes one sample of each rail through every section,
+// carrying the rails' section states in zr and zi.
+func (f *IIR) cascadeIQ(v complex128, zr, zi [][2]float64) complex128 {
+	re, im := real(v), imag(v)
+	for s := range f.sections {
+		q := &f.sections[s]
+		re = q.process(re, &zr[s])
+		im = q.process(im, &zi[s])
+	}
+	return complex(re, im)
+}
+
 // FiltFilt runs the filter forward and then backward over x, yielding
 // zero-phase filtering with squared magnitude response. This mirrors the
 // offline MATLAB decoding the paper's receiver used.

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 
 	"pab/internal/prof"
@@ -48,41 +49,72 @@ func Downconvert(x []float64, fc, fs float64) []complex128 {
 	out := make([]complex128, len(x))
 	w := 2 * math.Pi * fc / fs
 	for i, v := range x {
-		ph := w * float64(i)
-		// e^{-jωt}·x(t)
-		out[i] = complex(v*math.Cos(ph), -v*math.Sin(ph))
+		out[i] = mixSample(v, w, i)
 	}
 	return out
+}
+
+// mixSample returns e^{-jωi}·v: sample i of a recording, of value v,
+// mixed down by the carrier at ω radians per sample.
+func mixSample(v, w float64, i int) complex128 {
+	ph := w * float64(i)
+	return complex(v*math.Cos(ph), -v*math.Sin(ph))
 }
 
 // DownconvertLP mixes x down by fc and low-pass filters I and Q with an
 // order-`order` Butterworth at the given cutoff, returning the complex
 // baseband envelope. This is the paper's demodulation step ("demodulate by
 // removing the carrier frequency", §3.2): the magnitude of the result is
-// the amplitude trace plotted in Fig 2.
+// the amplitude trace plotted in Fig 2. The filter runs forward and then
+// backward (zero phase), as IIR.FiltFilt does.
 func DownconvertLP(x []float64, fc, fs, cutoff float64, order int) ([]complex128, error) {
+	return DownconvertLPFrom(x, fc, fs, cutoff, order, 0)
+}
+
+// DownconvertLPFrom returns DownconvertLP(x, fc, fs, cutoff, order)[from:],
+// bit for bit, for a caller that reads nothing before from — a receiver
+// gated past its own downlink. The mix and the forward filter pass cover
+// all of x, because the filter state at from depends on every earlier
+// sample; the backward pass stops at from, because its output at index
+// i reads only forward outputs at indices ≥ i. Only the samples from
+// the gate on are stored.
+func DownconvertLPFrom(x []float64, fc, fs, cutoff float64, order, from int) ([]complex128, error) {
+	if from < 0 || from > len(x) {
+		return nil, fmt.Errorf("dsp: demodulation start %d outside [0, %d]", from, len(x))
+	}
 	lp, err := DesignButterworthLowpass(cutoff, fs, order)
 	if err != nil {
 		return nil, err
 	}
+	w := 2 * math.Pi * fc / fs
 	st := prof.Start(prof.StageDownconvert)
-	mixed := Downconvert(x, fc, fs)
-	st.Stop(len(x))
+	bb := make([]complex128, len(x)-from)
+	for i, v := range x[from:] {
+		bb[i] = mixSample(v, w, from+i)
+	}
+	st.Stop(len(bb))
 	st = prof.Start(prof.StageFilter)
-	re := make([]float64, len(mixed))
-	im := make([]float64, len(mixed))
-	for i, c := range mixed {
-		re[i] = real(c)
-		im[i] = imag(c)
+	// Both rails pass through the whole cascade one sample at a time,
+	// which yields the values FiltFilt's section-by-section passes do:
+	// each section's output at i depends only on its inputs up to i in
+	// filtering order. The samples before the gate are mixed on the fly
+	// and dropped once they have moved the forward state, so their
+	// mixing is timed here, not in the downconvert stage.
+	zr := make([][2]float64, len(lp.sections))
+	zi := make([][2]float64, len(lp.sections))
+	for i, v := range x[:from] {
+		lp.cascadeIQ(mixSample(v, w, i), zr, zi)
 	}
-	re = lp.FiltFilt(re)
-	im = lp.FiltFilt(im)
-	out := make([]complex128, len(mixed))
-	for i := range out {
-		out[i] = complex(re[i], im[i])
+	for i, v := range bb {
+		bb[i] = lp.cascadeIQ(v, zr, zi)
 	}
-	st.Stop(len(mixed))
-	return out, nil
+	clear(zr)
+	clear(zi)
+	for i := len(bb) - 1; i >= 0; i-- {
+		bb[i] = lp.cascadeIQ(bb[i], zr, zi)
+	}
+	st.Stop(len(x))
+	return bb, nil
 }
 
 // Envelope returns |x| of a complex baseband signal.

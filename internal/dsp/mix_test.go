@@ -2,6 +2,8 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -76,6 +78,65 @@ func TestDownconvertRejectsOtherCarrier(t *testing.T) {
 	}
 }
 
+// TestDownconvertLPFromMatchesFullDemodulation checks the gated
+// demodulator bit for bit (==) against the full one sliced at from, and
+// the full one against its definition: Downconvert, then a forward
+// filter pass and a backward pass done by reversing, filtering and
+// reversing back.
+func TestDownconvertLPFromMatchesFullDemodulation(t *testing.T) {
+	const fs, fc, cutoff = 96000.0, 15000.0, 2000.0
+	rng := rand.New(rand.NewSource(9))
+	x := make([]float64, 4801)
+	for i := range x {
+		x[i] = math.Sin(2*math.Pi*fc/fs*float64(i)+0.3) + 0.2*rng.NormFloat64()
+	}
+	lp, err := DesignButterworthLowpass(cutoff, fs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := Downconvert(x, fc, fs)
+	re := make([]float64, len(x))
+	im := make([]float64, len(x))
+	for i, c := range mixed {
+		re[i], im[i] = real(c), imag(c)
+	}
+	backward := func(y []float64) []float64 {
+		slices.Reverse(y)
+		y = lp.Filter(y)
+		slices.Reverse(y)
+		return y
+	}
+	re, im = backward(lp.Filter(re)), backward(lp.Filter(im))
+	full, err := DownconvertLP(x, fc, fs, cutoff, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full {
+		if full[i] != complex(re[i], im[i]) {
+			t.Fatalf("DownconvertLP[%d] = %v, forward-backward reference %v", i, full[i], complex(re[i], im[i]))
+		}
+	}
+	for _, from := range []int{0, 1, len(x) / 2, len(x) - 1, len(x)} {
+		got, err := DownconvertLPFrom(x, fc, fs, cutoff, 4, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(x)-from {
+			t.Fatalf("from %d: length %d, want %d", from, len(got), len(x)-from)
+		}
+		for i, v := range got {
+			if v != full[from+i] {
+				t.Fatalf("from %d: sample %d = %v, full demodulation %v", from, from+i, v, full[from+i])
+			}
+		}
+	}
+	for _, from := range []int{-1, len(x) + 1} {
+		if _, err := DownconvertLPFrom(x, fc, fs, cutoff, 4, from); err == nil {
+			t.Errorf("from %d outside the input: no error", from)
+		}
+	}
+}
+
 func TestAmplitudeEnvelope(t *testing.T) {
 	fs := 96000.0
 	n := 9600
@@ -111,10 +172,10 @@ func TestDecimate(t *testing.T) {
 }
 
 func TestCrossCorrelatePeakAtOffset(t *testing.T) {
-	tmpl := []float64{1, -1, 1, 1, -1}
+	steps := []float64{1, -1, 1, 1, -1}
 	x := make([]float64, 100)
-	copy(x[40:], tmpl)
-	corr := CrossCorrelate(x, tmpl)
+	copy(x[40:], steps)
+	corr := NewStepCorrelator(steps, 1).Correlate(nil, x)
 	idx, _ := ArgMax(corr)
 	if idx != 40 {
 		t.Errorf("correlation peak at %d, want 40", idx)
@@ -122,13 +183,13 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 }
 
 func TestNormalizedCrossCorrelateBounds(t *testing.T) {
-	tmpl := []float64{1, -1, 1, 1, -1, -1, 1}
+	steps := []float64{1, -1, 1, 1, -1, -1, 1}
 	x := make([]float64, 500)
 	for i := range x {
 		x[i] = math.Sin(float64(i) * 0.7)
 	}
-	copy(x[200:], tmpl)
-	corr := NormalizedCrossCorrelate(x, tmpl)
+	copy(x[200:], expandSteps(steps, 3))
+	corr := NewStepCorrelator(steps, 3).Correlate(nil, x)
 	for i, v := range corr {
 		if v > 1+1e-9 || v < -1-1e-9 {
 			t.Fatalf("normalised corr out of bounds at %d: %g", i, v)
@@ -137,28 +198,6 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 	idx, v := ArgMax(corr)
 	if idx != 200 || v < 0.999 {
 		t.Errorf("peak (%d, %g), want (200, ~1)", idx, v)
-	}
-}
-
-func TestCrossCorrelateFFTPath(t *testing.T) {
-	// Long enough to trigger the FFT path; verify against direct result.
-	x := make([]float64, 2000)
-	h := make([]float64, 64)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.31)
-	}
-	for i := range h {
-		h[i] = math.Cos(float64(i) * 0.17)
-	}
-	got := CrossCorrelate(x, h) // 2000·64 = 128000 > threshold
-	for i := 0; i < len(got); i += 97 {
-		var want float64
-		for j, hv := range h {
-			want += x[i+j] * hv
-		}
-		if math.Abs(got[i]-want) > 1e-8 {
-			t.Fatalf("fft corr mismatch at %d: %g vs %g", i, got[i], want)
-		}
 	}
 }
 

@@ -34,23 +34,24 @@ type ScanHit struct {
 // full-window attempt before discarding samples loses no frames if a
 // hit is missed on a noisy projection.
 type SyncScanner struct {
-	tmpl      []float64
+	corr      *dsp.StepCorrelator // holds its prefix-sum scratch across Scans
 	threshold float64
 	carry     []float64
 	nCarry    int
 	next      int64 // global index of the next sample to be fed
 	buf       []float64
+	scores    []float64
 	hits      []ScanHit
 }
 
 // NewSyncScanner returns a scanner matching m's encoding of the
 // standard preamble at the given |correlation| threshold.
 func NewSyncScanner(m *FM0, threshold float64) *SyncScanner {
-	tmpl := m.EncodeTemplate(PreambleBits)
+	corr := preambleCorrelator(m)
 	return &SyncScanner{
-		tmpl:      tmpl,
+		corr:      corr,
 		threshold: threshold,
-		carry:     make([]float64, len(tmpl)-1),
+		carry:     make([]float64, corr.Len()-1),
 		hits:      make([]ScanHit, 0, 8),
 	}
 }
@@ -73,11 +74,11 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 	buf := s.buf[:need]
 	copy(buf, s.carry[:s.nCarry])
 	copy(buf[s.nCarry:], block)
-	if need >= len(s.tmpl) {
-		corr := dsp.NormalizedCrossCorrelate(buf, s.tmpl)
+	if need >= s.corr.Len() {
+		s.scores = s.corr.Correlate(s.scores, buf)
 		base := s.next - int64(s.nCarry)
 		hits := s.hits
-		for i, v := range corr {
+		for i, v := range s.scores {
 			if math.Abs(v) >= s.threshold {
 				//pablint:ignore allocloop hits reuses the scanner's buffer; a realloc happens at most once per scanner lifetime, not per sample
 				hits = append(hits, ScanHit{Index: base + int64(i), Corr: v})
@@ -85,7 +86,7 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 		}
 		s.hits = hits
 	}
-	keep := len(s.tmpl) - 1
+	keep := s.corr.Len() - 1
 	if need < keep {
 		keep = need
 	}

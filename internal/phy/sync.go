@@ -52,35 +52,56 @@ func DetectPacket(wave []float64, m *FM0, threshold float64) (Sync, error) {
 // when payload structure correlates with the preamble template as well —
 // it can test each candidate and keep the one that decodes.
 func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, minSeparation int) ([]Sync, error) {
+	return NewDetector(m).Candidates(wave, threshold, maxK, minSeparation)
+}
+
+// Detector runs DetectPacketCandidates repeatedly for one FM0
+// configuration, reusing its correlation scratch from call to call — a
+// receiver's coarse and refining searches over one recording. It must
+// not be used from several goroutines at once.
+type Detector struct {
+	m      *FM0
+	corr   *dsp.StepCorrelator
+	scores []float64
+}
+
+// NewDetector returns a detector for m's encoding of the preamble.
+func NewDetector(m *FM0) *Detector {
+	return &Detector{m: m, corr: preambleCorrelator(m)}
+}
+
+// Candidates is DetectPacketCandidates on the detector's FM0.
+func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(wave))
-	tmpl := m.EncodeTemplate(PreambleBits)
-	if len(wave) < len(tmpl) {
-		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), len(tmpl))
+	m, cc := d.m, d.corr
+	if len(wave) < cc.Len() {
+		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
 	}
 	if maxK < 1 {
 		maxK = 1
 	}
 	if minSeparation <= 0 {
-		minSeparation = len(tmpl)
+		minSeparation = cc.Len()
 	}
-	centered := make([]float64, len(wave))
-	mean := meanOf(wave)
-	for i, v := range wave {
-		centered[i] = v - mean
-	}
-	corr := dsp.NormalizedCrossCorrelate(centered, tmpl)
+	corr := cc.Correlate(d.scores, wave)
+	d.scores = corr
 	// FM0's start level is unknown, so the preamble may appear inverted:
-	// search |corr| and recover the polarity from the sign.
-	taken := make([]bool, len(corr))
+	// search |corr| and recover the polarity from the sign. Only lags at
+	// or above the threshold can be picked — a few percent of a coarse
+	// projection — so the greedy search walks those alone, dropping the
+	// ones within minSeparation of each pick.
+	above := make([]int, 0, len(corr)/16)
+	for i, v := range corr {
+		if math.Abs(v) >= threshold {
+			above = append(above, i)
+		}
+	}
 	out := make([]Sync, 0, maxK)
 	for k := 0; k < maxK; k++ {
 		bestIdx, bestAbs := -1, threshold
-		for i, v := range corr {
-			if taken[i] {
-				continue
-			}
-			if a := math.Abs(v); a >= bestAbs {
+		for _, i := range above {
+			if a := math.Abs(corr[i]); a >= bestAbs {
 				bestIdx, bestAbs = i, a
 			}
 		}
@@ -92,7 +113,7 @@ func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, min
 		if val < 0 {
 			start = -1
 		}
-		_, finalLevel := m.Encode(PreambleBits, start)
+		_, finalLevel := halfBits.Encode(PreambleBits, start)
 		out = append(out, Sync{
 			Index:        bestIdx,
 			Score:        math.Abs(val),
@@ -100,17 +121,14 @@ func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, min
 			PayloadLevel: finalLevel,
 			PayloadIndex: bestIdx + len(PreambleBits)*m.SamplesPerBit,
 		})
-		lo := bestIdx - minSeparation
-		if lo < 0 {
-			lo = 0
+		kept := 0
+		for _, i := range above {
+			if i < bestIdx-minSeparation || i >= bestIdx+minSeparation {
+				above[kept] = i
+				kept++
+			}
 		}
-		hi := bestIdx + minSeparation
-		if hi > len(corr) {
-			hi = len(corr)
-		}
-		for i := lo; i < hi; i++ {
-			taken[i] = true
-		}
+		above = above[:kept]
 	}
 	if len(out) == 0 {
 		telemetry.Inc(telemetry.MPhySyncMissesTotal)
@@ -121,6 +139,17 @@ func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, min
 	telemetry.ObserveN(telemetry.MPhySyncCandidates, telemetry.DefCountBuckets, float64(len(out)))
 	telemetry.ObserveN(telemetry.MPhySyncPeak, syncPeakBuckets, out[0].Score)
 	return out, nil
+}
+
+// halfBits is FM0 at one sample per half-bit: its encoding of a bit
+// sequence is the half-bit levels of every other FM0's.
+var halfBits = FM0{SamplesPerBit: 2}
+
+// preambleCorrelator returns a normalised correlator against m's
+// encoding of the preamble from level +1, which is constant over each
+// half-bit.
+func preambleCorrelator(m *FM0) *dsp.StepCorrelator {
+	return dsp.NewStepCorrelator(halfBits.EncodeTemplate(PreambleBits), m.SamplesPerBit/2)
 }
 
 // syncPeakBuckets resolve the normalised correlation range [0, 1].

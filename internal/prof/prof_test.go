@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,33 @@ func TestCollectStageStats(t *testing.T) {
 	}
 	if s.OpsPerSec <= 0 || s.SamplesPerSec <= 0 {
 		t.Fatalf("rates not positive: %+v", s)
+	}
+}
+
+func TestBenchReportAttributePerChain(t *testing.T) {
+	rep := BenchReport{
+		Runs:        4,
+		ChainMeanMS: 10,
+		Stages: map[string]StageStats{
+			"sync":   {Count: 72, MeanMS: 0.25}, // 18 calls, 4.5 ms per chain
+			"filter": {Count: 4, MeanMS: 3.5},
+		},
+	}
+	rep.AttributePerChain()
+	if s := rep.Stages["sync"]; s.CallsPerChain != 18 || math.Abs(s.MSPerChain-4.5) > 1e-12 {
+		t.Errorf("sync per chain = %g calls, %g ms; want 18, 4.5", s.CallsPerChain, s.MSPerChain)
+	}
+	if s := rep.Stages["filter"]; s.CallsPerChain != 1 || math.Abs(s.MSPerChain-3.5) > 1e-12 {
+		t.Errorf("filter per chain = %g calls, %g ms; want 1, 3.5", s.CallsPerChain, s.MSPerChain)
+	}
+	if math.Abs(rep.UnattributedShare-0.2) > 1e-12 {
+		t.Errorf("unattributed share %g, want 0.2", rep.UnattributedShare)
+	}
+	// Stages that overlap or outlast the chain mean read negative.
+	rep.ChainMeanMS = 5
+	rep.AttributePerChain()
+	if math.Abs(rep.UnattributedShare+0.6) > 1e-12 {
+		t.Errorf("unattributed share %g, want -0.6", rep.UnattributedShare)
 	}
 }
 

@@ -29,6 +29,11 @@ type StageStats struct {
 	// AllocBytesPerOp is the mean heap-allocation delta per
 	// invocation (0 unless alloc tracking was on).
 	AllocBytesPerOp float64 `json:"alloc_bytes_per_op"`
+	// CallsPerChain and MSPerChain are the stage's invocations and
+	// total wall time divided by the runs of a BenchReport: what one
+	// chain spends in it (see BenchReport.AttributePerChain).
+	CallsPerChain float64 `json:"calls_per_chain"`
+	MSPerChain    float64 `json:"ms_per_chain"`
 }
 
 // stageSpanPrefix is how StageTimer names its span records.
@@ -132,12 +137,42 @@ type BenchReport struct {
 	// WallS and OpsPerSec measure the full chain end to end.
 	WallS     float64 `json:"wall_s"`
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// ChainP50MS/ChainP99MS are per-run full-chain latencies.
-	ChainP50MS float64 `json:"chain_p50_ms"`
-	ChainP99MS float64 `json:"chain_p99_ms"`
+	// ChainP50MS/ChainP99MS/ChainMeanMS are per-run full-chain
+	// latencies.
+	ChainP50MS  float64 `json:"chain_p50_ms"`
+	ChainP99MS  float64 `json:"chain_p99_ms"`
+	ChainMeanMS float64 `json:"chain_mean_ms"`
+	// UnattributedShare is the part of the mean chain no stage covers,
+	// 1 − Σ ms_per_chain ÷ chain_mean_ms: axis projections and
+	// estimates, CFO correction and telemetry between the stages.
+	UnattributedShare float64 `json:"unattributed_share"`
 	// Stages maps stage key (record/downconvert/filter/sync/decode) to
 	// its statistics.
 	Stages map[string]StageStats `json:"stages"`
+}
+
+// AttributePerChain fills every stage's calls_per_chain and
+// ms_per_chain from Runs, and UnattributedShare from ChainMeanMS.
+func (r *BenchReport) AttributePerChain() {
+	if r.Runs <= 0 {
+		return
+	}
+	keys := make([]string, 0, len(r.Stages))
+	for key := range r.Stages {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var staged float64
+	for _, key := range keys {
+		s := r.Stages[key]
+		s.CallsPerChain = float64(s.Count) / float64(r.Runs)
+		s.MSPerChain = s.MeanMS * s.CallsPerChain
+		r.Stages[key] = s
+		staged += s.MSPerChain
+	}
+	if r.ChainMeanMS > 0 {
+		r.UnattributedShare = 1 - staged/r.ChainMeanMS
+	}
 }
 
 // CheckAgainst gates a fresh measurement against a committed baseline

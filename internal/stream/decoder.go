@@ -267,8 +267,10 @@ func (d *Decoder) Flush() ([]Frame, error) {
 	return d.drainWindow(out), nil
 }
 
-// Close returns the decoder's buffers to the package pools. The
-// decoder must not be used afterwards.
+// Close returns the decoder's buffers to the package pools and drops
+// its scanners, whose correlation scratch a closed decoder that is
+// still referenced would otherwise keep. The decoder must not be used
+// afterwards.
 func (d *Decoder) Close() error {
 	if d.closed {
 		return nil
@@ -281,6 +283,7 @@ func (d *Decoder) Close() error {
 	putF64(d.projBuf)
 	putF64(d.pending)
 	d.win, d.mixBuf, d.reBuf, d.imBuf, d.projBuf, d.pending = nil, nil, nil, nil, nil, nil
+	d.scanI, d.scanQ = nil, nil
 	return nil
 }
 
