@@ -150,7 +150,9 @@ func runStream(n int) (*StreamReport, error) {
 // Phase 2 delivers the tail; the frame surfaces during that write (or
 // the explicit flush), and its wall time is the decode latency — how
 // long a client waits for the frame row once the closing samples
-// arrive.
+// arrive. Phase 2 runs on GOMAXPROCS workers, so each decode is timed
+// on a CPU of its own rather than sharing one with every other
+// stream's.
 func benchStreams(count int) (*StreamRun, error) {
 	sc := benchSynthCfg()
 	rec, err := stream.SynthesizeRecording(sc, frame.DataFrame{
@@ -234,28 +236,36 @@ func benchStreams(count int) (*StreamRun, error) {
 	// Phase 2: deliver the tails; time each stream's first frame.
 	latencies := make([]float64, count)
 	frames := make([]int, count)
+	next := make(chan int, count)
+	for i := range sessions {
+		next <- i
+	}
+	close(next)
 	phase2 := time.Now()
-	for i, s := range sessions {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
-		go func(i int, s *streamd.Session) {
+		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			got, err := s.WriteSamples(rec[cut:])
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(got) == 0 {
-				flushed, ferr := s.Flush()
-				if ferr != nil {
-					errs <- ferr
+			for i := range next {
+				s := sessions[i]
+				t0 := time.Now()
+				got, err := s.WriteSamples(rec[cut:])
+				if err != nil {
+					errs <- err
 					return
 				}
-				got = flushed
+				if len(got) == 0 {
+					flushed, ferr := s.Flush()
+					if ferr != nil {
+						errs <- ferr
+						return
+					}
+					got = flushed
+				}
+				latencies[i] = float64(time.Since(t0)) / float64(time.Millisecond)
+				frames[i] = len(got)
 			}
-			latencies[i] = float64(time.Since(t0)) / float64(time.Millisecond)
-			frames[i] = len(got)
-		}(i, s)
+		}()
 	}
 	wg.Wait()
 	wall += time.Since(phase2)

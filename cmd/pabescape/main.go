@@ -8,7 +8,8 @@
 // the heap, and nothing but the benchmark notices. pabescape makes the
 // regression a CI failure instead.
 //
-// It runs `go build -gcflags=-m=1` over Config.HotPkgs in a fresh build
+// It runs `go build -gcflags=-m=1` over Config.HotPkgs (and any other
+// package on the allowlist) in a fresh build
 // cache (a warm cache suppresses compiler diagnostics entirely), parses
 // the escape/inlining decisions, attributes them to their enclosing
 // function, and diffs an allowlist of hot functions against the golden
@@ -45,20 +46,28 @@ import (
 
 // hotFuncs is the allowlist: the functions whose escape/inlining state
 // the baseline pins, keyed by import path. Everything on it sits on the
-// per-decode path (or is called per candidate inside it).
+// per-decode path (or is called per candidate inside it): the Into
+// variants a Receiver runs in its workspace, the workspace helpers, and
+// the allocating public forms that wrap them.
 var hotFuncs = map[string][]string{
+	"pab/internal/hydrophone": {
+		"Hydrophone.RecordInto",
+	},
 	"pab/internal/dsp": {
-		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "Envelope",
-		"(*StepCorrelator).Correlate",
+		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "DownconvertGatedInto", "Envelope",
+		"(*StepCorrelator).Correlate", "(*StepCorrelator).CorrelateWith",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate",
 	},
 	"pab/internal/phy": {
-		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).EncodeTemplate",
-		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates", "MeasureSNR",
+		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).DecodeInto", "(*FM0).EncodeTemplate",
+		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates",
+		"MeasureSNR", "MeasureSNRInto", "CorrectCFOInto",
 	},
 	"pab/internal/core": {
-		"CoherentWave", "estimateAxis", "projectAxis",
-		"(*Receiver).decodeAt", "(*Receiver).detectRefinedAll",
+		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto", "coherentWaveTrackedInto",
+		"(*Receiver).demodulateGated", "(*Receiver).correctCFOIfReal", "(*Receiver).decodeBasebandStaged",
+		"(*workspace).decodeAt", "(*workspace).detectRefinedAll", "(*workspace).codec", "(*workspace).filter",
+		"(*refinedLock).project",
 	},
 	"pab/internal/channel": {
 		"(*ImpulseResponse).Apply",
@@ -96,7 +105,14 @@ func main() {
 	}
 	cfg := lint.DefaultConfig()
 
-	cur, raw, err := collect(root, cfg.HotPkgs)
+	// The hot packages, plus any allowlisted package outside them.
+	pkgs := append([]string{}, cfg.HotPkgs...)
+	for pkg := range hotFuncs {
+		if !contains(pkgs, pkg) {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	cur, raw, err := collect(root, pkgs)
 	if err != nil {
 		fatal(err)
 	}

@@ -6,10 +6,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 
 	"pab/internal/dsp"
 	"pab/internal/frame"
@@ -51,9 +52,26 @@ func ChannelCutoff(fs, bitrate float64) float64 {
 // Receiver is the hydrophone-side offline decoder (paper §5.1b): FFT
 // carrier identification, downconversion, Butterworth channel filtering,
 // packet detection, CFO correction and ML FM0 decoding.
+//
+// The decoding methods work in a workspace the Receiver keeps from call
+// to call, so a steady stream of decodes allocates little more than its
+// results; nothing a method returns points into the workspace. Like
+// phy.Detector, a Receiver must therefore not be used from several
+// goroutines at once. A copy shares the workspace once the original
+// has decoded, so copies must not be used concurrently either.
 type Receiver struct {
 	Hydro      hydrophone.Hydrophone
 	SampleRate float64
+
+	ws *workspace // created by the first decode
+}
+
+// work returns the receiver's workspace, creating it on first use.
+func (r *Receiver) work() *workspace {
+	if r.ws == nil {
+		r.ws = &workspace{}
+	}
+	return r.ws
 }
 
 // NewReceiver returns the paper's receiver configuration.
@@ -135,12 +153,13 @@ func estimateAxis(seg []complex128) modAxis {
 
 // projectAxis applies an axis estimate to a whole stream.
 func projectAxis(bb []complex128, a modAxis) []float64 {
-	return projectAxisInto(make([]float64, len(bb)), bb, a)
+	return projectAxisInto(nil, bb, a)
 }
 
-// projectAxisInto is projectAxis writing into dst, len(dst) ≥ len(bb).
+// projectAxisInto is projectAxis writing into dst's backing array when
+// it is large enough.
 func projectAxisInto(dst []float64, bb []complex128, a modAxis) []float64 {
-	dst = dst[:len(bb)]
+	dst = dsp.Grow(dst, len(bb))
 	for i, v := range bb {
 		dst[i] = real((v - a.mean) * a.rot)
 	}
@@ -154,13 +173,19 @@ func projectAxisInto(dst []float64, bb []complex128, a modAxis) []float64 {
 // drifting node Doppler-rotates the backscatter phasor through the
 // packet, which a fixed-axis projection smears.
 func CoherentWaveTracked(bb []complex128, blockLen int) []float64 {
+	return coherentWaveTrackedInto(nil, bb, blockLen)
+}
+
+// coherentWaveTrackedInto is CoherentWaveTracked writing into dst's
+// backing array when it is large enough.
+func coherentWaveTrackedInto(dst []float64, bb []complex128, blockLen int) []float64 {
 	if len(bb) == 0 {
-		return nil
+		return dst[:0]
 	}
 	if blockLen < 8 || blockLen > len(bb) {
-		return CoherentWave(bb)
+		return projectAxisInto(dst, bb, estimateAxis(bb))
 	}
-	out := make([]float64, len(bb))
+	out := dsp.Grow(dst, len(bb))
 	prevRot := complex(1, 0)
 	havePrev := false
 	for start := 0; start < len(bb); start += blockLen {
@@ -259,14 +284,16 @@ func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64
 var snrDBBuckets = []float64{-10, -5, 0, 2, 5, 8, 11, 15, 20, 25, 30}
 
 func (r *Receiver) decodeUplinkStaged(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
+	ws := r.work()
 	spDemod := parent.Child("demod")
 	stRecord := prof.Start(prof.StageRecord)
-	volts, err := r.Hydro.Record(pressure)
+	volts, err := r.Hydro.RecordInto(ws.volts, pressure)
 	stRecord.Stop(len(pressure))
 	if err != nil {
 		spDemod.End()
 		return nil, err
 	}
+	ws.volts = volts
 	return r.decodeVoltsStaged(parent, spDemod, volts, carrier, bitrate, searchFrom)
 }
 
@@ -307,12 +334,22 @@ func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []fl
 // demodulateGated returns Demodulate(volts, carrier, bitrate)[searchFrom:]
 // bit for bit, for a decoder gated at searchFrom ≥ 0: the zero-phase
 // filter's backward pass stops at the gate, since nothing reads the
-// baseband before it.
+// baseband before it. The result is the workspace's baseband buffer.
 func (r *Receiver) demodulateGated(volts []float64, carrier, bitrate float64, searchFrom int) ([]complex128, error) {
 	if searchFrom >= len(volts) {
 		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(volts))
 	}
-	return dsp.DownconvertLPFrom(volts, carrier, r.SampleRate, ChannelCutoff(r.SampleRate, bitrate), FilterOrder, searchFrom)
+	ws := r.work()
+	lp, err := ws.filter(r.SampleRate, ChannelCutoff(r.SampleRate, bitrate))
+	if err != nil {
+		return nil, err
+	}
+	bb, err := dsp.DownconvertGatedInto(ws.bb, volts, carrier, r.SampleRate, lp, searchFrom)
+	if err != nil {
+		return nil, err
+	}
+	ws.bb = bb
+	return bb, nil
 }
 
 // DecodeBaseband runs the detection and decode half of the chain on
@@ -329,16 +366,17 @@ func (r *Receiver) DecodeBaseband(bb []complex128, bitrate float64) (*Decoded, e
 // sync indices (the batch path gates the stream at searchFrom and
 // reports indices in pre-gate coordinates).
 func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128, bitrate, cfo float64, indexOffset int) (*Decoded, error) {
+	ws := r.work()
 	spb, err := phy.SamplesPerBitFor(r.SampleRate, bitrate)
 	if err != nil {
 		return nil, err
 	}
-	fm0, err := phy.NewFM0(spb)
+	c, err := ws.codec(spb)
 	if err != nil {
 		return nil, err
 	}
 	spSync := parent.Child("sync")
-	cands, err := r.detectRefinedAll(bb, fm0)
+	cands, err := ws.detectRefinedAll(bb, c)
 	if err != nil {
 		spSync.End()
 		return nil, err
@@ -354,7 +392,7 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	// under heavy ISI).
 	var firstErr error
 	for i := range cands {
-		dec, err := r.decodeAt(bb, &cands[i], fm0)
+		dec, err := ws.decodeAt(bb, &cands[i], c.fm0)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -371,13 +409,14 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	// blocks tolerating faster rotation at the cost of noisier per-block
 	// axis estimates.
 	preLen := len(phy.PreambleBits) * spb
-	for _, block := range []int{preLen, preLen / 2, preLen / 4} {
-		tracked := CoherentWaveTracked(bb, block)
-		sync, err := phy.DetectPacket(tracked, fm0, DetectThreshold)
+	for _, block := range [...]int{preLen, preLen / 2, preLen / 4} {
+		ws.tracked = coherentWaveTrackedInto(ws.tracked, bb, block)
+		cs, err := c.det.Candidates(ws.tracked, DetectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
-		dec, err := r.decodeAt(bb, &refinedLock{wave: tracked, sync: sync}, fm0)
+		lock := refinedLock{wave: ws.tracked, sync: cs[0]}
+		dec, err := ws.decodeAt(bb, &lock, c.fm0)
 		if err != nil {
 			continue
 		}
@@ -390,18 +429,18 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 }
 
 // decodeAt decodes a length-prefixed data frame at a detected lock,
-// projecting only the spans it reads.
-func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*Decoded, error) {
+// projecting only the spans it reads. The result is freshly allocated.
+func (ws *workspace) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*Decoded, error) {
 	sync := lock.sync
 	spb := fm0.SamplesPerBit
 	// Decode the header first to learn the payload length, then the
 	// whole frame.
-	headerWave := lock.project(bb, sync.PayloadIndex, min(len(bb), sync.PayloadIndex+24*spb))
-	headerBits, _ := fm0.DecodeFrom(headerWave, 24, sync.PayloadLevel)
-	if len(headerBits) < 24 {
-		return nil, fmt.Errorf("core: truncated header: %d bits", len(headerBits))
+	headerWave := lock.project(&ws.header, bb, sync.PayloadIndex, min(len(bb), sync.PayloadIndex+24*spb))
+	ws.hdrBits, _ = fm0.DecodeInto(ws.hdrBits, &ws.trellis, headerWave, 24, sync.PayloadLevel)
+	if len(ws.hdrBits) < 24 {
+		return nil, fmt.Errorf("core: truncated header: %d bits", len(ws.hdrBits))
 	}
-	header, err := frame.FromBits(headerBits)
+	header, err := frame.FromBits(ws.hdrBits)
 	if err != nil {
 		return nil, err
 	}
@@ -417,8 +456,9 @@ func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*
 	span := spb / 4
 	winLo := max(0, sync.Index-span)
 	winHi := min(len(bb), endIdx+span)
-	env := lock.project(bb, winLo, winHi)
-	bits, _ := fm0.DecodeFrom(env[sync.PayloadIndex-winLo:], total, sync.PayloadLevel)
+	env := lock.project(&ws.packet, bb, winLo, winHi)
+	ws.bits, _ = fm0.DecodeInto(ws.bits, &ws.trellis, env[sync.PayloadIndex-winLo:], total, sync.PayloadLevel)
+	bits := ws.bits
 	if len(bits) < total {
 		return nil, fmt.Errorf("core: truncated frame: %d of %d bits", len(bits), total)
 	}
@@ -436,20 +476,23 @@ func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*
 	// exactly that extent (the best available channel estimate) and
 	// search a small alignment neighbourhood — multipath can shift the
 	// correlation peak a few samples off the energy-optimal point.
-	allBits := append(append([]phy.Bit{}, phy.PreambleBits...), bits...)
+	ws.allBits = dsp.Grow(ws.allBits, len(phy.PreambleBits)+len(bits))
+	copy(ws.allBits[copy(ws.allBits, phy.PreambleBits):], bits)
 	step := spb / 16
 	if step < 1 {
 		step = 1
 	}
-	refined := projectAxis(bb[winLo:winHi], estimateAxis(bb[sync.Index:endIdx]))
+	ws.refined = projectAxisInto(ws.refined, bb[winLo:winHi], estimateAxis(bb[sync.Index:endIdx]))
 	snr := 0.0
-	for _, wave := range [...][]float64{env, refined} {
+	for _, wave := range [...][]float64{env, ws.refined} {
 		for off := -span; off <= span; off += step {
 			idx := sync.Index + off - winLo
 			if idx < 0 || idx >= len(wave) {
 				continue
 			}
-			if s := phy.MeasureSNR(wave[idx:], allBits, fm0); s > snr {
+			s, means := phy.MeasureSNRInto(ws.means, wave[idx:], ws.allBits, fm0)
+			ws.means = means
+			if s > snr {
 				snr = s
 			}
 		}
@@ -459,8 +502,8 @@ func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*
 	// per-packet lock-quality diagnostic (bit errors inside the preamble
 	// mean the correlator locked on a degraded or offset template).
 	preErrs := 0
-	preBits, _ := fm0.DecodeFrom(env[sync.Index-winLo:], len(phy.PreambleBits), sync.StartLevel)
-	for i, b := range preBits {
+	ws.preBits, _ = fm0.DecodeInto(ws.preBits, &ws.trellis, env[sync.Index-winLo:], len(phy.PreambleBits), sync.StartLevel)
+	for i, b := range ws.preBits {
 		if b != phy.PreambleBits[i] {
 			preErrs++
 		}
@@ -468,7 +511,7 @@ func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*
 
 	return &Decoded{
 		Frame:             df,
-		Bits:              bits,
+		Bits:              slices.Clone(bits),
 		SNRLinear:         snr,
 		Sync:              sync,
 		PreambleBitErrors: preErrs,
@@ -480,10 +523,12 @@ func (r *Receiver) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*
 // cleanly. knownBits, when non-nil, are the transmitted bits (ground
 // truth available in the controlled experiments).
 func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64, knownBits []phy.Bit, searchFrom int) (snrLinear float64, ber float64, err error) {
-	volts, err := r.Hydro.Record(pressure)
+	ws := r.work()
+	volts, err := r.Hydro.RecordInto(ws.volts, pressure)
 	if err != nil {
 		return 0, 1, err
 	}
+	ws.volts = volts
 	if searchFrom < 0 {
 		searchFrom = 0
 	}
@@ -496,11 +541,11 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	if err != nil {
 		return 0, 1, err
 	}
-	fm0, err := phy.NewFM0(spb)
+	c, err := ws.codec(spb)
 	if err != nil {
 		return 0, 1, err
 	}
-	cands, err := r.detectRefinedAll(bb, fm0)
+	cands, err := ws.detectRefinedAll(bb, c)
 	if err != nil {
 		return 0, 1, err
 	}
@@ -509,18 +554,20 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	// CRC, available here even when the packet is too corrupted to pass.
 	best := -1.0
 	bestBER := 1.0
-	for _, c := range cands {
+	for i := range cands {
+		lock := &cands[i]
 		n := len(knownBits)
 		if n == 0 {
-			n = (len(bb) - c.sync.Index) / spb
+			n = (len(bb) - lock.sync.Index) / spb
 		}
-		wave := c.project(bb, c.sync.Index, min(len(bb), c.sync.Index+n*spb))
-		got, _ := fm0.DecodeFrom(wave, n, c.sync.StartLevel)
-		snr := phy.MeasureSNR(wave, got, fm0)
+		wave := lock.project(&ws.packet, bb, lock.sync.Index, min(len(bb), lock.sync.Index+n*spb))
+		ws.bits, _ = c.fm0.DecodeInto(ws.bits, &ws.trellis, wave, n, lock.sync.StartLevel)
+		snr, means := phy.MeasureSNRInto(ws.means, wave, ws.bits, c.fm0)
+		ws.means = means
 		if snr > best {
 			best = snr
 			if knownBits != nil {
-				bestBER = phy.BER(knownBits, got)
+				bestBER = phy.BER(knownBits, ws.bits)
 			} else {
 				bestBER = 0
 			}
@@ -541,15 +588,19 @@ type refinedLock struct {
 	sync phy.Sync
 }
 
-// project returns the lock's projection of bb[lo:hi]. Projection is
-// per sample, so a span equals the same span of a whole-stream
-// projection.
-func (l *refinedLock) project(bb []complex128, lo, hi int) []float64 {
+// project returns the lock's projection of bb[lo:hi], computed into
+// *buf unless the lock carries a whole-stream wave. Projection is per
+// sample, so a span equals the same span of a whole-stream projection.
+func (l *refinedLock) project(buf *[]float64, bb []complex128, lo, hi int) []float64 {
 	if l.wave != nil {
 		return l.wave[lo:hi]
 	}
-	return projectAxis(bb[lo:hi], l.axis)
+	*buf = projectAxisInto(*buf, bb[lo:hi], l.axis)
+	return *buf
 }
+
+// maxCoarse bounds the candidates the coarse pass keeps per projection.
+const maxCoarse = 8
 
 // detectRefinedAll runs two-pass coherent detection: a coarse pass with
 // the axis estimated over the whole stream locates the preamble, then
@@ -557,8 +608,8 @@ func (l *refinedLock) project(bb []complex128, lo, hi int) []float64 {
 // modulation is guaranteed present — and detection and decoding proceed
 // on the refined projection. This is the per-packet channel estimation
 // of the paper's receiver (§5.1b). It returns every surviving candidate
-// lock, best refined score first.
-func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, error) {
+// lock, best refined score first, in the workspace's lock buffer.
+func (ws *workspace) detectRefinedAll(bb []complex128, c *codec) ([]refinedLock, error) {
 	// The global second-moment axis can sit arbitrarily far from the
 	// true modulation axis when the stream is mostly unmodulated
 	// carrier, leaving the real preamble buried on the coarse
@@ -567,21 +618,25 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 	axis := estimateAxis(bb)
 	axisQ := axis
 	axisQ.rot *= complex(0, 1)
-	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
-	cands := make([]phy.Sync, 0, 16) // two projections × maxK=8 below
-	det := phy.NewDetector(fm0)
-	coarse := make([]float64, len(bb))
-	for _, a := range []modAxis{axis, axisQ} {
-		cs, err := det.Candidates(projectAxisInto(coarse, bb, a), CoarseThreshold, 8, preambleLen)
+	preambleLen := len(phy.PreambleBits) * c.fm0.SamplesPerBit
+	cands := dsp.Grow(ws.cands, 2*maxCoarse)
+	ws.cands = cands
+	n := 0
+	for _, a := range [...]modAxis{axis, axisQ} {
+		ws.coarse = projectAxisInto(ws.coarse, bb, a)
+		cs, err := c.det.Candidates(ws.coarse, CoarseThreshold, maxCoarse, preambleLen)
 		if err != nil {
 			continue
 		}
-		cands = append(cands, cs...)
+		n += copy(cands[n:], cs)
 	}
+	cands = cands[:n]
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("core: no preamble candidates on either projection")
 	}
-	out := make([]refinedLock, 0, len(cands))
+	out := dsp.Grow(ws.locks, len(cands))
+	ws.locks = out
+	k := 0
 	for _, cand := range cands {
 		end := cand.Index + preambleLen
 		if end > len(bb) {
@@ -593,43 +648,46 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 		// converge onto the single strongest peak, collapsing the
 		// candidate set before the CRC can arbitrate. Only that window
 		// is projected; the decoder projects the spans it reads.
-		lo := cand.Index - fm0.SamplesPerBit
+		lo := cand.Index - c.fm0.SamplesPerBit
 		if lo < 0 {
 			lo = 0
 		}
-		hi := cand.Index + fm0.SamplesPerBit + preambleLen
+		hi := cand.Index + c.fm0.SamplesPerBit + preambleLen
 		if hi > len(bb) {
 			hi = len(bb)
 		}
-		cs, err := det.Candidates(projectAxis(bb[lo:hi], axis), DetectThreshold, 1, 0)
+		ws.refine = projectAxisInto(ws.refine, bb[lo:hi], axis)
+		cs, err := c.det.Candidates(ws.refine, DetectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
 		sync := cs[0]
 		sync.Index += lo
 		sync.PayloadIndex += lo
-		out = append(out, refinedLock{axis: axis, sync: sync})
+		out[k] = refinedLock{axis: axis, sync: sync}
+		k++
 	}
+	out = out[:k]
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no candidate packet survived axis refinement")
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].sync.Score > out[b].sync.Score })
-	// Deduplicate locks that converged to the same index.
-	dedup := out[:1]
-	for _, c := range out[1:] {
+	slices.SortFunc(out, func(a, b refinedLock) int { return cmp.Compare(b.sync.Score, a.sync.Score) })
+	// Deduplicate locks that converged to the same index, in place.
+	k = 1
+	for _, l := range out[1:] {
 		seen := false
-		for _, d := range dedup {
-			if abs(c.sync.Index-d.sync.Index) < preambleLen/2 {
+		for _, d := range out[:k] {
+			if abs(l.sync.Index-d.sync.Index) < preambleLen/2 {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			//pablint:ignore allocloop dedup reslices out's backing array (cap ≥ len(out) bounds every append); no reallocation possible
-			dedup = append(dedup, c)
+			out[k] = l
+			k++
 		}
 	}
-	return dedup, nil
+	return out[:k], nil
 }
 
 func abs(x int) int {
@@ -654,15 +712,17 @@ func CoherentWaveAround(bb []complex128, start, end int) []float64 {
 // correctCFOIfReal estimates the carrier frequency offset and applies
 // the correction only when it concentrates the carrier (|Σbb|/Σ|bb|
 // rises) — a spurious estimate from a multipath-skewed spectrum would
-// otherwise smear a perfectly coherent stream.
+// otherwise smear a perfectly coherent stream. A corrected stream is
+// the workspace's CFO buffer.
 func (r *Receiver) correctCFOIfReal(bb []complex128) ([]complex128, float64) {
 	cfo := phy.EstimateCFO(bb, r.SampleRate)
 	if math.Abs(cfo) <= 0.5 {
 		return bb, cfo
 	}
-	corrected := phy.CorrectCFO(bb, cfo, r.SampleRate)
-	if carrierConcentration(corrected) > carrierConcentration(bb) {
-		return corrected, cfo
+	ws := r.work()
+	ws.cfo = phy.CorrectCFOInto(ws.cfo, bb, cfo, r.SampleRate)
+	if carrierConcentration(ws.cfo) > carrierConcentration(bb) {
+		return ws.cfo, cfo
 	}
 	return bb, 0
 }

@@ -18,10 +18,18 @@ import "math"
 // A StepCorrelator reuses its prefix-sum scratch across calls, so one
 // value must not be used from several goroutines at once.
 type StepCorrelator struct {
-	coef   []float64 // step levels minus their mean
-	width  int
-	energy float64 // Σ (h − h̄)² over the template's samples
-	// Prefix sums of the mean-removed input and of its square.
+	coef    []float64 // step levels minus their mean
+	width   int
+	energy  float64 // Σ (h − h̄)² over the template's samples
+	scratch PrefixSums
+}
+
+// PrefixSums is a StepCorrelator's working memory: prefix sums of the
+// mean-removed input and of its square, one entry per input sample.
+// Correlators that never run at once — one receiver's detectors for
+// several bitrates — can share one through CorrelateWith, so only one
+// recording-length copy stays alive.
+type PrefixSums struct {
 	sum, sumSq []float64
 }
 
@@ -50,6 +58,12 @@ func (c *StepCorrelator) Len() int { return len(c.coef) * c.width }
 // when it is large enough. A window with zero variance scores 0. It
 // returns nil when x is shorter than the template.
 func (c *StepCorrelator) Correlate(dst, x []float64) []float64 {
+	return c.CorrelateWith(&c.scratch, dst, x)
+}
+
+// CorrelateWith is Correlate computing its prefix sums in p instead of
+// the correlator's own scratch.
+func (c *StepCorrelator) CorrelateWith(p *PrefixSums, dst, x []float64) []float64 {
 	m := c.Len()
 	if len(x) < m {
 		return nil
@@ -57,16 +71,17 @@ func (c *StepCorrelator) Correlate(dst, x []float64) []float64 {
 	// Removing the input mean first keeps the prefix sums small, so
 	// their differences lose no precision on long recordings.
 	mean := Mean(x)
-	c.sum = growFloats(c.sum, len(x)+1)
-	c.sumSq = growFloats(c.sumSq, len(x)+1)
-	sum, sumSq := c.sum, c.sumSq
+	p.sum = Grow(p.sum, len(x)+1)
+	p.sumSq = Grow(p.sumSq, len(x)+1)
+	sum, sumSq := p.sum, p.sumSq
+	sum[0], sumSq[0] = 0, 0
 	for i, v := range x {
 		d := v - mean
 		sum[i+1] = sum[i] + d
 		sumSq[i+1] = sumSq[i] + d*d
 	}
 	n := len(x) - m + 1
-	out := growFloats(dst, n)
+	out := Grow(dst, n)
 	w := c.width
 	invM := 1 / float64(m)
 	// Rounding leaves a constant window a variance residue of up to
@@ -104,11 +119,12 @@ func (c *StepCorrelator) Correlate(dst, x []float64) []float64 {
 // epsilon is the float64 machine epsilon.
 const epsilon = 0x1p-52
 
-// growFloats returns buf resliced to n, reallocated only when its
-// capacity is short.
-func growFloats(buf []float64, n int) []float64 {
+// Grow returns buf resliced to n, reallocated only when its capacity is
+// short. The contents are not preserved: it sizes scratch that the
+// caller overwrites.
+func Grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -242,3 +242,39 @@ func TestArgMaxAndArgMaxAbs(t *testing.T) {
 		t.Errorf("ArgMaxAbs(nil) index %d, want -1", idx)
 	}
 }
+
+func TestCorrelateWithSharedPrefixSumsMatchesCorrelate(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	long := make([]float64, 5000)
+	short := make([]float64, 700)
+	for i := range long {
+		long[i] = rng.NormFloat64() + 3
+	}
+	for i := range short {
+		short[i] = rng.NormFloat64() - 1
+	}
+	a := NewStepCorrelator(randomSteps(rng, 18), 24)
+	b := NewStepCorrelator(randomSteps(rng, 18), 6)
+	var shared PrefixSums
+	// Interleave the two correlators over one scratch, long input
+	// first so the short one reads sums past its own input's end.
+	for _, step := range []struct {
+		c *StepCorrelator
+		x []float64
+	}{{a, long}, {b, short}, {a, short}, {b, long}} {
+		want := step.c.Correlate(nil, step.x)
+		dst := make([]float64, 3*len(step.x))
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		got := step.c.CorrelateWith(&shared, dst[:1], step.x)
+		if len(got) != len(want) {
+			t.Fatalf("length %d, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("lag %d: %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+}

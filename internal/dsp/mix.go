@@ -73,22 +73,36 @@ func DownconvertLP(x []float64, fc, fs, cutoff float64, order int) ([]complex128
 
 // DownconvertLPFrom returns DownconvertLP(x, fc, fs, cutoff, order)[from:],
 // bit for bit, for a caller that reads nothing before from — a receiver
-// gated past its own downlink. The mix and the forward filter pass cover
-// all of x, because the filter state at from depends on every earlier
-// sample; the backward pass stops at from, because its output at index
-// i reads only forward outputs at indices ≥ i. Only the samples from
-// the gate on are stored.
+// gated past its own downlink. It designs the filter and runs
+// DownconvertGatedInto into a fresh buffer.
 func DownconvertLPFrom(x []float64, fc, fs, cutoff float64, order, from int) ([]complex128, error) {
-	if from < 0 || from > len(x) {
-		return nil, fmt.Errorf("dsp: demodulation start %d outside [0, %d]", from, len(x))
-	}
 	lp, err := DesignButterworthLowpass(cutoff, fs, order)
 	if err != nil {
 		return nil, err
 	}
+	return DownconvertGatedInto(nil, x, fc, fs, lp, from)
+}
+
+// iqStackSections is the longest cascade whose I/Q filter state
+// DownconvertGatedInto keeps on the stack (order 16); longer ones
+// allocate it.
+const iqStackSections = 8
+
+// DownconvertGatedInto mixes x down by fc and runs the low-pass lp
+// forward and then backward over I and Q, returning the baseband from
+// sample from on, written into dst's backing array when it is large
+// enough. The mix and the forward filter pass cover all of x, because
+// the filter state at from depends on every earlier sample; the
+// backward pass stops at from, because its output at index i reads only
+// forward outputs at indices ≥ i. Only the samples from the gate on are
+// stored.
+func DownconvertGatedInto(dst []complex128, x []float64, fc, fs float64, lp *IIR, from int) ([]complex128, error) {
+	if from < 0 || from > len(x) {
+		return nil, fmt.Errorf("dsp: demodulation start %d outside [0, %d]", from, len(x))
+	}
 	w := 2 * math.Pi * fc / fs
 	st := prof.Start(prof.StageDownconvert)
-	bb := make([]complex128, len(x)-from)
+	bb := Grow(dst, len(x)-from)
 	for i, v := range x[from:] {
 		bb[i] = mixSample(v, w, from+i)
 	}
@@ -100,8 +114,13 @@ func DownconvertLPFrom(x []float64, fc, fs, cutoff float64, order, from int) ([]
 	// filtering order. The samples before the gate are mixed on the fly
 	// and dropped once they have moved the forward state, so their
 	// mixing is timed here, not in the downconvert stage.
-	zr := make([][2]float64, len(lp.sections))
-	zi := make([][2]float64, len(lp.sections))
+	var state [2][iqStackSections][2]float64
+	zr, zi := state[0][:], state[1][:]
+	if ns := len(lp.sections); ns > iqStackSections {
+		zr, zi = make([][2]float64, ns), make([][2]float64, ns)
+	} else {
+		zr, zi = zr[:ns], zi[:ns]
+	}
 	for i, v := range x[:from] {
 		lp.cascadeIQ(mixSample(v, w, i), zr, zi)
 	}

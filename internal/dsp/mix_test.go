@@ -235,3 +235,47 @@ func TestStatsHelpers(t *testing.T) {
 		t.Error("Add wrong")
 	}
 }
+
+// dirtyComplex returns a buffer of n NaN samples with spare capacity:
+// an Into variant must overwrite what it returns and ignore the rest.
+func dirtyComplex(n int) []complex128 {
+	buf := make([]complex128, 2*n)
+	for i := range buf {
+		buf[i] = complex(math.NaN(), math.Inf(1))
+	}
+	return buf[:n]
+}
+
+func TestDownconvertGatedIntoMatchesLPFrom(t *testing.T) {
+	const fs, fc, cutoff = 96000.0, 15000.0, 2000.0
+	rng := rand.New(rand.NewSource(10))
+	x := make([]float64, 3001)
+	for i := range x {
+		x[i] = math.Sin(2*math.Pi*fc/fs*float64(i)+0.7) + 0.2*rng.NormFloat64()
+	}
+	for _, order := range []int{4, 5, 18} { // 18: a cascade too long for the stack state
+		lp, err := DesignButterworthLowpass(cutoff, fs, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, from := range []int{0, 1, len(x) / 3, len(x)} {
+			want, err := DownconvertLPFrom(x, fc, fs, cutoff, order, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DownconvertGatedInto(dirtyComplex(len(x)), x, fc, fs, lp, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("order %d, from %d: length %d, want %d", order, from, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("order %d, from %d: sample %d = %v, want %v", order, from, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"pab/internal/dsp"
 	"pab/internal/units"
 )
 
@@ -49,6 +50,12 @@ func (h Hydrophone) VoltsPerPascal() float64 {
 // Record converts a pressure waveform (Pa) into the recorded voltage
 // waveform, applying sensitivity, clipping and ADC quantisation.
 func (h Hydrophone) Record(pressure []float64) ([]float64, error) {
+	return h.RecordInto(nil, pressure)
+}
+
+// RecordInto is Record writing the voltages into dst's backing array
+// when it is large enough.
+func (h Hydrophone) RecordInto(dst, pressure []float64) ([]float64, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
@@ -65,7 +72,7 @@ func (h Hydrophone) Record(pressure []float64) ([]float64, error) {
 		}
 	}
 	lsb := h.lsbV()
-	out := make([]float64, len(pressure))
+	out := dsp.Grow(dst, len(pressure))
 	for i, p := range pressure {
 		v := p * gain
 		if v > h.MaxInputV {

@@ -135,3 +135,34 @@ func TestAutoGainPreventsClipping(t *testing.T) {
 		t.Errorf("quiet signal was rescaled: peak %g, want 0.01", peak2)
 	}
 }
+
+func TestRecordIntoMatchesRecord(t *testing.T) {
+	for _, autoGain := range []bool{false, true} {
+		h := H2a()
+		h.AutoGain = autoGain
+		p := dsp.Sine(3000, 15000, 96000, 0.4, 2000) // clips without auto-gain
+		for i := range p {
+			p[i] += float64(i%7) * 0.01
+		}
+		want, err := h.Record(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, 2*len(p))
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		got, err := h.RecordInto(dst[:10], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("length %d, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("auto-gain %v: sample %d = %v, want %v", autoGain, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pab/internal/dsp"
 	"pab/internal/telemetry"
 )
 
@@ -67,8 +68,29 @@ func (m *FM0) Encode(bits []Bit, startLevel float64) (wave []float64, finalLevel
 // It returns the decoded bits and the winning path metric per bit (a
 // soft quality measure).
 func (m *FM0) DecodeFrom(wave []float64, nbits int, prevLevel float64) ([]Bit, float64) {
+	return m.DecodeInto(nil, nil, wave, nbits, prevLevel)
+}
+
+// hop is one Viterbi back-pointer: the previous state and the bit
+// leading to a state.
+type hop struct {
+	prev int
+	bit  Bit
+}
+
+// Trellis is DecodeInto's back-pointer scratch, one pair of hops per
+// decoded bit. It grows to the longest decode and is reused after; one
+// Trellis must not be used from several goroutines at once.
+type Trellis struct {
+	back [][2]hop
+}
+
+// DecodeInto is DecodeFrom writing the bits into dst's backing array
+// when it is large enough, with its back-pointers in t (nil: a fresh
+// trellis).
+func (m *FM0) DecodeInto(dst []Bit, t *Trellis, wave []float64, nbits int, prevLevel float64) ([]Bit, float64) {
 	if nbits <= 0 || len(wave) < m.SamplesPerBit {
-		return nil, 0
+		return dst[:0], 0
 	}
 	if max := len(wave) / m.SamplesPerBit; nbits > max {
 		nbits = max
@@ -86,12 +108,14 @@ func (m *FM0) DecodeFrom(wave []float64, nbits int, prevLevel float64) ([]Bit, f
 	} else {
 		metric[1] = 0
 	}
-	// back[i][s] is (previous state, bit) leading to state s after bit i.
-	type hop struct {
-		prev int
-		bit  Bit
+	// back[i][s] is (previous state, bit) leading to state s after bit
+	// i. A state no path reaches keeps the zero hop.
+	if t == nil {
+		t = &Trellis{}
 	}
-	back := make([][2]hop, nbits)
+	t.back = dsp.Grow(t.back, nbits)
+	back := t.back
+	clear(back)
 	for i := 0; i < nbits; i++ {
 		seg := wave[i*m.SamplesPerBit : (i+1)*m.SamplesPerBit]
 		m1 := meanOf(seg[:half]) - mid
@@ -126,7 +150,7 @@ func (m *FM0) DecodeFrom(wave []float64, nbits int, prevLevel float64) ([]Bit, f
 		state = 1
 	}
 	total := metric[state]
-	bits := make([]Bit, nbits)
+	bits := dsp.Grow(dst, nbits)
 	for i := nbits - 1; i >= 0; i-- {
 		h := back[i][state]
 		bits[i] = h.bit

@@ -56,25 +56,44 @@ func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, min
 }
 
 // Detector runs DetectPacketCandidates repeatedly for one FM0
-// configuration, reusing its correlation scratch from call to call — a
-// receiver's coarse and refining searches over one recording. It must
-// not be used from several goroutines at once.
+// configuration, reusing its scratch from call to call — a receiver's
+// coarse and refining searches over one recording. It must not be used
+// from several goroutines at once.
 type Detector struct {
-	m      *FM0
-	corr   *dsp.StepCorrelator
+	m    *FM0
+	corr *dsp.StepCorrelator
+	s    *DetectScratch
+}
+
+// DetectScratch is the working memory of Detector.Candidates: the
+// correlator's prefix sums, the scores, the lags above the threshold
+// and the returned candidates. Detectors that never run at once — one
+// receiver's detectors for several bitrates — can share one, so only
+// one recording-length copy stays alive.
+type DetectScratch struct {
+	prefix dsp.PrefixSums
 	scores []float64
+	above  []int
+	out    []Sync
 }
 
-// NewDetector returns a detector for m's encoding of the preamble.
-func NewDetector(m *FM0) *Detector {
-	return &Detector{m: m, corr: preambleCorrelator(m)}
+// NewDetector returns a detector for m's encoding of the preamble,
+// with scratch of its own.
+func NewDetector(m *FM0) *Detector { return NewSharedDetector(m, new(DetectScratch)) }
+
+// NewSharedDetector returns a detector for m's encoding of the preamble
+// that works in s, shared with every other detector built on s.
+func NewSharedDetector(m *FM0, s *DetectScratch) *Detector {
+	return &Detector{m: m, corr: preambleCorrelator(m), s: s}
 }
 
-// Candidates is DetectPacketCandidates on the detector's FM0.
+// Candidates is DetectPacketCandidates on the detector's FM0. The
+// returned slice is the scratch's: the next Candidates call on any
+// detector sharing it overwrites it, so copy anything kept longer.
 func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(wave))
-	m, cc := d.m, d.corr
+	m, cc, s := d.m, d.corr, d.s
 	if len(wave) < cc.Len() {
 		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
 	}
@@ -84,21 +103,32 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 	if minSeparation <= 0 {
 		minSeparation = cc.Len()
 	}
-	corr := cc.Correlate(d.scores, wave)
-	d.scores = corr
+	corr := cc.CorrelateWith(&s.prefix, s.scores, wave)
+	s.scores = corr
 	// FM0's start level is unknown, so the preamble may appear inverted:
 	// search |corr| and recover the polarity from the sign. Only lags at
 	// or above the threshold can be picked — a few percent of a coarse
 	// projection — so the greedy search walks those alone, dropping the
 	// ones within minSeparation of each pick.
-	above := make([]int, 0, len(corr)/16)
-	for i, v := range corr {
+	nAbove := 0
+	for _, v := range corr {
 		if math.Abs(v) >= threshold {
-			above = append(above, i)
+			nAbove++
 		}
 	}
-	out := make([]Sync, 0, maxK)
-	for k := 0; k < maxK; k++ {
+	above := dsp.Grow(s.above, nAbove)
+	s.above = above
+	nAbove = 0
+	for i, v := range corr {
+		if math.Abs(v) >= threshold {
+			above[nAbove] = i
+			nAbove++
+		}
+	}
+	out := dsp.Grow(s.out, maxK)
+	s.out = out
+	n := 0
+	for ; n < maxK; n++ {
 		bestIdx, bestAbs := -1, threshold
 		for _, i := range above {
 			if a := math.Abs(corr[i]); a >= bestAbs {
@@ -113,14 +143,13 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 		if val < 0 {
 			start = -1
 		}
-		_, finalLevel := halfBits.Encode(PreambleBits, start)
-		out = append(out, Sync{
+		out[n] = Sync{
 			Index:        bestIdx,
 			Score:        math.Abs(val),
 			StartLevel:   start,
-			PayloadLevel: finalLevel,
+			PayloadLevel: finalLevel(PreambleBits, start),
 			PayloadIndex: bestIdx + len(PreambleBits)*m.SamplesPerBit,
-		})
+		}
 		kept := 0
 		for _, i := range above {
 			if i < bestIdx-minSeparation || i >= bestIdx+minSeparation {
@@ -130,6 +159,7 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 		}
 		above = above[:kept]
 	}
+	out = out[:n]
 	if len(out) == 0 {
 		telemetry.Inc(telemetry.MPhySyncMissesTotal)
 		_, best := dsp.ArgMaxAbs(corr)
@@ -139,6 +169,19 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 	telemetry.ObserveN(telemetry.MPhySyncCandidates, telemetry.DefCountBuckets, float64(len(out)))
 	telemetry.ObserveN(telemetry.MPhySyncPeak, syncPeakBuckets, out[0].Score)
 	return out, nil
+}
+
+// finalLevel is the FM0 level after bits, encoded from start (+1 or
+// −1): the level Encode returns, without the waveform.
+func finalLevel(bits []Bit, start float64) float64 {
+	level := start
+	for _, b := range bits {
+		level = -level // boundary inversion, every bit
+		if b == 0 {
+			level = -level // mid-bit inversion for data-0
+		}
+	}
+	return level
 }
 
 // halfBits is FM0 at one sample per half-bit: its encoding of a bit
@@ -180,7 +223,13 @@ func EstimateCFO(bb []complex128, fs float64) float64 {
 // CorrectCFO derotates a complex baseband signal by the given frequency
 // offset (Hz), returning a new slice.
 func CorrectCFO(bb []complex128, cfo, fs float64) []complex128 {
-	out := make([]complex128, len(bb))
+	return CorrectCFOInto(nil, bb, cfo, fs)
+}
+
+// CorrectCFOInto is CorrectCFO writing into dst's backing array when it
+// is large enough. dst must not overlap bb.
+func CorrectCFOInto(dst, bb []complex128, cfo, fs float64) []complex128 {
+	out := dsp.Grow(dst, len(bb))
 	if fs <= 0 {
 		copy(out, bb)
 		return out
@@ -205,12 +254,20 @@ func CorrectCFO(bb []complex128, cfo, fs float64) []complex128 {
 // wave must be bit-aligned FM0 at samplesPerBit; bits are the decoded
 // (or known) bits used to reconstruct the ideal waveform.
 func MeasureSNR(wave []float64, bits []Bit, m *FM0) float64 {
+	snr, _ := MeasureSNRInto(nil, wave, bits, m)
+	return snr
+}
+
+// MeasureSNRInto is MeasureSNR computing its decision variables in
+// means's backing array when it is large enough. It returns the SNR and
+// the buffer, to be passed back in on the next call.
+func MeasureSNRInto(means, wave []float64, bits []Bit, m *FM0) (float64, []float64) {
 	if len(bits) == 0 {
-		return 0
+		return 0, means
 	}
 	n := len(bits) * m.SamplesPerBit
 	if len(wave) < n {
-		return 0
+		return 0, means
 	}
 	wave = wave[:n]
 
@@ -218,8 +275,8 @@ func MeasureSNR(wave []float64, bits []Bit, m *FM0) float64 {
 	// third (edges carry deterministic filter smear).
 	half := m.SamplesPerBit / 2
 	q := half / 3
-	means := make([]float64, 0, 2*len(bits))
-	for h := 0; h < 2*len(bits); h++ {
+	means = dsp.Grow(means, 2*len(bits))
+	for h := range means {
 		start := h*half + q
 		end := (h+1)*half - q
 		if end <= start {
@@ -229,7 +286,7 @@ func MeasureSNR(wave []float64, bits []Bit, m *FM0) float64 {
 		for i := start; i < end; i++ {
 			sum += wave[i]
 		}
-		means = append(means, sum/float64(end-start))
+		means[h] = sum / float64(end-start)
 	}
 
 	// Least-squares fit means ≈ a·lv + b against the ideal half-bit
@@ -262,7 +319,7 @@ func MeasureSNR(wave []float64, bits []Bit, m *FM0) float64 {
 	sumII := nf // levels are ±1
 	den := nf*sumII - sumI*sumI
 	if den == 0 {
-		return 0
+		return 0, means
 	}
 	a := (nf*sumIW - sumI*sumW) / den
 	b := (sumW - a*sumI) / nf
@@ -284,7 +341,7 @@ func MeasureSNR(wave []float64, bits []Bit, m *FM0) float64 {
 	noise /= nf
 	sig := a * a // squared channel estimate (modulation amplitude)
 	if noise <= 0 {
-		return math.Inf(1)
+		return math.Inf(1), means
 	}
-	return sig / noise
+	return sig / noise, means
 }

@@ -9,18 +9,20 @@ import (
 	"pab/internal/telemetry"
 )
 
+// allocSink keeps the timed allocation on the heap.
+var allocSink []byte
+
 func TestStageTimerRecordsHistogramsAndSpan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetAllocTracking(true)
 	defer SetAllocTracking(false)
 
 	st := StartIn(reg, StageDecode)
-	if st == nil {
-		t.Fatal("StartIn returned nil on an enabled registry")
+	if st == (StageTimer{}) {
+		t.Fatal("StartIn returned a no-op timer on an enabled registry")
 	}
 	// Allocate something measurable and let time pass.
-	sink := make([]byte, 1<<16)
-	_ = sink
+	allocSink = make([]byte, 1<<16)
 	time.Sleep(time.Millisecond)
 	d := st.Stop(1000)
 	if d <= 0 {
@@ -44,11 +46,14 @@ func TestStageTimerRecordsHistogramsAndSpan(t *testing.T) {
 	if sp.Name != "stage_decode" {
 		t.Fatalf("span name = %q, want stage_decode", sp.Name)
 	}
-	if got := sp.Attrs["samples"]; got != 1000 {
-		t.Fatalf("samples attr = %v, want 1000", got)
+	if sp.Samples != 1000 {
+		t.Fatalf("samples = %d, want 1000", sp.Samples)
 	}
-	if _, ok := sp.Attrs["alloc_bytes"]; !ok {
-		t.Fatal("alloc_bytes attr missing with alloc tracking on")
+	if sp.AllocBytes < 1<<16 {
+		t.Fatalf("alloc_bytes = %d with alloc tracking on, want ≥ the 64 KiB allocated", sp.AllocBytes)
+	}
+	if sp.Attrs != nil {
+		t.Fatalf("stage span carries attrs %v; samples and alloc_bytes are fields", sp.Attrs)
 	}
 }
 
@@ -56,12 +61,16 @@ func TestStageTimerDisabledIsNoOp(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.SetEnabled(false)
 	st := StartIn(reg, StageSync)
-	if st != nil {
-		t.Fatal("StartIn should return nil on a disabled registry")
+	if st != (StageTimer{}) {
+		t.Fatal("StartIn should return the zero timer on a disabled registry")
 	}
-	// The nil timer must be safe throughout.
+	// The zero timer must be safe throughout.
 	if d := st.WithParent(7).Stop(123); d != 0 {
-		t.Fatalf("nil timer Stop = %v, want 0", d)
+		t.Fatalf("zero timer Stop = %v, want 0", d)
+	}
+	var zero StageTimer
+	if d := zero.Stop(1); d != 0 {
+		t.Fatalf("zero timer Stop = %v, want 0", d)
 	}
 	if len(reg.Snapshot().Spans) != 0 {
 		t.Fatal("disabled registry recorded spans")
@@ -115,10 +124,10 @@ func TestCollectStageStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	base := time.Now()
 	for i, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
-		reg.RecordSpan("stage_sync", 0, base.Add(time.Duration(i)*time.Millisecond), d,
-			map[string]any{"samples": 100, "alloc_bytes": int64(50)})
+		reg.RecordSpan(telemetry.SpanRecord{Name: "stage_sync", Start: base.Add(time.Duration(i) * time.Millisecond),
+			DurationSeconds: d.Seconds(), Samples: 100, AllocBytes: 50})
 	}
-	reg.RecordSpan("not_a_stage", 0, base, time.Millisecond, nil)
+	reg.RecordSpan(telemetry.SpanRecord{Name: "not_a_stage", Start: base, DurationSeconds: 0.001})
 
 	stats := CollectStageStats(reg.Snapshot().Spans)
 	if len(stats) != 1 {

@@ -59,12 +59,8 @@ func CollectStageStats(spans []telemetry.SpanRecord) map[string]StageStats {
 			accs[key] = a
 		}
 		a.durs = append(a.durs, s.DurationSeconds)
-		if v, ok := s.Attrs["samples"]; ok {
-			a.samples += toInt64(v)
-		}
-		if v, ok := s.Attrs["alloc_bytes"]; ok {
-			a.alloc += toInt64(v)
-		}
+		a.samples += s.Samples
+		a.alloc += s.AllocBytes
 	}
 	out := make(map[string]StageStats, len(accs))
 	for key, a := range accs {
@@ -90,20 +86,6 @@ func CollectStageStats(spans []telemetry.SpanRecord) map[string]StageStats {
 		out[key] = st
 	}
 	return out
-}
-
-// toInt64 widens the numeric types a span attribute may carry
-// (in-memory int/int64, float64 after a JSON round trip).
-func toInt64(v any) int64 {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	case int64:
-		return x
-	case float64:
-		return int64(x)
-	}
-	return 0
 }
 
 // PercentileSorted returns the pth percentile (nearest-rank) of an

@@ -164,9 +164,15 @@ func BuildTrace(spans []telemetry.SpanRecord) TraceFile {
 	}
 	events := make([]TraceEvent, 0, len(spans))
 	for i, s := range spans {
-		args := make(map[string]any, len(s.Attrs)+2)
+		args := make(map[string]any, len(s.Attrs)+4)
 		for k, v := range s.Attrs {
 			args[k] = v
+		}
+		if s.Samples != 0 {
+			args["samples"] = s.Samples
+		}
+		if s.AllocBytes != 0 {
+			args["alloc_bytes"] = s.AllocBytes
 		}
 		args["span_id"] = s.ID
 		if s.ParentID != 0 {

@@ -13,8 +13,8 @@ import (
 func TestBuildTraceValidTraceEventJSON(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	root := reg.StartSpan("sim_job").Attr("id", "abc")
-	reg.RecordSpan("sim_queue_wait", root.ID(), time.Now().Add(-10*time.Millisecond),
-		10*time.Millisecond, map[string]any{"id": "abc"})
+	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_queue_wait", ParentID: root.ID(),
+		Start: time.Now().Add(-10 * time.Millisecond), DurationSeconds: 0.01, Attrs: map[string]any{"id": "abc"}})
 	StartIn(reg, StageDecode).WithParent(root.ID()).Stop(64)
 	root.End()
 
@@ -82,8 +82,8 @@ func TestBuildTraceValidTraceEventJSON(t *testing.T) {
 func TestBuildTraceGroupsTreeOnOneTrack(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	root := reg.StartSpan("sim_job")
-	reg.RecordSpan("sim_queue_wait", root.ID(), time.Now().Add(-5*time.Millisecond),
-		5*time.Millisecond, nil)
+	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_queue_wait", ParentID: root.ID(),
+		Start: time.Now().Add(-5 * time.Millisecond), DurationSeconds: 0.005})
 	root.End()
 
 	tf := BuildTrace(reg.Snapshot().Spans)
@@ -104,9 +104,9 @@ func TestBuildTraceLanesParallelRoots(t *testing.T) {
 	// Two overlapping trees with the same root name (two scheduler
 	// workers), plus a third that starts after the first ended and can
 	// reuse its lane.
-	reg.RecordSpan("sim_job", 0, base, 10*time.Millisecond, nil)
-	reg.RecordSpan("sim_job", 0, base.Add(2*time.Millisecond), 10*time.Millisecond, nil)
-	reg.RecordSpan("sim_job", 0, base.Add(20*time.Millisecond), 5*time.Millisecond, nil)
+	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_job", Start: base, DurationSeconds: 0.01})
+	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_job", Start: base.Add(2 * time.Millisecond), DurationSeconds: 0.01})
+	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_job", Start: base.Add(20 * time.Millisecond), DurationSeconds: 0.005})
 
 	tf := BuildTrace(reg.Snapshot().Spans)
 	var labels []string

@@ -735,8 +735,11 @@ func (s *Scheduler) nextJob() (j *job, ctx context.Context, cancel context.Cance
 	s.reg.Observe(telemetry.MSimJobQueueWaitSeconds, j.view.QueueWaitS)
 	sp = s.reg.StartSpan("sim_job")
 	sp.Attr("id", j.view.ID).Attr("kind", j.view.Kind)
-	s.reg.RecordSpan("sim_queue_wait", sp.ID(), j.view.SubmittedAt,
-		now.Sub(j.view.SubmittedAt), map[string]any{"id": j.view.ID})
+	s.reg.RecordSpan(telemetry.SpanRecord{
+		Name: "sim_queue_wait", ParentID: sp.ID(), Start: j.view.SubmittedAt,
+		DurationSeconds: now.Sub(j.view.SubmittedAt).Seconds(),
+		Attrs:           map[string]any{"id": j.view.ID},
+	})
 	return j, ctx, cancel, sp, true
 }
 

@@ -126,8 +126,7 @@ const windowPackets = 2
 
 // Decoder decodes an uplink voltage stream chunk by chunk.
 type Decoder struct {
-	cfg  Config
-	recv core.Receiver
+	cfg Config
 
 	spb       int
 	preLen    int
@@ -179,7 +178,6 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	}
 	d := &Decoder{
 		cfg:    cfg,
-		recv:   core.Receiver{SampleRate: cfg.SampleRate},
 		spb:    spb,
 		preLen: len(phy.PreambleBits) * spb,
 	}
@@ -464,14 +462,17 @@ func (d *Decoder) drainWindow(out []Frame) []Frame {
 	return out
 }
 
-// tryDecode runs one full-window batch attempt.
+// tryDecode runs one full-window batch attempt on a pooled receiver.
 func (d *Decoder) tryDecode() (*core.Decoded, bool) {
 	if len(d.win) < d.preLen {
 		return nil, false
 	}
 	d.stats.Attempts++
 	telemetry.Inc(telemetry.MStreamDecodeAttemptsTotal)
-	dec, err := d.recv.DecodeBaseband(d.win, d.cfg.BitrateBps)
+	recv := receivers.Get().(*core.Receiver)
+	recv.SampleRate = d.cfg.SampleRate
+	dec, err := recv.DecodeBaseband(d.win, d.cfg.BitrateBps)
+	receivers.Put(recv)
 	if err != nil {
 		d.stats.Misses++
 		telemetry.Inc(telemetry.MStreamDecodeMissesTotal)

@@ -1,6 +1,10 @@
 package stream
 
-import "sync"
+import (
+	"sync"
+
+	"pab/internal/core"
+)
 
 // Buffer pools shared by every Decoder in the process. An ingestion
 // daemon churns through thousands of short-lived streams; recycling the
@@ -48,3 +52,11 @@ func putC128(s []complex128) {
 	s = s[:0]
 	c128Pool.Put(&s)
 }
+
+// receivers recycles the batch receivers window decodes run on. A
+// core.Receiver keeps its decode workspace, sized by the largest window
+// it has decoded, from call to call; borrowing one per attempt lets the
+// streams a hub decodes in turn share a few workspaces, and a parked
+// stream holds none. sync.Pool hands each receiver to one goroutine at
+// a time, which a Receiver requires.
+var receivers = sync.Pool{New: func() any { return new(core.Receiver) }}

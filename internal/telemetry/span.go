@@ -78,22 +78,15 @@ func (s *Span) End() time.Duration {
 	}
 
 	d := time.Since(s.start)
-	rec := SpanRecord{
+	r := s.reg
+	r.file(SpanRecord{
 		ID:              s.id,
 		ParentID:        s.parent,
 		Name:            s.name,
 		Start:           s.start,
 		DurationSeconds: d.Seconds(),
 		Attrs:           attrs,
-	}
-	r := s.reg
-	r.spanMu.Lock()
-	r.spans[r.spanPos] = rec
-	r.spanPos = (r.spanPos + 1) % len(r.spans)
-	if r.spanLen < len(r.spans) {
-		r.spanLen++
-	}
-	r.spanMu.Unlock()
+	})
 	// Span names are caller-chosen stage identifiers, not metrics
 	// registry keys; the derived histogram name is the one sanctioned
 	// dynamic metric in the process.
@@ -134,22 +127,22 @@ func (s *Span) ID() uint64 {
 // RecordSpan files an externally measured span directly into the span
 // ring: a phase whose boundaries were observed after the fact (the
 // scheduler's queue-wait, reconstructed at dequeue) or measured by a
-// specialised timer (prof.StageTimer). parent links the record into an
-// existing span tree (0 for a root). Unlike Span.End it does not feed
-// the span_*_seconds histogram — the caller owns any histogram
-// observation. Returns the assigned id (0 when disabled).
-func (r *Registry) RecordSpan(name string, parent uint64, start time.Time, d time.Duration, attrs map[string]any) uint64 {
+// specialised timer (prof.StageTimer). rec.ParentID links the record
+// into an existing span tree (0 for a root); rec.ID is assigned here.
+// Unlike Span.End it does not feed the span_*_seconds histogram — the
+// caller owns any histogram observation. Returns the assigned id (0
+// when disabled).
+func (r *Registry) RecordSpan(rec SpanRecord) uint64 {
 	if !r.enabled.Load() {
 		return 0
 	}
-	rec := SpanRecord{
-		ID:              r.spanSeq.Add(1),
-		ParentID:        parent,
-		Name:            name,
-		Start:           start,
-		DurationSeconds: d.Seconds(),
-		Attrs:           attrs,
-	}
+	rec.ID = r.spanSeq.Add(1)
+	r.file(rec)
+	return rec.ID
+}
+
+// file writes a finished span record into the ring.
+func (r *Registry) file(rec SpanRecord) {
 	r.spanMu.Lock()
 	r.spans[r.spanPos] = rec
 	r.spanPos = (r.spanPos + 1) % len(r.spans)
@@ -157,5 +150,4 @@ func (r *Registry) RecordSpan(name string, parent uint64, start time.Time, d tim
 		r.spanLen++
 	}
 	r.spanMu.Unlock()
-	return rec.ID
 }

@@ -208,8 +208,13 @@ type SpanRecord struct {
 	Name     string    `json:"name"`
 	Start    time.Time `json:"start"`
 	// DurationSeconds is wall time between StartSpan/Child and End.
-	DurationSeconds float64        `json:"duration_seconds"`
-	Attrs           map[string]any `json:"attrs,omitempty"`
+	DurationSeconds float64 `json:"duration_seconds"`
+	// Samples and AllocBytes are a pipeline stage's input samples and
+	// heap-allocation delta, filed by prof.StageTimer (0 elsewhere,
+	// and AllocBytes unless allocation tracking is on).
+	Samples    int64          `json:"samples,omitempty"`
+	AllocBytes int64          `json:"alloc_bytes,omitempty"`
+	Attrs      map[string]any `json:"attrs,omitempty"`
 }
 
 // Snapshot is a consistent point-in-time export of a Registry.
