@@ -48,7 +48,9 @@ import (
 // the baseline pins, keyed by import path. Everything on it sits on the
 // per-decode path (or is called per candidate inside it): the Into
 // variants a Receiver runs in its workspace, the workspace helpers, and
-// the allocating public forms that wrap them.
+// the allocating public forms that wrap them; and the streaming ingest
+// path a live session runs per chunk, from the PCM conversion through
+// the sync scan to the window decode.
 var hotFuncs = map[string][]string{
 	"pab/internal/hydrophone": {
 		"Hydrophone.RecordInto",
@@ -62,6 +64,7 @@ var hotFuncs = map[string][]string{
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).DecodeInto", "(*FM0).EncodeTemplate",
 		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates",
 		"MeasureSNR", "MeasureSNRInto", "CorrectCFOInto",
+		"(*SyncScanner).Scan", "(*SyncScanner).Reset",
 	},
 	"pab/internal/core": {
 		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto", "coherentWaveTrackedInto",
@@ -71,6 +74,12 @@ var hotFuncs = map[string][]string{
 	},
 	"pab/internal/channel": {
 		"(*ImpulseResponse).Apply",
+	},
+	"pab/internal/stream": {
+		"(*Decoder).ingest", "(*Decoder).tryDecode", "(*Decoder).Write",
+	},
+	"pab/internal/stream/streamd": {
+		"(*Session).WriteBytes",
 	},
 }
 

@@ -7,6 +7,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -32,6 +33,15 @@ const (
 	// can out-correlate the true preamble on the coarse projection, so
 	// the coarse pass keeps several candidates for refinement.
 	CoarseThreshold = DetectThreshold / 2
+)
+
+// Receiver misses with a constant message, built once: the streaming
+// decoder's failed window attempts return them, and a miss then costs
+// no allocation.
+var (
+	errNoCandidates = errors.New("core: no preamble candidates on either projection")
+	errNoRefined    = errors.New("core: no candidate packet survived axis refinement")
+	errNoLock       = errors.New("core: no usable candidate lock")
 )
 
 // ChannelCutoff is the channel low-pass cutoff in Hz for a backscatter
@@ -574,7 +584,7 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 		}
 	}
 	if best < 0 {
-		return 0, 1, fmt.Errorf("core: no usable candidate lock")
+		return 0, 1, errNoLock
 	}
 	return best, bestBER, nil
 }
@@ -632,7 +642,7 @@ func (ws *workspace) detectRefinedAll(bb []complex128, c *codec) ([]refinedLock,
 	}
 	cands = cands[:n]
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: no preamble candidates on either projection")
+		return nil, errNoCandidates
 	}
 	out := dsp.Grow(ws.locks, len(cands))
 	ws.locks = out
@@ -669,7 +679,7 @@ func (ws *workspace) detectRefinedAll(bb []complex128, c *codec) ([]refinedLock,
 	}
 	out = out[:k]
 	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no candidate packet survived axis refinement")
+		return nil, errNoRefined
 	}
 	slices.SortFunc(out, func(a, b refinedLock) int { return cmp.Compare(b.sync.Score, a.sync.Score) })
 	// Deduplicate locks that converged to the same index, in place.

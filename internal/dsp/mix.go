@@ -55,10 +55,12 @@ func Downconvert(x []float64, fc, fs float64) []complex128 {
 }
 
 // mixSample returns e^{-jωi}·v: sample i of a recording, of value v,
-// mixed down by the carrier at ω radians per sample.
+// mixed down by the carrier at ω radians per sample. math.Sincos shares
+// one argument reduction between the two and returns the bits math.Cos
+// and math.Sin do.
 func mixSample(v, w float64, i int) complex128 {
-	ph := w * float64(i)
-	return complex(v*math.Cos(ph), -v*math.Sin(ph))
+	sin, cos := math.Sincos(w * float64(i))
+	return complex(v*cos, -v*sin)
 }
 
 // DownconvertLP mixes x down by fc and low-pass filters I and Q with an

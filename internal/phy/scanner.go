@@ -33,8 +33,13 @@ type ScanHit struct {
 // decode state and suppresses nothing, so a caller that also runs a
 // full-window attempt before discarding samples loses no frames if a
 // hit is missed on a noisy projection.
+//
+// Reset rewinds a scanner to sample 0 of a new stream and keeps its
+// buffers, so a streaming receiver can recycle scanners instead of
+// rebuilding their correlation scratch per stream.
 type SyncScanner struct {
 	corr      *dsp.StepCorrelator // holds its prefix-sum scratch across Scans
+	spb       int
 	threshold float64
 	carry     []float64
 	nCarry    int
@@ -50,6 +55,7 @@ func NewSyncScanner(m *FM0, threshold float64) *SyncScanner {
 	corr := preambleCorrelator(m)
 	return &SyncScanner{
 		corr:      corr,
+		spb:       m.SamplesPerBit,
 		threshold: threshold,
 		carry:     make([]float64, corr.Len()-1),
 		hits:      make([]ScanHit, 0, 8),
@@ -58,6 +64,23 @@ func NewSyncScanner(m *FM0, threshold float64) *SyncScanner {
 
 // Offset returns the global index of the next sample Scan will consume.
 func (s *SyncScanner) Offset() int64 { return s.next }
+
+// SamplesPerBit returns the samples per bit of the FM0 encoding the
+// scanner matches.
+func (s *SyncScanner) SamplesPerBit() int { return s.spb }
+
+// Threshold returns the scanner's |correlation| threshold.
+func (s *SyncScanner) Threshold() float64 { return s.threshold }
+
+// Reset returns the scanner to its just-built state: the next Scan
+// starts a new stream at global index 0 with no carried history, and
+// reports what a fresh scanner would. The carry, sample buffer, scores
+// and the correlator's prefix sums keep their storage.
+func (s *SyncScanner) Reset() {
+	s.nCarry = 0
+	s.next = 0
+	s.hits = s.hits[:0]
+}
 
 // Scan feeds the next block and returns the hits whose alignment
 // window closed with it, in ascending index order. The returned slice

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -124,5 +125,51 @@ func TestSyncScannerShortAndEmptyBlocks(t *testing.T) {
 	}
 	if s.Offset() != 50 {
 		t.Fatalf("offset = %d, want 50", s.Offset())
+	}
+}
+
+// TestSyncScannerResetMatchesFresh scans one stream, resets the
+// scanner, and requires its hits on a second stream — indices and the
+// bits of every correlation — to be a fresh scanner's, under each
+// chunking. The first stream ends mid-block, so the reset must also
+// discard a partial carry.
+func TestSyncScannerResetMatchesFresh(t *testing.T) {
+	m, err := NewFM0(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := scannerWave(m, 5003, 300, 2500)
+	b := scannerWave(m, 4321, 700, 3000)
+	rng := rand.New(rand.NewSource(11))
+	for i := range b {
+		b[i] += 0.2 * rng.NormFloat64()
+	}
+	scan := func(s *SyncScanner, wave []float64, block int) []ScanHit {
+		var hits []ScanHit
+		for off := 0; off < len(wave); off += block {
+			hits = append(hits, s.Scan(wave[off:min(off+block, len(wave))])...)
+		}
+		return hits
+	}
+	for _, block := range []int{1, 13, 144, 1024, len(b)} {
+		want := scan(NewSyncScanner(m, 0.3), b, block)
+		if len(want) == 0 {
+			t.Fatalf("block %d: no hits on the second stream", block)
+		}
+		s := NewSyncScanner(m, 0.3)
+		scan(s, a, 97)
+		s.Reset()
+		if s.Offset() != 0 {
+			t.Fatalf("block %d: offset %d after Reset, want 0", block, s.Offset())
+		}
+		got := scan(s, b, block)
+		if len(got) != len(want) {
+			t.Fatalf("block %d: %d hits after Reset, a fresh scanner finds %d", block, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Index != want[i].Index || math.Float64bits(got[i].Corr) != math.Float64bits(want[i].Corr) {
+				t.Fatalf("block %d: hit %d is %+v after Reset, fresh %+v", block, i, got[i], want[i])
+			}
+		}
 	}
 }

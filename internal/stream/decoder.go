@@ -152,27 +152,23 @@ type Decoder struct {
 	scanQ    *phy.SyncScanner
 	cands    []int64 // global indices of scanner hits, ascending-ish
 
-	// Per-block scratch, recycled through the package pools.
-	mixBuf  []complex128
-	reBuf   []float64
-	imBuf   []float64
-	projBuf []float64
+	// iq is the per-block scratch: the in-phase rail in its first
+	// BlockSize samples, the quadrature rail in the rest. in is the
+	// caller's conversion buffer (InputBuffer).
+	iq []float64
+	in []float64
 
 	stats  Stats
 	closed bool
 }
 
 // NewDecoder builds a streaming decoder. The returned decoder owns
-// pooled buffers; Close returns them.
+// buffers and scanners from the package free lists; Close returns them.
 func NewDecoder(cfg Config) (*Decoder, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	spb, err := phy.SamplesPerBitFor(cfg.SampleRate, cfg.BitrateBps)
-	if err != nil {
-		return nil, err
-	}
-	fm0, err := phy.NewFM0(spb)
 	if err != nil {
 		return nil, err
 	}
@@ -184,14 +180,16 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	d.maxPacket = (len(phy.PreambleBits) + frame.DataFrameBitLength(cfg.MaxPayloadBytes)) * spb
 	d.windowCap = windowPackets * d.maxPacket
 	d.keepTail = d.maxPacket
-	d.win = getC128(d.windowCap + cfg.BlockSize)[:0]
-	d.mixBuf = getC128(cfg.BlockSize)
-	d.reBuf = getF64(cfg.BlockSize)
-	d.imBuf = getF64(cfg.BlockSize)
-	d.projBuf = getF64(cfg.BlockSize)
 	// The scanners run at the batch receiver's coarse-pass threshold.
-	d.scanI = phy.NewSyncScanner(fm0, core.CoarseThreshold)
-	d.scanQ = phy.NewSyncScanner(fm0, core.CoarseThreshold)
+	if d.scanI, err = getScanner(spb, core.CoarseThreshold); err != nil {
+		return nil, err
+	}
+	if d.scanQ, err = getScanner(spb, core.CoarseThreshold); err != nil {
+		d.Close()
+		return nil, err
+	}
+	d.win = getBuf(windows, d.windowCap+cfg.BlockSize)[:0]
+	d.iq = getBuf(scratch, 2*cfg.BlockSize)
 	d.cands = make([]int64, 0, maxCands)
 	if cfg.CarrierHz > 0 {
 		if err := d.lock(cfg.CarrierHz); err != nil {
@@ -199,7 +197,7 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 			return nil, err
 		}
 	} else {
-		d.pending = getF64(4*cfg.CarrierDetectSamples + cfg.BlockSize)[:0]
+		d.pending = getBuf(scratch, 4*cfg.CarrierDetectSamples+cfg.BlockSize)[:0]
 	}
 	return d, nil
 }
@@ -224,18 +222,27 @@ func (d *Decoder) lock(carrier float64) error {
 	return nil
 }
 
+// InputBuffer returns a buffer of n samples that the decoder owns, for
+// a caller that converts its input into samples before Write: fill it
+// and pass it to Write. It is valid until the next InputBuffer call or
+// Close.
+func (d *Decoder) InputBuffer(n int) []float64 {
+	if cap(d.in) < n {
+		putBuf(scratch, d.in)
+		d.in = getBuf(scratch, n)
+	}
+	return d.in[:n]
+}
+
 // Write feeds the next chunk of the voltage stream, of any length, and
-// returns the frames whose decode completed within it (usually none;
-// the slice is never retained). Indices in the returned frames are
-// global stream positions.
+// returns the frames whose decode completed within it: usually none,
+// and then a nil slice. The slice is never retained. Indices in the
+// returned frames are global stream positions.
 func (d *Decoder) Write(samples []float64) ([]Frame, error) {
 	if d.closed {
 		return nil, errClosed
 	}
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	out := make([]Frame, 0, 1)
+	var out []Frame
 	for off := 0; off < len(samples); off += d.cfg.BlockSize {
 		end := off + d.cfg.BlockSize
 		if end > len(samples) {
@@ -255,7 +262,7 @@ func (d *Decoder) Flush() ([]Frame, error) {
 	}
 	d.stats.Flushes++
 	telemetry.Inc(telemetry.MStreamFlushesTotal)
-	out := make([]Frame, 0, 1)
+	var out []Frame
 	if !d.locked {
 		if len(d.pending) == 0 || !d.tryLock() {
 			return out, nil
@@ -265,22 +272,24 @@ func (d *Decoder) Flush() ([]Frame, error) {
 	return d.drainWindow(out), nil
 }
 
-// Close returns the decoder's buffers to the package pools and drops
-// its scanners, whose correlation scratch a closed decoder that is
-// still referenced would otherwise keep. The decoder must not be used
-// afterwards.
+// Close returns the decoder's buffers and scanners to the package free
+// lists, so a closed decoder that is still referenced holds none of
+// them. The decoder must not be used afterwards.
 func (d *Decoder) Close() error {
 	if d.closed {
 		return nil
 	}
 	d.closed = true
-	putC128(d.win)
-	putC128(d.mixBuf)
-	putF64(d.reBuf)
-	putF64(d.imBuf)
-	putF64(d.projBuf)
-	putF64(d.pending)
-	d.win, d.mixBuf, d.reBuf, d.imBuf, d.projBuf, d.pending = nil, nil, nil, nil, nil, nil
+	putBuf(windows, d.win)
+	putBuf(scratch, d.iq)
+	putBuf(scratch, d.in)
+	putBuf(scratch, d.pending)
+	d.win, d.iq, d.in, d.pending = nil, nil, nil, nil
+	for _, s := range [...]*phy.SyncScanner{d.scanI, d.scanQ} {
+		if s != nil {
+			scanners.put(s)
+		}
+	}
 	d.scanI, d.scanQ = nil, nil
 	return nil
 }
@@ -375,14 +384,21 @@ func (d *Decoder) ingest(piece []float64) {
 	telemetry.Inc(telemetry.MStreamBlocksTotal)
 	telemetry.Add(telemetry.MStreamSamplesTotal, int64(len(piece)))
 
+	// The block is mixed straight into the window's free tail (the
+	// window keeps BlockSize samples of room past windowCap), split
+	// into rails, filtered, and written back in place.
+	n := len(d.win)
+	d.win = d.win[:n+len(piece)]
+	grown := d.win[n:]
+
 	stMix := prof.Start(prof.StageDownconvert)
-	bb := d.mixer.MixInto(d.mixBuf, piece)
+	d.mixer.MixInto(grown, piece)
 	stMix.Stop(len(piece))
 
 	stFilt := prof.Start(prof.StageFilter)
-	re := d.reBuf[:len(piece)]
-	im := d.imBuf[:len(piece)]
-	for i, v := range bb {
+	re := d.iq[:len(piece)]
+	im := d.iq[d.cfg.BlockSize : d.cfg.BlockSize+len(piece)]
+	for i, v := range grown {
 		re[i] = real(v)
 		im[i] = imag(v)
 	}
@@ -390,9 +406,6 @@ func (d *Decoder) ingest(piece []float64) {
 	re = d.fi[1].Process(re, re)
 	im = d.fq[0].Process(im, im)
 	im = d.fq[1].Process(im, im)
-	n := len(d.win)
-	d.win = d.win[:n+len(piece)]
-	grown := d.win[n:]
 	for i := range grown {
 		grown[i] = complex(re[i], im[i])
 	}
@@ -400,9 +413,10 @@ func (d *Decoder) ingest(piece []float64) {
 
 	d.axis.Add(grown)
 
+	// The rails are spent; the projections reuse the in-phase one.
 	stSync := prof.Start(prof.StageSync)
-	d.noteHits(d.scanI.Scan(d.axis.ProjectInto(d.projBuf, grown, false)))
-	d.noteHits(d.scanQ.Scan(d.axis.ProjectInto(d.projBuf, grown, true)))
+	d.noteHits(d.scanI.Scan(d.axis.ProjectInto(re, grown, false)))
+	d.noteHits(d.scanQ.Scan(d.axis.ProjectInto(re, grown, true)))
 	stSync.Stop(len(piece))
 }
 
@@ -462,17 +476,17 @@ func (d *Decoder) drainWindow(out []Frame) []Frame {
 	return out
 }
 
-// tryDecode runs one full-window batch attempt on a pooled receiver.
+// tryDecode runs one full-window batch attempt on a borrowed receiver.
 func (d *Decoder) tryDecode() (*core.Decoded, bool) {
 	if len(d.win) < d.preLen {
 		return nil, false
 	}
 	d.stats.Attempts++
 	telemetry.Inc(telemetry.MStreamDecodeAttemptsTotal)
-	recv := receivers.Get().(*core.Receiver)
+	recv := getReceiver()
 	recv.SampleRate = d.cfg.SampleRate
 	dec, err := recv.DecodeBaseband(d.win, d.cfg.BitrateBps)
-	receivers.Put(recv)
+	receivers.put(recv)
 	if err != nil {
 		d.stats.Misses++
 		telemetry.Inc(telemetry.MStreamDecodeMissesTotal)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -82,64 +83,90 @@ func loadGolden(t *testing.T) *goldenCorpus {
 	return &golden
 }
 
+// TestStreamingMatchesBatchAcrossBlockSizes decodes the golden exchange
+// at each block size, twice: the second pass runs on the windows,
+// scanners and receivers the first returned to the free lists, and its
+// frames must be the first pass's exactly.
 func TestStreamingMatchesBatchAcrossBlockSizes(t *testing.T) {
 	g := loadGolden(t)
-	tail := g.volts[g.gate:]
-	for _, block := range []int{256, 1024, 4096, len(tail)} {
-		d, err := NewDecoder(Config{
-			SampleRate: g.fs,
-			CarrierHz:  g.carrier,
-			BitrateBps: g.bitrate,
-			BlockSize:  block,
-		})
-		if err != nil {
-			t.Fatalf("block %d: %v", block, err)
-		}
-		frames, err := d.Write(tail)
-		if err != nil {
-			t.Fatalf("block %d: write: %v", block, err)
-		}
-		flushed, err := d.Flush()
-		if err != nil {
-			t.Fatalf("block %d: flush: %v", block, err)
-		}
-		frames = append(frames, flushed...)
-		if len(frames) != 1 {
-			t.Fatalf("block %d: decoded %d frames, batch path decoded 1", block, len(frames))
-		}
-		f := frames[0]
-		// Frames must be bit-identical to the batch decode.
-		if len(f.Bits) != len(g.batch.Bits) {
-			t.Fatalf("block %d: %d frame bits, batch decoded %d", block, len(f.Bits), len(g.batch.Bits))
-		}
-		for i := range f.Bits {
-			if f.Bits[i] != g.batch.Bits[i] {
-				t.Fatalf("block %d: bit %d differs from batch decode", block, i)
+	blocks := []int{256, 1024, 4096, len(g.volts) - g.gate}
+	type run struct {
+		f  Frame
+		st Stats
+	}
+	first := make([]run, len(blocks))
+	for pass := 1; pass <= 2; pass++ {
+		for i, block := range blocks {
+			f, st := streamGolden(t, g, block)
+			if pass == 1 {
+				first[i] = run{f, st}
+			} else if got := (run{f, st}); !reflect.DeepEqual(got, first[i]) {
+				t.Fatalf("block %d: recycled-state decode %+v, first pass %+v", block, got, first[i])
 			}
 		}
-		if f.Frame.Source != g.batch.Frame.Source || f.Frame.Seq != g.batch.Frame.Seq {
-			t.Fatalf("block %d: frame header %+v, batch %+v", block, f.Frame, g.batch.Frame)
-		}
-		// SNR within tolerance: the causal double-pass filter shapes the
-		// noise slightly differently from the zero-phase batch filter.
-		dSNR := math.Abs(f.SNRdB() - g.batch.SNRdB())
-		if dSNR > 6 {
-			t.Fatalf("block %d: SNR %.1f dB, batch %.1f dB (Δ %.1f > 6)", block, f.SNRdB(), g.batch.SNRdB(), dSNR)
-		}
-		// Lock position within tolerance of the batch lock (the causal
-		// filter adds group delay the zero-phase batch filter does not).
-		streamIdx := int(f.Start) + g.gate
-		if d := abs(streamIdx - g.batch.Sync.Index); d > 2*g.spb {
-			t.Fatalf("block %d: lock at %d, batch at %d (Δ %d > %d)", block, streamIdx, g.batch.Sync.Index, d, 2*g.spb)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatalf("block %d: close: %v", block, err)
-		}
-		st := d.Stats()
-		if st.Frames != 1 || st.Samples != int64(len(tail)) {
-			t.Fatalf("block %d: stats %+v", block, st)
+	}
+}
+
+// streamGolden streams the golden exchange at one block size, checks
+// its one frame against the batch decode, and returns it with the
+// decoder's counters.
+func streamGolden(t *testing.T, g *goldenCorpus, block int) (Frame, Stats) {
+	t.Helper()
+	tail := g.volts[g.gate:]
+	d, err := NewDecoder(Config{
+		SampleRate: g.fs,
+		CarrierHz:  g.carrier,
+		BitrateBps: g.bitrate,
+		BlockSize:  block,
+	})
+	if err != nil {
+		t.Fatalf("block %d: %v", block, err)
+	}
+	frames, err := d.Write(tail)
+	if err != nil {
+		t.Fatalf("block %d: write: %v", block, err)
+	}
+	flushed, err := d.Flush()
+	if err != nil {
+		t.Fatalf("block %d: flush: %v", block, err)
+	}
+	frames = append(frames, flushed...)
+	if len(frames) != 1 {
+		t.Fatalf("block %d: decoded %d frames, batch path decoded 1", block, len(frames))
+	}
+	f := frames[0]
+	// Frames must be bit-identical to the batch decode.
+	if len(f.Bits) != len(g.batch.Bits) {
+		t.Fatalf("block %d: %d frame bits, batch decoded %d", block, len(f.Bits), len(g.batch.Bits))
+	}
+	for i := range f.Bits {
+		if f.Bits[i] != g.batch.Bits[i] {
+			t.Fatalf("block %d: bit %d differs from batch decode", block, i)
 		}
 	}
+	if f.Frame.Source != g.batch.Frame.Source || f.Frame.Seq != g.batch.Frame.Seq {
+		t.Fatalf("block %d: frame header %+v, batch %+v", block, f.Frame, g.batch.Frame)
+	}
+	// SNR within tolerance: the causal double-pass filter shapes the
+	// noise slightly differently from the zero-phase batch filter.
+	dSNR := math.Abs(f.SNRdB() - g.batch.SNRdB())
+	if dSNR > 6 {
+		t.Fatalf("block %d: SNR %.1f dB, batch %.1f dB (Δ %.1f > 6)", block, f.SNRdB(), g.batch.SNRdB(), dSNR)
+	}
+	// Lock position within tolerance of the batch lock (the causal
+	// filter adds group delay the zero-phase batch filter does not).
+	streamIdx := int(f.Start) + g.gate
+	if d := abs(streamIdx - g.batch.Sync.Index); d > 2*g.spb {
+		t.Fatalf("block %d: lock at %d, batch at %d (Δ %d > %d)", block, streamIdx, g.batch.Sync.Index, d, 2*g.spb)
+	}
+	st := d.Stats()
+	if err := d.Close(); err != nil {
+		t.Fatalf("block %d: close: %v", block, err)
+	}
+	if st.Frames != 1 || st.Samples != int64(len(tail)) {
+		t.Fatalf("block %d: stats %+v", block, st)
+	}
+	return f, st
 }
 
 func abs(x int) int {

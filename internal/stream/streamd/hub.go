@@ -128,8 +128,9 @@ func (h *Hub) Open(format string, override *stream.Config) (*Session, error) {
 		return nil, err
 	}
 
-	// Build the decoder outside the lock: window allocation is the
-	// expensive part of admission.
+	// Build the decoder outside the lock: it takes its window and
+	// scanners from the stream package's free lists, and builds them
+	// when those hold none that fit, the expensive part of admission.
 	dec, err := stream.NewDecoder(dcfg)
 	if err != nil {
 		return nil, err
@@ -322,7 +323,6 @@ type Session struct {
 	dec    *stream.Decoder
 	carry  [8]byte // partial sample bytes between chunks
 	carryN int
-	conv   []float64 // conversion scratch, grown once per session
 	frames int64
 	closed bool
 
@@ -345,11 +345,7 @@ func (s *Session) WriteBytes(b []byte) ([]stream.Frame, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	n := (s.carryN + len(b)) / width
-	if cap(s.conv) < n {
-		s.conv = make([]float64, n)
-	}
-	samples := s.conv[:n]
+	samples := s.dec.InputBuffer((s.carryN + len(b)) / width)
 	for i := range samples {
 		samples[i] = s.nextSampleLocked(&b, width)
 	}
