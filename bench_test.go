@@ -10,6 +10,7 @@
 package pab
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -314,19 +315,26 @@ func BenchmarkAblationMatchedVsShortedAbsorb(b *testing.B) {
 }
 
 // BenchmarkLinkExchange measures one complete interrogation cycle
-// (downlink query + uplink decode) at 1 kbit/s — the simulator's core
-// inner loop.
+// (downlink query, sample-level synthesis, uplink decode) at 500, 1000
+// and 2000 bit/s — the simulator's core inner loop. The uplink budget
+// shrinks with the bitrate, so the three sizes span the recordings
+// every experiment and pabd link job synthesizes.
 func BenchmarkLinkExchange(b *testing.B) {
-	link := newBenchLink(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := link.RunQuery(frame.Query{Dest: 0x01, Command: frame.CmdPing})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Decoded == nil {
-			b.Fatal("no decode")
-		}
+	for _, bitrate := range []float64{500, 1000, 2000} {
+		b.Run(fmt.Sprintf("%gbps", bitrate), func(b *testing.B) {
+			link := newBenchLink(b, bitrate)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := link.RunQuery(frame.Query{Dest: 0x01, Command: frame.CmdPing})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Decoded == nil {
+					b.Fatal("no decode")
+				}
+			}
+		})
 	}
 }
 

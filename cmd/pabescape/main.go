@@ -48,9 +48,12 @@ import (
 // the baseline pins, keyed by import path. Everything on it sits on the
 // per-decode path (or is called per candidate inside it): the Into
 // variants a Receiver runs in its workspace, the workspace helpers, and
-// the allocating public forms that wrap them; and the streaming ingest
+// the allocating public forms that wrap them; the streaming ingest
 // path a live session runs per chunk, from the PCM conversion through
-// the sync scan to the window decode.
+// the sync scan to the window decode; and the sample-level exchange
+// synthesis every link job runs, from the projector's query waveform
+// through the multipath renders, the node's envelope filter and the
+// analytic signal's FFTs to RunQuery itself.
 var hotFuncs = map[string][]string{
 	"pab/internal/hydrophone": {
 		"Hydrophone.RecordInto",
@@ -58,7 +61,8 @@ var hotFuncs = map[string][]string{
 	"pab/internal/dsp": {
 		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "DownconvertGatedInto", "Envelope",
 		"(*StepCorrelator).Correlate", "(*StepCorrelator).CorrelateWith",
-		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate",
+		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filterInPlace", "(*IIR).filtFiltInPlace", "Decimate",
+		"AnalyticSignal", "fftRadix2", "bitReverse", "fftStages", "radix2Pass", "radix22Pass", "AmplitudeEnvelope",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).DecodeInto", "(*FM0).EncodeTemplate",
@@ -70,10 +74,13 @@ var hotFuncs = map[string][]string{
 		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto", "coherentWaveTrackedInto",
 		"(*Receiver).demodulateGated", "(*Receiver).correctCFOIfReal", "(*Receiver).decodeBasebandStaged",
 		"(*workspace).decodeAt", "(*workspace).detectRefinedAll", "(*workspace).codec", "(*workspace).filter",
-		"(*refinedLock).project",
+		"(*refinedLock).project", "(*Link).RunQuery", "superpose",
 	},
 	"pab/internal/channel": {
-		"(*ImpulseResponse).Apply",
+		"(*ImpulseResponse).Apply", "addTap",
+	},
+	"pab/internal/projector": {
+		"(*Projector).Query",
 	},
 	"pab/internal/stream": {
 		"(*Decoder).ingest", "(*Decoder).tryDecode", "(*Decoder).Write",

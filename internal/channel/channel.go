@@ -269,24 +269,60 @@ func (ir *ImpulseResponse) Gain(f float64) complex128 {
 // Apply convolves x with the sparse tap set, using linear interpolation
 // for fractional sample delays. The output has length len(x) plus the
 // channel spread.
+//
+// Each output sums its terms in one fixed order, taps in order and,
+// within a tap, the later-input g1 term before the g0 term: the order a
+// tap-by-tap scatter over the input produces. It is computed output
+// block by output block, so a block stays in L1 across the taps and no
+// store waits on the load of the one before it.
 func (ir *ImpulseResponse) Apply(x []float64) []float64 {
 	if len(x) == 0 || len(ir.Taps) == 0 {
 		return nil
 	}
 	spread := int(math.Ceil(ir.MaxDelay()*ir.SampleRate)) + 2
 	out := make([]float64, len(x)+spread)
-	for _, tap := range ir.Taps {
-		d := tap.DelaySeconds * ir.SampleRate
-		i0 := int(math.Floor(d))
-		frac := d - float64(i0)
-		g0 := tap.Gain * (1 - frac)
-		g1 := tap.Gain * frac
-		for i, v := range x {
-			out[i+i0] += g0 * v
-			out[i+i0+1] += g1 * v
+	for lo := 0; lo < len(out); lo += applyBlock {
+		hi := min(lo+applyBlock, len(out))
+		for _, tap := range ir.Taps {
+			i0, g0, g1 := tap.split(ir.SampleRate)
+			addTap(out, x, lo, hi, i0, g0, g1)
 		}
 	}
 	return out
+}
+
+// applyBlock is how many outputs Apply sums across all taps at a time.
+const applyBlock = 1024
+
+// split returns the tap's delay as a whole sample count i0 and the
+// gains of the two samples it interpolates between: g0 at i0, g1 at
+// i0+1.
+func (tap Tap) split(fs float64) (i0 int, g0, g1 float64) {
+	d := tap.DelaySeconds * fs
+	i0 = int(math.Floor(d))
+	frac := d - float64(i0)
+	return i0, tap.Gain * (1 - frac), tap.Gain * frac
+}
+
+// addTap adds one tap's terms to the outputs out[lo:hi]: to out[j],
+// g1·x[j−i0−1] and then g0·x[j−i0], each where its input index lies in
+// x.
+func addTap(out, x []float64, lo, hi, i0 int, g0, g1 float64) {
+	n := len(x)
+	if lo <= i0 && i0 < hi {
+		out[i0] += g0 * x[0]
+	}
+	if a, b := max(lo, i0+1), min(hi, i0+n); a < b {
+		o := out[a:b]
+		x1 := x[a-i0-1:][:len(o)]
+		x0 := x[a-i0:][:len(o)]
+		for k := range o {
+			o[k] = o[k] + g1*x1[k] + g0*x0[k]
+		}
+	}
+	if j := i0 + n; lo <= j && j < hi {
+		out[j] += g1 * x[n-1]
+	}
 }
 
 // SurfaceMotion describes sinusoidal surface waves for time-varying
@@ -321,15 +357,8 @@ func (ir *ImpulseResponse) ApplyTimeVarying(x []float64, motion SurfaceMotion, s
 	for _, tap := range ir.Taps {
 		if tap.SurfaceBounces == 0 {
 			// Static path: render directly.
-			d := tap.DelaySeconds * ir.SampleRate
-			i0 := int(math.Floor(d))
-			frac := d - float64(i0)
-			g0 := tap.Gain * (1 - frac)
-			g1 := tap.Gain * frac
-			for i, v := range x {
-				out[i+i0] += g0 * v
-				out[i+i0+1] += g1 * v
-			}
+			i0, g0, g1 := tap.split(ir.SampleRate)
+			addTap(out, x, 0, len(out), i0, g0, g1)
 			continue
 		}
 		wobble := 2 * motion.AmplitudeM * float64(tap.SurfaceBounces) / soundSpeed

@@ -52,6 +52,20 @@ func equivCases() []equivCase {
 // the uplink bits it sent.
 func (c equivCase) exchange(t *testing.T) ([]float64, int, float64, []phy.Bit) {
 	t.Helper()
+	link := c.poweredLink(t)
+	res, err := link.RunQuery(frame.Query{Dest: 0x01, Command: frame.CmdPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UplinkBits == nil {
+		t.Fatalf("%v: node sent no uplink", c)
+	}
+	return res.Recording, res.DecodeGate, link.Node().Bitrate(), res.UplinkBits
+}
+
+// poweredLink builds the case's link and powers its node up.
+func (c equivCase) poweredLink(t *testing.T) *Link {
+	t.Helper()
 	cfg := DefaultLinkConfig()
 	cfg.NodePos = channel.Vec3{X: 2.61, Y: 1.61, Z: 1.01}
 	if c.poolB {
@@ -76,14 +90,7 @@ func (c equivCase) exchange(t *testing.T) ([]float64, int, float64, []phy.Bit) {
 	if err := link.EnsurePowered(60); err != nil {
 		t.Fatal(err)
 	}
-	res, err := link.RunQuery(frame.Query{Dest: 0x01, Command: frame.CmdPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UplinkBits == nil {
-		t.Fatalf("%v: node sent no uplink", c)
-	}
-	return res.Recording, res.DecodeGate, n.Bitrate(), res.UplinkBits
+	return link
 }
 
 // pinnedDecode is what the receiver returned for one case.

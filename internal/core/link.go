@@ -251,11 +251,14 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	queryEndX := len(x) - int(tail*l.cfg.SampleRate) // end of PWM section
+	nx := len(x)
+	queryEndX := nx - int(tail*l.cfg.SampleRate) // end of PWM section
 
-	// 2. Field at the node.
+	// 2. Field at the node, and the direct path to the hydrophone, so
+	// the projector waveform is dead before the node's analytic signal.
 	spStage = sp.Child("project")
 	pNode := l.irPN.Apply(x)
+	direct := l.irPH.Apply(x)
 	spStage.End()
 
 	// 3. Node-side envelope decode of the query.
@@ -277,14 +280,15 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 
 	// 4. Node power bookkeeping over the exchange.
 	spRect := sp.Child("rectify")
-	l.trackHarvest(pNode, len(x))
+	l.trackHarvest(pNode, nx)
 	spRect.Attr("cap_voltage", l.node.CapVoltage()).End()
 
 	// The reflection coefficient is complex (magnitude and phase); apply
-	// it to the narrowband field via the analytic signal.
+	// it to the narrowband field via the analytic signal, which holds its
+	// own copy of the field, so the reflection overwrites pNode.
 	aNode := dsp.AnalyticSignal(pNode)
 	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
-	reflected := make([]float64, len(pNode))
+	reflected := pNode
 	for i := range reflected {
 		reflected[i] = real(absorbGain * aNode[i])
 	}
@@ -348,7 +352,6 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 
 	// 5. Hydrophone field: direct downlink + node reflections + noise.
 	spStage = sp.Child("channel")
-	direct := l.irPH.Apply(x)
 	if l.cfg.NodeRadialSpeedMS != 0 {
 		reflected = dopplerScale(reflected, l.cfg.NodeRadialSpeedMS, l.cfg.Tank.Water.SoundSpeed())
 	}
@@ -362,10 +365,7 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 			telemetry.Inc(telemetry.MCoreFaultFadedUplinksTotal)
 		}
 	}
-	n := max(len(direct), len(scattered))
-	y := make([]float64, n)
-	copy(y, direct)
-	dsp.Add(y, scattered)
+	y := superpose(direct, scattered)
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -385,7 +385,7 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 		}
 		l.fault.Advance(dur)
 	}
-	spStage.Attr("samples", n).End()
+	spStage.Attr("samples", len(y)).End()
 	res.Recording = y
 	res.CapVoltage = l.node.CapVoltage()
 
@@ -408,6 +408,26 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 		telemetry.ObserveN(telemetry.MCoreUplinkBer, berBuckets, res.UplinkBER)
 	}
 	return res, nil
+}
+
+// superpose returns direct + scattered over the longer of the two, bit
+// for bit the sum of a zeroed buffer, direct copied in and scattered
+// added: where only scattered reaches, +0 + s. When scattered is the
+// longer, the sum is written over it.
+func superpose(direct, scattered []float64) []float64 {
+	if len(scattered) < len(direct) {
+		y := make([]float64, len(direct))
+		copy(y, direct)
+		dsp.Add(y, scattered)
+		return y
+	}
+	for i, d := range direct {
+		scattered[i] = d + scattered[i]
+	}
+	for i := len(direct); i < len(scattered); i++ {
+		scattered[i] = 0 + scattered[i]
+	}
+	return scattered
 }
 
 // berBuckets resolve the raw uplink bit-error-rate range.
@@ -446,12 +466,22 @@ type Trace struct {
 
 // RunTrace generates the Fig 2 experiment: total duration, transmitter
 // on at txStart, backscatter toggling (square wave at toggleHz) from
-// bsStart.
+// bsStart. The demodulator's low-pass cutoff, 4·toggleHz + 50 Hz, must
+// lie below fs/2, which also holds each switch state for at least four
+// samples.
 func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, error) {
 	if !(0 <= txStart && txStart < bsStart && bsStart < total) {
 		return nil, fmt.Errorf("core: need 0 ≤ txStart < bsStart < total")
 	}
 	fs := l.cfg.SampleRate
+	if !(toggleHz > 0) || math.IsInf(toggleHz, 0) {
+		return nil, fmt.Errorf("core: toggle rate %g Hz must be positive and finite", toggleHz)
+	}
+	demodCut := 4*toggleHz + 50
+	if demodCut >= fs/2 {
+		return nil, fmt.Errorf("core: toggle rate %g Hz needs a %g Hz demodulation cutoff, at or above fs/2=%g", toggleHz, demodCut, fs/2)
+	}
+	halfPeriod := int(fs / (2 * toggleHz))
 	n := int(total * fs)
 	x := make([]float64, n)
 	amp := l.proj.PressureAmplitude(l.cfg.DriveV, l.cfg.CarrierHz)
@@ -465,7 +495,6 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	absorb := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	refl := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	bsIdx := int(bsStart * fs)
-	halfPeriod := int(fs / (2 * toggleHz))
 	reflected := make([]float64, len(pNode))
 	for i := range reflected {
 		g := absorb
@@ -477,9 +506,7 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	c := l.cfg.Tank.Water.SoundSpeed()
 	direct := l.applyMaybeMoving(l.irPH, x, c)
 	scattered := l.applyMaybeMoving(l.irNH, reflected, c)
-	y := make([]float64, max(len(direct), len(scattered)))
-	copy(y, direct)
-	dsp.Add(y, scattered)
+	y := superpose(direct, scattered)
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -490,7 +517,7 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	if err != nil {
 		return nil, err
 	}
-	bb, err := dsp.DownconvertLP(volts, l.cfg.CarrierHz, fs, 4*toggleHz+50, 4)
+	bb, err := dsp.DownconvertLP(volts, l.cfg.CarrierHz, fs, demodCut, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -543,18 +570,4 @@ func dopplerScale(x []float64, radialSpeedMS, soundSpeed float64) []float64 {
 		out[i] = x[j]*(1-frac) + x[j+1]*frac
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

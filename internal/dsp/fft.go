@@ -4,12 +4,18 @@
 //
 // Everything operates on float64 (real) or complex128 sample slices. The
 // implementations favour clarity and numerical robustness, but the
-// receive chain runs them per decode over recordings of ~10⁵ samples, so
-// their cost shows: FFT-based preamble correlation once took about 45% of
-// the decode CPU. Preamble correlation now uses StepCorrelator, which
-// needs no FFT, and the demodulator skips the backward filter pass below
-// the decode gate (DownconvertLPFrom). The FFTs still serve carrier
-// search, the analytic signal and long FIR convolutions.
+// simulator runs them per exchange over recordings of ~10⁵ samples, so
+// their cost shows. On the receive side, FFT-based preamble correlation
+// once took about 45% of the decode CPU; preamble correlation now uses
+// StepCorrelator, which needs no FFT, and the demodulator skips the
+// backward filter pass below the decode gate (DownconvertLPFrom). The
+// FFTs still serve carrier search, long FIR convolutions and, on the
+// synthesis side, the analytic signal: two 2^17-point transforms per
+// sample-level exchange, the largest single cost of building one. The
+// radix-2 kernel is therefore scheduled for the cache (block-by-block
+// early stages, fused stage pairs, twiddles evaluated once per call)
+// while computing every butterfly and twiddle exactly as the textbook
+// loop does, so its output is bit-identical to it.
 package dsp
 
 import (
@@ -77,36 +83,202 @@ func FFTReal(x []float64) []complex128 {
 // fftRadix2 transforms x in place. len(x) must be a power of two.
 // When inverse is true the conjugate transform is computed (without the
 // 1/N normalisation).
+//
+// It is the iterative radix-2 Cooley-Tukey transform: a bit-reversal
+// permutation, then log2(n) stages of butterflies, the stage of half h
+// with twiddles w_k = w_{k-1}·e^{∓iπ/h} from w_0 = 1. The schedule is
+// tuned for the 2^17-point transforms of the analytic signal, with no
+// change to any butterfly or twiddle value:
+//   - each stage's twiddles come from that one recurrence, evaluated
+//     once per call instead of once per block, so the multiply chain is
+//     off the butterflies' critical path;
+//   - the stages up to fftBlock points run block by block while the
+//     block sits in L1;
+//   - stages run in pairs (radix-2² passes), so each pass over the
+//     array does the work of two;
+//   - the bit reversal swaps tile by tile (bitReverse).
+//
+// Twiddles live in fixed-size arrays on the stack: nothing outlives the
+// call (a per-size table cache would keep megabytes live for good).
 func fftRadix2(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	bitReverse(x)
+	fftStages(x, inverse)
+}
+
+// revTileBits sets the bit-reversal tile: 16×16 points, whose rows of
+// 16 contiguous complex128 fill four cache lines each.
+const revTileBits = 4
+
+// bitReverse swaps each x[i] with x[rev(i)], rev reversing log2(len(x))
+// bits. Past 2^(2·revTileBits) points it goes tile by tile so the
+// swaps stay within a few kilobytes: writing i as (a, m, c), with a and
+// c of revTileBits bits each, rev(i) is (rev c, rev m, rev a), so the
+// tile with middle bits m trades places, transposed, with the one at
+// rev m.
+func bitReverse(x []complex128) {
+	n := len(x)
+	logN := bits.TrailingZeros(uint(n))
+	if logN < 2*revTileBits {
+		shift := 64 - uint(logN)
+		for i := 0; i < n; i++ {
+			j := int(bits.Reverse64(uint64(i)) >> shift)
+			if j > i {
+				x[i], x[j] = x[j], x[i]
+			}
+		}
+		return
+	}
+	const t = 1 << revTileBits
+	var rev [t]int
+	for i := range rev {
+		rev[i] = int(bits.Reverse8(uint8(i)) >> (8 - revTileBits))
+	}
+	hi := uint(logN - revTileBits)
+	midShift := 64 - uint(logN-2*revTileBits)
+	for m := 0; m < n>>(2*revTileBits); m++ {
+		mr := int(bits.Reverse64(uint64(m)) >> midShift)
+		if mr < m {
+			continue // traded from the mr side
+		}
+		for a := 0; a < t; a++ {
+			for c := 0; c < t; c++ {
+				i := a<<hi | m<<revTileBits | c
+				j := rev[c]<<hi | mr<<revTileBits | rev[a]
+				if m < mr || i < j {
+					x[i], x[j] = x[j], x[i]
+				}
+			}
 		}
 	}
+}
+
+// fftBlock is the largest block, in points, the first stages run on
+// before moving to the next one: 16 KiB of complex128, about an L1.
+const fftBlock = 1024
+
+// fftChunk is how many twiddles of a stage wider than fftBlock are
+// evaluated at a time.
+const fftChunk = 256
+
+// twiddleStep returns the recurrence ratio e^{∓2πi/size} of the stage
+// of the given size, as the textbook loop computes it.
+func twiddleStep(size int, sign float64) complex128 {
+	step := 2 * math.Pi / float64(size) * sign
+	return cmplx.Exp(complex(0, step))
+}
+
+// fftStages runs every butterfly stage over x, which is already in
+// bit-reversed order.
+func fftStages(x []complex128, inverse bool) {
+	n := len(x)
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
+	// Stages of half h < blk, block by block. tw[h+k] holds w_k of the
+	// stage of half h.
+	blk := min(n, fftBlock)
+	var tw [fftBlock]complex128
+	for h := 1; h < blk; h <<= 1 {
+		wStep := twiddleStep(2*h, sign)
+		w := complex(1, 0)
+		for k := h; k < 2*h; k++ {
+			tw[k] = w
+			w *= wStep
+		}
+	}
+	h0 := 1
+	if bits.TrailingZeros(uint(blk))%2 == 1 {
+		h0 = 2 // an odd stage count: a lone radix-2 stage first
+	}
+	for start := 0; start < n; start += blk {
+		b := x[start : start+blk]
+		if h0 == 2 {
+			radix2Pass(b, 1, 0, tw[1:2])
+		}
+		for h := h0; 4*h <= blk; h <<= 2 {
+			radix22Pass(b, h, 0, tw[h:2*h], tw[2*h:3*h], tw[3*h:4*h])
+		}
+	}
+	// Wider stages, in pairs over the whole array, their twiddles
+	// evaluated fftChunk at a time. A pair's second stage also needs
+	// w_{h+k} alongside w_k, so a second chain runs from the value the
+	// recurrence reaches at index h.
+	var wa, wb, wc [fftChunk]complex128
+	h := blk
+	for ; 4*h <= n; h <<= 2 {
+		stepA, stepB := twiddleStep(2*h, sign), twiddleStep(4*h, sign)
+		a, b := complex(1, 0), complex(1, 0)
+		c := b
+		for k := 0; k < h; k++ {
+			c *= stepB
+		}
+		for k0 := 0; k0 < h; k0 += fftChunk {
+			for k := range wa {
+				wa[k], wb[k], wc[k] = a, b, c
+				a *= stepA
+				b *= stepB
+				c *= stepB
 			}
+			radix22Pass(x, h, k0, wa[:], wb[:], wc[:])
+		}
+	}
+	if 2*h == n { // an odd number of wide stages: the last runs alone
+		step := twiddleStep(2*h, sign)
+		w := complex(1, 0)
+		for k0 := 0; k0 < h; k0 += fftChunk {
+			for k := range wa {
+				wa[k] = w
+				w *= step
+			}
+			radix2Pass(x, h, k0, wa[:])
+		}
+	}
+}
+
+// radix2Pass applies the stage of half h to the butterflies k0 …
+// k0+len(w)−1 of every 2h-point block of x, butterfly k0+k with
+// twiddle w[k].
+func radix2Pass(x []complex128, h, k0 int, w []complex128) {
+	m := len(w)
+	for s := k0; s < len(x); s += 2 * h {
+		lo := x[s : s+m]
+		hi := x[s+h:][:m]
+		for k, wk := range w {
+			a := lo[k]
+			b := hi[k] * wk
+			lo[k] = a + b
+			hi[k] = a - b
+		}
+	}
+}
+
+// radix22Pass applies the stages of half h and 2h to the butterflies
+// k0 … k0+len(wa)−1 of every 4h-point block of x: the first stage with
+// twiddles wa (w_k of the stage of half h) in both 2h-point halves, then
+// the second with wb and wc (w_k and w_{h+k} of the stage of half 2h).
+// Each butterfly is the one radix2Pass would compute.
+func radix22Pass(x []complex128, h, k0 int, wa, wb, wc []complex128) {
+	m := len(wa)
+	wb, wc = wb[:m], wc[:m]
+	for s := k0; s < len(x); s += 4 * h {
+		q0 := x[s : s+m]
+		q1 := x[s+h:][:m]
+		q2 := x[s+2*h:][:m]
+		q3 := x[s+3*h:][:m]
+		for k, w := range wa {
+			a0, b0 := q0[k], q1[k]*w
+			a2, b2 := q2[k], q3[k]*w
+			y0, y1 := a0+b0, a0-b0
+			y2, y3 := a2+b2, a2-b2
+			t := y2 * wb[k]
+			u := y3 * wc[k]
+			q0[k], q2[k] = y0+t, y0-t
+			q1[k], q3[k] = y1+u, y1-u
 		}
 	}
 }
@@ -299,6 +471,10 @@ func validateLength(n int, what string) error {
 // backscatter applies a complex reflection coefficient to the carrier —
 // magnitude scales and phase shifts — which is exactly multiplication of
 // the analytic signal.
+//
+// The result is the first len(x) elements of the transform's own
+// buffer, so its backing array has the padded power-of-two length
+// (cap(result) = NextPow2(len(x))).
 func AnalyticSignal(x []float64) []complex128 {
 	n := len(x)
 	if n == 0 {
@@ -319,9 +495,9 @@ func AnalyticSignal(x []float64) []complex128 {
 	}
 	fftRadix2(buf, true)
 	inv := complex(1/float64(m), 0)
-	out := make([]complex128, n)
+	out := buf[:n]
 	for i := range out {
-		out[i] = buf[i] * inv
+		out[i] *= inv
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Biquad is a single second-order IIR section in direct form II transposed,
@@ -41,15 +42,29 @@ func (f *IIR) Sections() []Biquad {
 func (f *IIR) Filter(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
-	state := make([][2]float64, len(f.sections))
-	for s := range f.sections {
-		q := &f.sections[s]
-		z := &state[s]
-		for i, v := range out {
-			out[i] = q.process(v, z)
-		}
-	}
+	f.filterInPlace(out)
 	return out
+}
+
+// filterInPlace runs x through the cascade in place and leaves the
+// values Filter returns. Each sample passes through every section
+// before the next one enters, which changes no value (a section's
+// output at i reads only its inputs up to i) but lets the sections'
+// recurrences overlap instead of running one after another.
+func (f *IIR) filterInPlace(x []float64) {
+	var stack [iqStackSections][2]float64
+	z := stack[:]
+	if ns := len(f.sections); ns > iqStackSections {
+		z = make([][2]float64, ns)
+	} else {
+		z = z[:ns]
+	}
+	for i, v := range x {
+		for s := range z {
+			v = f.sections[s].process(v, &z[s])
+		}
+		x[i] = v
+	}
 }
 
 // cascadeIQ passes one sample of each rail through every section,
@@ -66,18 +81,21 @@ func (f *IIR) cascadeIQ(v complex128, zr, zi [][2]float64) complex128 {
 
 // FiltFilt runs the filter forward and then backward over x, yielding
 // zero-phase filtering with squared magnitude response. This mirrors the
-// offline MATLAB decoding the paper's receiver used.
+// offline MATLAB decoding the paper's receiver used. x is not modified.
 func (f *IIR) FiltFilt(x []float64) []float64 {
-	fwd := f.Filter(x)
-	// Reverse, filter, reverse.
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	bwd := f.Filter(fwd)
-	for i, j := 0, len(bwd)-1; i < j; i, j = i+1, j-1 {
-		bwd[i], bwd[j] = bwd[j], bwd[i]
-	}
-	return bwd
+	out := make([]float64, len(x))
+	copy(out, x)
+	f.filtFiltInPlace(out)
+	return out
+}
+
+// filtFiltInPlace is FiltFilt over x in place: filter, reverse, filter,
+// reverse.
+func (f *IIR) filtFiltInPlace(x []float64) {
+	f.filterInPlace(x)
+	slices.Reverse(x)
+	f.filterInPlace(x)
+	slices.Reverse(x)
 }
 
 // Response returns the complex frequency response of the cascade at

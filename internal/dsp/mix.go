@@ -157,11 +157,11 @@ func AmplitudeEnvelope(x []float64, fs, cutoff float64, order int) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	rect := make([]float64, len(x))
+	env := make([]float64, len(x))
 	for i, v := range x {
-		rect[i] = math.Abs(v)
+		env[i] = math.Abs(v)
 	}
-	env := lp.FiltFilt(rect)
+	lp.filtFiltInPlace(env)
 	// Mean of |sin| is 2/π of the peak; rescale to peak amplitude.
 	scale := math.Pi / 2
 	for i := range env {

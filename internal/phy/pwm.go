@@ -27,31 +27,30 @@ func NewPWM(unitSamples int) (*PWM, error) {
 }
 
 // Encode returns the on/off keying envelope (1 = carrier on, 0 = off)
-// for bits. A trailing OFF unit terminates the final bit so its falling
-// edge exists.
+// for bits: Keying's runs laid end to end.
 func (p *PWM) Encode(bits []Bit) []float64 {
-	// Worst case is 3 units per bit (a one: 2 on + 1 off) plus the
-	// terminating OFF unit.
-	out := make([]float64, 0, (3*len(bits)+1)*p.UnitSamples)
-	on := func(units int) {
-		for i := 0; i < units*p.UnitSamples; i++ {
-			out = append(out, 1)
+	out := make([]float64, 0, p.EncodedLength(bits))
+	p.Keying(bits, func(level float64, samples int) {
+		for range samples {
+			out = append(out, level)
 		}
-	}
-	off := func(units int) {
-		for i := 0; i < units*p.UnitSamples; i++ {
-			out = append(out, 0)
-		}
-	}
-	for _, b := range bits {
-		if b == 0 {
-			on(1)
-		} else {
-			on(2)
-		}
-		off(1)
-	}
+	})
 	return out
+}
+
+// Keying calls run for each stretch of the keying envelope of bits, in
+// order, with its level (1 = carrier on, 0 = off) and its length in
+// samples. Each bit is ON for 1 unit ('0') or 2 units ('1') and then
+// OFF for 1 unit, so the final bit's falling edge exists.
+func (p *PWM) Keying(bits []Bit, run func(level float64, samples int)) {
+	for _, b := range bits {
+		on := p.UnitSamples
+		if b != 0 {
+			on *= 2
+		}
+		run(1, on)
+		run(0, p.UnitSamples)
+	}
 }
 
 // SymbolSamples returns the sample count of one encoded bit b.

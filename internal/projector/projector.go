@@ -74,24 +74,25 @@ func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tai
 		return nil, err
 	}
 	bits := append(append([]phy.Bit{}, phy.PreambleBits...), frame.Bits(q.Marshal())...)
-	envelope := pwm.Encode(bits)
 	// Lead-in silence lets the node's envelope detector settle so the
-	// first pulse width is measured cleanly.
+	// first pulse width is measured cleanly. The oscillator runs through
+	// it, so the carrier phase counts from the first sample.
 	lead := 4 * unitSamples
 	tail := int(tailSeconds * p.SampleRate)
 	amp := p.PressureAmplitude(driveV, f)
 	osc := dsp.NewOscillator(f, p.SampleRate)
-	out := make([]float64, lead+len(envelope)+tail)
-	for i := range out {
-		carrier := amp * osc.Next()
-		switch {
-		case i < lead:
-			// silence
-		case i < lead+len(envelope):
-			out[i] = envelope[i-lead] * carrier
-		default:
-			out[i] = carrier
+	out := make([]float64, lead+pwm.EncodedLength(bits)+tail)
+	for range lead {
+		osc.Next()
+	}
+	i := lead
+	pwm.Keying(bits, func(level float64, samples int) {
+		for end := i + samples; i < end; i++ {
+			out[i] = level * (amp * osc.Next())
 		}
+	})
+	for ; i < len(out); i++ {
+		out[i] = amp * osc.Next()
 	}
 	return out, nil
 }

@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pab/internal/channel"
@@ -256,6 +257,15 @@ func (s Spec) Validate() error {
 		}
 		if n.BatteryJ < 0 {
 			return fmt.Errorf("scenario: node %#02x: negative battery capacity", n.Addr)
+		}
+		if math.IsNaN(n.TunedHz) || math.IsInf(n.TunedHz, 0) || n.TunedHz < 0 {
+			return fmt.Errorf("scenario: node %#02x: tuned frequency %g Hz must be positive (or 0 for the dual front end)", n.Addr, n.TunedHz)
+		}
+		// The scattered path is Doppler-scaled by 1 + 2v/c, which must
+		// stay in (0, 2) for the reply to survive as a waveform.
+		if c := tank.Water.SoundSpeed(); !(math.Abs(n.RadialSpeedMS) < c/2) {
+			return fmt.Errorf("scenario: node %#02x: radial speed %g m/s must be finite and below c/2 = %.4g m/s in magnitude",
+				n.Addr, n.RadialSpeedMS, c/2)
 		}
 		if s.Kind == KindLink {
 			p := n.PosM

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,16 @@ func TestValidateRejects(t *testing.T) {
 			s.MAC.Sensor = "sonar"
 		}, "sensor"},
 		{"zero polls", func(s *Spec) { s.MAC.Polls = -1 }, "polls"},
+		// The Doppler factor 1 + 2v/c must stay in (0, 2): at v ≤ −c/2 it
+		// is not positive, far above +c/2 it shrinks the reply to nothing.
+		{"receding at c/2", func(s *Spec) { s.Nodes[0].RadialSpeedMS = -800 }, "radial speed"},
+		{"approaching at c/2", func(s *Spec) { s.Nodes[0].RadialSpeedMS = 800 }, "radial speed"},
+		{"approaching at 1e6 m/s", func(s *Spec) { s.Nodes[0].RadialSpeedMS = 1e6 }, "radial speed"},
+		{"NaN speed", func(s *Spec) { s.Nodes[0].RadialSpeedMS = math.NaN() }, "radial speed"},
+		{"infinite speed", func(s *Spec) { s.Nodes[0].RadialSpeedMS = math.Inf(-1) }, "radial speed"},
+		{"negative tuning", func(s *Spec) { s.Nodes[0].TunedHz = -5 }, "tuned frequency"},
+		{"NaN tuning", func(s *Spec) { s.Nodes[0].TunedHz = math.NaN() }, "tuned frequency"},
+		{"infinite tuning", func(s *Spec) { s.Nodes[0].TunedHz = math.Inf(1) }, "tuned frequency"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +131,25 @@ func TestValidateRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsMobilityAndTuning keeps every speed EXPERIMENTS.md's
+// mobility rows run (0–4 m/s, both directions) and the FDMA tunings
+// valid, in every tank.
+func TestValidateAcceptsMobilityAndTuning(t *testing.T) {
+	for _, preset := range []string{TankPoolA, TankPoolB, TankSwimmingPool} {
+		for _, v := range []float64{-4, -2, -0.1, 0, 0.1, 2, 4, 700} {
+			for _, tuned := range []float64{0, 15000, 18000} {
+				sp := Spec{Tank: TankSpec{Preset: preset}}.Normalize()
+				sp.Nodes[0].PosM = [3]float64{0.6, 1.3, 0.5} // inside all three tanks
+				sp.Nodes[0].RadialSpeedMS = v
+				sp.Nodes[0].TunedHz = tuned
+				if err := sp.Validate(); err != nil {
+					t.Errorf("%s, %g m/s, tuned %g Hz: %v", preset, v, tuned, err)
+				}
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -487,5 +488,30 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if _, _, ok := s.Result(ids[2]); !ok {
 		t.Error("newest entry should be cached")
+	}
+}
+
+// TestSubmitRejectsUnrunnableLinkSpecs: a node speed at or past c/2, or
+// a negative tuning, is refused at submission instead of running to
+// "0 replies" or failing in every attempt until it is dead-lettered.
+func TestSubmitRejectsUnrunnableLinkSpecs(t *testing.T) {
+	var ran atomic.Int32
+	s, _ := newTestScheduler(t, Config{Workers: 1}, func(context.Context, scenario.Spec) (json.RawMessage, error) {
+		ran.Add(1)
+		return json.RawMessage(`{}`), nil
+	})
+	for _, mut := range []func(*scenario.NodeSpec){
+		func(n *scenario.NodeSpec) { n.RadialSpeedMS = -800 },
+		func(n *scenario.NodeSpec) { n.RadialSpeedMS = 1e6 },
+		func(n *scenario.NodeSpec) { n.TunedHz = -5 },
+	} {
+		sp := scenario.Spec{}.Normalize()
+		mut(&sp.Nodes[0])
+		if v, err := s.Submit(sp, 0); err == nil {
+			t.Errorf("node %+v accepted as job %s", sp.Nodes[0], v.ID)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d rejected specs reached a worker", n)
 	}
 }

@@ -191,6 +191,42 @@ func TestTraceFacade(t *testing.T) {
 	}
 }
 
+// TestTraceToggleRates drives the Fig 2 trace across toggle rates: the
+// paper's 5 Hz and a fast toggle whose demodulation cutoff still fits
+// below fs/2 run; a rate that is not positive and finite, or whose
+// cutoff (4·toggleHz + 50 Hz) reaches fs/2 = 48 kHz, is an error, never
+// a panic or a meaningless trace.
+func TestTraceToggleRates(t *testing.T) {
+	link, err := NewDefaultLink()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		toggleHz float64
+		ok       bool
+	}{
+		{5, true},
+		{11000, true},
+		{11987.5, false}, // cutoff exactly fs/2
+		{20000, false},
+		{60000, false}, // above fs/2: under one sample per switch state
+		{0, false},
+		{-5, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		times, amps, err := link.Trace(0.5, 0.1, 0.3, tc.toggleHz)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%g Hz: %v", tc.toggleHz, err)
+		case tc.ok && (len(times) == 0 || len(times) != len(amps)):
+			t.Errorf("%g Hz: trace lengths %d/%d", tc.toggleHz, len(times), len(amps))
+		case !tc.ok && err == nil:
+			t.Errorf("%g Hz: want an error, got a %d-point trace", tc.toggleHz, len(times))
+		}
+	}
+}
+
 // TestLintSmoke runs the pablint analyzer suite in-process over the
 // fault engine — the package whose determinism contract the whole
 // evaluation harness leans on — and asserts it is finding-free, so a
