@@ -56,23 +56,25 @@ import (
 // analytic signal's FFTs to RunQuery itself.
 var hotFuncs = map[string][]string{
 	"pab/internal/hydrophone": {
-		"Hydrophone.RecordInto",
+		"Hydrophone.Gain", "Hydrophone.Convert",
 	},
 	"pab/internal/dsp": {
-		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "DownconvertGatedInto", "Envelope",
-		"(*StepCorrelator).Correlate", "(*StepCorrelator).CorrelateWith",
+		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "DownconvertGatedInto", "DownconvertGatedFrom", "Envelope",
+		"(*StepCorrelator).Scan",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filterInPlace", "(*IIR).filtFiltInPlace", "Decimate",
 		"AnalyticSignal", "fftRadix2", "bitReverse", "fftStages", "radix2Pass", "radix22Pass", "AmplitudeEnvelope",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).DecodeInto", "(*FM0).EncodeTemplate",
-		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates",
-		"MeasureSNR", "MeasureSNRInto", "CorrectCFOInto",
+		"DetectPacket", "DetectPacketCandidates", "(*Detector).Candidates", "(*Detector).candidates",
+		"(*DetectScratch).dropUnpickable", "(*DetectScratch).dropOnce", "outranks",
+		"MeasureSNR", "MeasureSNRInto", "CorrectCFOInto", "Derotator.At", "BitsToBytesInto",
 		"(*SyncScanner).Scan", "(*SyncScanner).Reset",
 	},
 	"pab/internal/core": {
 		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto", "coherentWaveTrackedInto",
-		"(*Receiver).demodulateGated", "(*Receiver).correctCFOIfReal", "(*Receiver).decodeBasebandStaged",
+		"(*Receiver).recordGated", "(*Receiver).demodulateGated", "(*Receiver).decodeGated",
+		"(*Receiver).correctCFOIfReal", "carrierConcentration", "correctedConcentration", "(*Receiver).decodeBasebandStaged",
 		"(*workspace).decodeAt", "(*workspace).detectRefinedAll", "(*workspace).codec", "(*workspace).filter",
 		"(*refinedLock).project", "(*Link).RunQuery", "superpose",
 	},
@@ -370,7 +372,10 @@ func compilerName(fn *ast.FuncDecl) string {
 			base = id.Name
 		}
 	}
-	return "(" + star + base + ")." + fn.Name.Name
+	if star == "" {
+		return base + "." + fn.Name.Name // value receivers print bare: T.M
+	}
+	return "(*" + base + ")." + fn.Name.Name
 }
 
 // diff compares baseline → current, returning regressions (fail CI) and

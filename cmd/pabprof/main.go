@@ -47,8 +47,10 @@ func main() {
 }
 
 // maxRuns keeps every stage record inside the telemetry span ring
-// (4096 entries; one decode files ~15 span records).
-const maxRuns = 250
+// (4096 entries). One decode of the default 107k-sample recording
+// files 49 stage records — 15 record blocks, 7 downconvert and 8
+// filter calls, 18 syncs and a decode — and the run its own span.
+const maxRuns = 80
 
 func realMain() int {
 	out := flag.String("o", "BENCH_decode.json", "output report path (empty: stdout only)")

@@ -42,7 +42,21 @@ var (
 	errNoCandidates = errors.New("core: no preamble candidates on either projection")
 	errNoRefined    = errors.New("core: no candidate packet survived axis refinement")
 	errNoLock       = errors.New("core: no usable candidate lock")
+	errTruncHeader  = errors.New("core: truncated header")
+	errPayloadLen   = errors.New("core: implausible payload length")
+	errTruncFrame   = errors.New("core: truncated frame")
+	errFrameLength  = errors.New("core: frame length disagrees with its header")
 )
+
+// frontEndBlock is how many samples the front end converts from
+// pressure to volts at a time. The hydrophone's auto-gain needs the
+// whole recording's peak, but its conversion does not, so the volts
+// never exist as one recording-length buffer.
+const frontEndBlock = 8192
+
+// decodeLabels label a decode's CPU profile samples stage=decode_uplink;
+// built once, so labelling a decode allocates nothing.
+var decodeLabels = prof.NewLabels("stage", "decode_uplink")
 
 // ChannelCutoff is the channel low-pass cutoff in Hz for a backscatter
 // bitrate at sample rate fs: four times the FM0 occupied bandwidth
@@ -267,9 +281,9 @@ func (r *Receiver) DecodeUplink(pressure []float64, carrier, bitrate float64, se
 func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
 	var dec *Decoded
 	var err error
-	prof.Do(nil, func() {
+	decodeLabels.Do(func() {
 		dec, err = r.decodeUplinkStaged(parent, pressure, carrier, bitrate, searchFrom)
-	}, "stage", "decode_uplink")
+	})
 	rep := telemetry.DecodeReport{CarrierHz: carrier, BitrateBps: bitrate}
 	if err != nil {
 		telemetry.Inc(telemetry.MCoreUplinkDecodeFailuresTotal)
@@ -294,17 +308,14 @@ func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64
 var snrDBBuckets = []float64{-10, -5, 0, 2, 5, 8, 11, 15, 20, 25, 30}
 
 func (r *Receiver) decodeUplinkStaged(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	ws := r.work()
 	spDemod := parent.Child("demod")
-	stRecord := prof.Start(prof.StageRecord)
-	volts, err := r.Hydro.RecordInto(ws.volts, pressure)
-	stRecord.Stop(len(pressure))
+	searchFrom = max(searchFrom, 0)
+	bb, err := r.recordGated(pressure, carrier, bitrate, searchFrom)
 	if err != nil {
 		spDemod.End()
 		return nil, err
 	}
-	ws.volts = volts
-	return r.decodeVoltsStaged(parent, spDemod, volts, carrier, bitrate, searchFrom)
+	return r.decodeGated(parent, spDemod, bb, bitrate, searchFrom)
 }
 
 // DecodeVolts runs the receive chain on a voltage-domain recording — the
@@ -314,47 +325,68 @@ func (r *Receiver) decodeUplinkStaged(parent *telemetry.Span, pressure []float64
 // Streaming front ends that capture voltages directly (a sound card, a
 // network ingest) enter the batch chain here.
 func (r *Receiver) DecodeVolts(volts []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	return r.decodeVoltsStaged(nil, nil, volts, carrier, bitrate, searchFrom)
-}
-
-// decodeVoltsStaged is the voltage-domain chain body. spDemod, when
-// non-nil, is an already-open demod span covering the hydrophone stage;
-// when nil one is opened here. Either way it is closed before sync.
-func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	if spDemod == nil {
-		spDemod = parent.Child("demod")
-	}
-	if searchFrom < 0 {
-		searchFrom = 0
-	}
-	bb, err := r.demodulateGated(volts, carrier, bitrate, searchFrom)
+	searchFrom = max(searchFrom, 0)
+	bb, err := r.demodulateGated(len(volts), len(volts), func(off, k int) []float64 { return volts[off : off+k] }, carrier, bitrate, searchFrom)
 	if err != nil {
-		spDemod.End()
 		return nil, err
 	}
+	return r.decodeGated(nil, nil, bb, bitrate, searchFrom)
+}
+
+// decodeGated finishes the chain on the gated baseband, the workspace's
+// buffer: it corrects the CFO in place, closes spDemod (when non-nil,
+// the open demod span) and detects and decodes.
+func (r *Receiver) decodeGated(parent, spDemod *telemetry.Span, bb []complex128, bitrate float64, searchFrom int) (*Decoded, error) {
 	// Estimate and remove the projector/hydrophone oscillator offset
 	// (footnote 12). Multipath-skewed spectra can bias the estimator, so
 	// the correction is only kept when it measurably concentrates the
 	// carrier.
 	bb, cfo := r.correctCFOIfReal(bb)
-	spDemod.Attr("samples", len(bb)).Attr("cfo_hz", cfo).End()
+	if spDemod != nil {
+		spDemod.Attr("samples", len(bb)).Attr("cfo_hz", cfo).End()
+	}
 	return r.decodeBasebandStaged(parent, bb, bitrate, cfo, searchFrom)
 }
 
+// recordGated is demodulateGated on the volts the hydrophone records
+// from pressure. The gain is computed once over the whole recording;
+// the volts are then converted a block at a time into the workspace's
+// block buffer as the demodulator asks for them, each block's
+// conversion timed as the record stage.
+func (r *Receiver) recordGated(pressure []float64, carrier, bitrate float64, searchFrom int) ([]complex128, error) {
+	st := prof.Start(prof.StageRecord)
+	gain, err := r.Hydro.Gain(pressure)
+	st.Stop(0) // the samples count once, in the conversion blocks
+	if err != nil {
+		return nil, err
+	}
+	ws := r.work()
+	ws.volts = dsp.Grow(ws.volts, min(len(pressure), frontEndBlock))
+	return r.demodulateGated(len(pressure), len(ws.volts), func(off, k int) []float64 {
+		st := prof.Start(prof.StageRecord)
+		volts := ws.volts[:k]
+		r.Hydro.Convert(volts, pressure[off:off+k], gain)
+		st.Stop(k)
+		return volts
+	}, carrier, bitrate, searchFrom)
+}
+
 // demodulateGated returns Demodulate(volts, carrier, bitrate)[searchFrom:]
-// bit for bit, for a decoder gated at searchFrom ≥ 0: the zero-phase
-// filter's backward pass stops at the gate, since nothing reads the
-// baseband before it. The result is the workspace's baseband buffer.
-func (r *Receiver) demodulateGated(volts []float64, carrier, bitrate float64, searchFrom int) ([]complex128, error) {
-	if searchFrom >= len(volts) {
-		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(volts))
+// bit for bit, for a decoder gated at searchFrom ≥ 0, on the n-sample
+// voltage recording that next supplies in blocks of at most block
+// samples (dsp.DownconvertGatedFrom): the zero-phase filter's backward
+// pass stops at the gate, since nothing reads the baseband before it.
+// The result is the workspace's baseband buffer.
+func (r *Receiver) demodulateGated(n, block int, next func(off, k int) []float64, carrier, bitrate float64, searchFrom int) ([]complex128, error) {
+	if searchFrom >= n {
+		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, n)
 	}
 	ws := r.work()
 	lp, err := ws.filter(r.SampleRate, ChannelCutoff(r.SampleRate, bitrate))
 	if err != nil {
 		return nil, err
 	}
-	bb, err := dsp.DownconvertGatedInto(ws.bb, volts, carrier, r.SampleRate, lp, searchFrom)
+	bb, err := dsp.DownconvertGatedFrom(ws.bb, n, block, next, carrier, r.SampleRate, lp, searchFrom)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +397,9 @@ func (r *Receiver) demodulateGated(volts []float64, carrier, bitrate float64, se
 // DecodeBaseband runs the detection and decode half of the chain on
 // complex baseband that was mixed and filtered elsewhere — the entry
 // point for the block-based receiver in internal/stream, whose window is
-// already at baseband. Indices in the result are relative to bb.
+// already at baseband. Indices in the result are relative to bb, which
+// is left as it was: a kept CFO correction is written into the
+// workspace's own baseband buffer.
 func (r *Receiver) DecodeBaseband(bb []complex128, bitrate float64) (*Decoded, error) {
 	bb2, cfo := r.correctCFOIfReal(bb)
 	return r.decodeBasebandStaged(nil, bb2, bitrate, cfo, 0)
@@ -417,15 +451,15 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	// Last resort: a Doppler-rotating channel (moving node) smears every
 	// fixed-axis projection; retry on block-tracked projections, finer
 	// blocks tolerating faster rotation at the cost of noisier per-block
-	// axis estimates.
+	// axis estimates. The coarse pass is over, so its buffer holds them.
 	preLen := len(phy.PreambleBits) * spb
 	for _, block := range [...]int{preLen, preLen / 2, preLen / 4} {
-		ws.tracked = coherentWaveTrackedInto(ws.tracked, bb, block)
-		cs, err := c.det.Candidates(ws.tracked, DetectThreshold, 1, 0)
+		ws.coarse = coherentWaveTrackedInto(ws.coarse, bb, block)
+		cs, err := c.det.Candidates(ws.coarse, DetectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
-		lock := refinedLock{wave: ws.tracked, sync: cs[0]}
+		lock := refinedLock{wave: ws.coarse, sync: cs[0]}
 		dec, err := ws.decodeAt(bb, &lock, c.fm0)
 		if err != nil {
 			continue
@@ -439,7 +473,8 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 }
 
 // decodeAt decodes a length-prefixed data frame at a detected lock,
-// projecting only the spans it reads. The result is freshly allocated.
+// projecting only the spans it reads. The result is freshly allocated;
+// a lock that does not decode allocates nothing.
 func (ws *workspace) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) (*Decoded, error) {
 	sync := lock.sync
 	spb := fm0.SamplesPerBit
@@ -448,15 +483,16 @@ func (ws *workspace) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) 
 	headerWave := lock.project(&ws.header, bb, sync.PayloadIndex, min(len(bb), sync.PayloadIndex+24*spb))
 	ws.hdrBits, _ = fm0.DecodeInto(ws.hdrBits, &ws.trellis, headerWave, 24, sync.PayloadLevel)
 	if len(ws.hdrBits) < 24 {
-		return nil, fmt.Errorf("core: truncated header: %d bits", len(ws.hdrBits))
+		return nil, errTruncHeader
 	}
-	header, err := frame.FromBits(ws.hdrBits)
+	header, err := phy.BitsToBytesInto(ws.frame, ws.hdrBits)
 	if err != nil {
 		return nil, err
 	}
+	ws.frame = header
 	payloadLen := int(header[2])
 	if payloadLen > frame.MaxPayload {
-		return nil, fmt.Errorf("core: implausible payload length %d", payloadLen)
+		return nil, errPayloadLen
 	}
 	total := frame.DataFrameBitLength(payloadLen)
 	// Everything below reads only the packet (preamble + frame) and the
@@ -470,11 +506,15 @@ func (ws *workspace) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) 
 	ws.bits, _ = fm0.DecodeInto(ws.bits, &ws.trellis, env[sync.PayloadIndex-winLo:], total, sync.PayloadLevel)
 	bits := ws.bits
 	if len(bits) < total {
-		return nil, fmt.Errorf("core: truncated frame: %d of %d bits", len(bits), total)
+		return nil, errTruncFrame
 	}
-	raw, err := frame.FromBits(bits)
+	raw, err := phy.BitsToBytesInto(ws.frame, bits)
 	if err != nil {
 		return nil, err
+	}
+	ws.frame = raw
+	if int(raw[2]) != payloadLen {
+		return nil, errFrameLength
 	}
 	df, err := frame.UnmarshalDataFrame(raw)
 	if err != nil {
@@ -534,15 +574,7 @@ func (ws *workspace) decodeAt(bb []complex128, lock *refinedLock, fm0 *phy.FM0) 
 // truth available in the controlled experiments).
 func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64, knownBits []phy.Bit, searchFrom int) (snrLinear float64, ber float64, err error) {
 	ws := r.work()
-	volts, err := r.Hydro.RecordInto(ws.volts, pressure)
-	if err != nil {
-		return 0, 1, err
-	}
-	ws.volts = volts
-	if searchFrom < 0 {
-		searchFrom = 0
-	}
-	bb, err := r.demodulateGated(volts, carrier, bitrate, searchFrom)
+	bb, err := r.recordGated(pressure, carrier, bitrate, max(searchFrom, 0))
 	if err != nil {
 		return 0, 1, err
 	}
@@ -722,17 +754,21 @@ func CoherentWaveAround(bb []complex128, start, end int) []float64 {
 // correctCFOIfReal estimates the carrier frequency offset and applies
 // the correction only when it concentrates the carrier (|Σbb|/Σ|bb|
 // rises) — a spurious estimate from a multipath-skewed spectrum would
-// otherwise smear a perfectly coherent stream. A corrected stream is
-// the workspace's CFO buffer.
+// otherwise smear a perfectly coherent stream. The corrected stream's
+// concentration is measured before anything is written, and a kept
+// correction goes into the workspace's baseband buffer: over bb itself
+// on the batch path, where bb is that buffer, and into a copy for
+// DecodeBaseband, whose caller's stream stays as it was (the stream
+// decoder decodes its window again).
 func (r *Receiver) correctCFOIfReal(bb []complex128) ([]complex128, float64) {
 	cfo := phy.EstimateCFO(bb, r.SampleRate)
 	if math.Abs(cfo) <= 0.5 {
 		return bb, cfo
 	}
-	ws := r.work()
-	ws.cfo = phy.CorrectCFOInto(ws.cfo, bb, cfo, r.SampleRate)
-	if carrierConcentration(ws.cfo) > carrierConcentration(bb) {
-		return ws.cfo, cfo
+	if correctedConcentration(bb, cfo, r.SampleRate) > carrierConcentration(bb) {
+		ws := r.work()
+		ws.bb = phy.CorrectCFOInto(ws.bb, bb, cfo, r.SampleRate)
+		return ws.bb, cfo
 	}
 	return bb, 0
 }
@@ -748,6 +784,27 @@ func carrierConcentration(bb []complex128) float64 {
 	for _, v := range bb {
 		sum += v
 		mag += cmplx.Abs(v)
+	}
+	if mag == 0 {
+		return 0
+	}
+	return cmplx.Abs(sum) / mag
+}
+
+// correctedConcentration is carrierConcentration(phy.CorrectCFO(bb, cfo,
+// fs)) without the corrected copy: the same rotations, summed in the
+// same order.
+func correctedConcentration(bb []complex128, cfo, fs float64) float64 {
+	if fs <= 0 || len(bb) == 0 {
+		return carrierConcentration(bb) // CorrectCFO copies bb
+	}
+	rot := phy.NewDerotator(cfo, fs)
+	var sum complex128
+	var mag float64
+	for i, v := range bb {
+		c := v * rot.At(i)
+		sum += c
+		mag += cmplx.Abs(c)
 	}
 	if mag == 0 {
 		return 0

@@ -10,20 +10,25 @@ import (
 // built once per samples-per-bit and per cutoff. A decode result never
 // points into it: Decoded copies what it keeps.
 type workspace struct {
-	// The chain's sample-length buffers, in pipeline order.
-	volts []float64    // hydrophone output
-	bb    []complex128 // gated baseband
-	cfo   []complex128 // CFO-corrected copy of the baseband
-
-	// Projections: the whole-stream coarse pass, one candidate's
-	// refine window, and the block-tracked fallback for drifting nodes.
-	coarse, refine, tracked []float64
+	// volts is one block of hydrophone output: the front end converts
+	// and demodulates a recording a block at a time.
+	volts []float64
+	// bb is the gated baseband, CFO-corrected in place on the batch
+	// path; DecodeBaseband writes its corrected copy of the caller's
+	// stream here.
+	bb []complex128
+	// coarse is the whole-stream projection of the coarse pass, and
+	// then of the block-tracked fallback for drifting nodes; refine is
+	// one candidate's refine window. These and bb are the only buffers
+	// as long as the recording.
+	coarse, refine []float64
 	// Spans a lock decodes: header, packet, and the packet on the axis
 	// re-estimated over the CRC-confirmed extent.
 	header, packet, refined []float64
 
 	hdrBits, bits, preBits []phy.Bit
 	allBits                []phy.Bit // preamble + payload, the SNR reference
+	frame                  []byte    // the decoded frame's bytes
 	means                  []float64 // SNR decision variables
 	trellis                phy.Trellis
 
@@ -31,7 +36,7 @@ type workspace struct {
 	locks []refinedLock
 
 	// detect is the one correlator scratch every codec's detector works
-	// in, so several bitrates keep one recording-length copy alive.
+	// in, so several bitrates share one scan window.
 	detect  phy.DetectScratch
 	codecs  map[int]*codec
 	filters map[filterKey]*dsp.IIR

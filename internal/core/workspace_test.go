@@ -31,12 +31,13 @@ func (e *equivExchange) decode(r *Receiver) (*Decoded, error) {
 }
 
 // Steady-state bounds for one DecodeUplink on a warm Receiver: what is
-// left is the result, its frame and the telemetry a decode files. A
-// receiver that allocates its buffers per call needs 266–360
-// allocations and 1.7–11 MB on these exchanges.
+// left is the result — the Decoded, its bits and its payload, 3
+// allocations and 208 bytes on these exchanges, 0 on a miss — plus
+// about a quarter. A receiver that allocates its buffers per call needs
+// 266–360 allocations and 1.7–11 MB.
 const (
-	steadyAllocs = 96
-	steadyBytes  = 3 << 10
+	steadyAllocs = 4
+	steadyBytes  = 256
 )
 
 // TestReceiverSteadyStateAllocs warms one Receiver over the equivalence
@@ -128,5 +129,59 @@ func TestReceiverResultOwnership(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Fatalf("%v on a used Receiver:\n got %+v\nwant %+v", a.c, *gotA, *wantA)
+	}
+}
+
+// retainedBytes is the live heap only r keeps: the heap after a
+// collection with r, less the heap after one without it. The caller
+// must not use r afterwards.
+func retainedBytes(r *Receiver) uint64 {
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	runtime.KeepAlive(r)
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	if with.HeapAlloc < without.HeapAlloc {
+		return 0
+	}
+	return with.HeapAlloc - without.HeapAlloc
+}
+
+// TestReceiverWorkingSet warms one Receiver over the equivalence set
+// and bounds what it keeps: the gated baseband and the coarse
+// projection are its only recording-length buffers, the spans a lock
+// decodes are packet-sized, and everything else — the front end's volts
+// block, the correlator's scan window, the kept lags, the refine
+// window, bits, trellis, codecs and filters — fits in 256 KiB.
+func TestReceiverWorkingSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sample-level exchanges")
+	}
+	exs := equivExchanges(t)
+	fs := DefaultLinkConfig().SampleRate
+	one, err := NewReceiver(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = exs[0].decode(one)
+	t.Logf("after %v alone: %d bytes retained", exs[0].c, retainedBytes(one))
+
+	r, err := NewReceiver(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range exs {
+		_, _ = exs[i].decode(r)
+	}
+	ws := r.ws
+	chain := 16*cap(ws.bb) + 8*cap(ws.coarse)
+	spans := 8 * (cap(ws.header) + cap(ws.packet) + cap(ws.refined))
+	const rest = 256 << 10
+	got := retainedBytes(r)
+	t.Logf("retained %d bytes: baseband and coarse projection %d, spans %d, the rest %d", got, chain, spans, int(got)-chain-spans)
+	if got > uint64(chain+spans+rest) {
+		t.Errorf("receiver retains %d bytes, want ≤ %d (baseband and coarse projection) + %d (spans) + %d",
+			got, chain, spans, rest)
 	}
 }

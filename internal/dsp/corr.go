@@ -10,27 +10,18 @@ import "math"
 // the window variance comes from prefix sums of the input and its
 // square: about two flops per step per lag, and no FFT.
 //
-// Each output lies in [−1, 1] and is invariant to the window's
+// Each score lies in [−1, 1] and is invariant to the window's
 // amplitude and DC offset. Local offset invariance matters for
 // preamble detection on projected baseband streams, where residual
 // carrier offsets vary along the recording.
 //
-// A StepCorrelator reuses its prefix-sum scratch across calls, so one
-// value must not be used from several goroutines at once.
+// A StepCorrelator holds only its template; Scan works in a scratch
+// the caller passes, so one correlator may serve several goroutines,
+// each with its own scratch.
 type StepCorrelator struct {
-	coef    []float64 // step levels minus their mean
-	width   int
-	energy  float64 // Σ (h − h̄)² over the template's samples
-	scratch PrefixSums
-}
-
-// PrefixSums is a StepCorrelator's working memory: prefix sums of the
-// mean-removed input and of its square, one entry per input sample.
-// Correlators that never run at once — one receiver's detectors for
-// several bitrates — can share one through CorrelateWith, so only one
-// recording-length copy stays alive.
-type PrefixSums struct {
-	sum, sumSq []float64
+	coef   []float64 // step levels minus their mean
+	width  int
+	energy float64 // Σ (h − h̄)² over the template's samples
 }
 
 // NewStepCorrelator returns a correlator for the template that holds
@@ -53,67 +44,105 @@ func NewStepCorrelator(steps []float64, width int) *StepCorrelator {
 // Len returns the template length in samples.
 func (c *StepCorrelator) Len() int { return len(c.coef) * c.width }
 
-// Correlate returns the normalised correlation of x with the template
-// at every lag i in [0, len(x)−Len()], written into dst's backing array
-// when it is large enough. A window with zero variance scores 0. It
-// returns nil when x is shorter than the template.
-func (c *StepCorrelator) Correlate(dst, x []float64) []float64 {
-	return c.CorrelateWith(&c.scratch, dst, x)
+// LagScore is one lag a scan kept: its |score| reached the threshold.
+type LagScore struct {
+	Lag   int
+	Score float64 // signed normalised correlation
 }
 
-// CorrelateWith is Correlate computing its prefix sums in p instead of
-// the correlator's own scratch.
-func (c *StepCorrelator) CorrelateWith(p *PrefixSums, dst, x []float64) []float64 {
+// scanBlock is the number of lags a scan scores at a time.
+const scanBlock = 1024
+
+// ScanScratch is a scan's working memory: the prefix sums of the
+// mean-removed input and of its square over one block of lags plus the
+// template, and the block's scores — O(block + template), whatever the
+// input's length. Correlators that never scan at once — one receiver's
+// detectors for several bitrates — can share one.
+type ScanScratch struct {
+	sum, sumSq, raw []float64
+}
+
+// Scan scores the normalised correlation of x with the template at
+// every lag i in [0, len(x)−Len()] and appends each lag whose |score|
+// reaches threshold to dst, in ascending lag order. It returns dst and
+// the largest |score| of any lag (−Inf when x is shorter than the
+// template). A window with zero variance scores 0.
+//
+// The lags are scored a block at a time. The prefix sums cover only the
+// block's windows and slide on from block to block with the same
+// recurrence, so every score is the one a recording-length prefix sum
+// gives, bit for bit. After each block, when compact is not nil, the
+// kept lags are replaced by compact(kept, scored), where lags below
+// scored have been scored: a caller that can tell some kept lags will
+// never matter drops them there, so the kept list stays short.
+func (c *StepCorrelator) Scan(s *ScanScratch, dst []LagScore, x []float64, threshold float64, compact func(kept []LagScore, scored int) []LagScore) ([]LagScore, float64) {
+	best := math.Inf(-1)
 	m := c.Len()
 	if len(x) < m {
-		return nil
+		return dst, best
 	}
 	// Removing the input mean first keeps the prefix sums small, so
 	// their differences lose no precision on long recordings.
 	mean := Mean(x)
-	p.sum = Grow(p.sum, len(x)+1)
-	p.sumSq = Grow(p.sumSq, len(x)+1)
-	sum, sumSq := p.sum, p.sumSq
-	sum[0], sumSq[0] = 0, 0
-	for i, v := range x {
-		d := v - mean
-		sum[i+1] = sum[i] + d
-		sumSq[i+1] = sumSq[i] + d*d
-	}
 	n := len(x) - m + 1
-	out := Grow(dst, n)
+	span := min(n, scanBlock)
+	s.sum = Grow(s.sum, span+m)
+	s.sumSq = Grow(s.sumSq, span+m)
+	s.raw = Grow(s.raw, span)
+	// Entry j of the window holds the prefix sums of x[:b+j] for the
+	// block starting at lag b.
+	sum, sumSq := s.sum, s.sumSq
+	sum[0], sumSq[0] = 0, 0
+	filled := 1
 	w := c.width
 	invM := 1 / float64(m)
 	// Rounding leaves a constant window a variance residue of up to
 	// about len(x)·ε of the prefix energy; below that it scores 0.
 	tol := float64(len(x)) * epsilon
-	// Σ x·(h−h̄) equals Σ(x−x̄w)(h−h̄): the centred template sums to
-	// zero, so the window mean drops out of the numerator. It is summed
-	// one step at a time over a block of lags: the lags are independent,
-	// so the inner loop pipelines, and the block's slice of the prefix
-	// sums stays in cache.
-	const block = 1024
-	for b := 0; b < n; b += block {
-		raw := out[b:min(n, b+block)]
+	for b := 0; b < n; b += scanBlock {
+		lags := min(n-b, scanBlock)
+		for j := filled; j < lags+m; j++ {
+			d := x[b+j-1] - mean
+			sum[j] = sum[j-1] + d
+			sumSq[j] = sumSq[j-1] + d*d
+		}
+		// Σ x·(h−h̄) equals Σ(x−x̄w)(h−h̄): the centred template sums
+		// to zero, so the window mean drops out of the numerator. It is
+		// summed one step at a time over the block: the lags are
+		// independent, so the inner loop pipelines.
+		raw := s.raw[:lags]
 		clear(raw)
 		for k, ck := range c.coef {
-			lo := sum[b+k*w:][:len(raw)]
-			hi := sum[b+(k+1)*w:][:len(raw)]
+			lo := sum[k*w:][:lags]
+			hi := sum[(k+1)*w:][:lags]
 			for i := range raw {
 				raw[i] += ck * (hi[i] - lo[i])
 			}
 		}
-		for i := range raw {
-			wSum := sum[b+i+m] - sum[b+i]
-			xVar := sumSq[b+i+m] - sumSq[b+i] - wSum*wSum*invM
+		for i, num := range raw {
+			wSum := sum[i+m] - sum[i]
+			xVar := sumSq[i+m] - sumSq[i] - wSum*wSum*invM
 			v := 0.0
-			if den := math.Sqrt(xVar * c.energy); xVar > tol*sumSq[b+i+m] && den > 0 {
-				v = raw[i] / den
+			if den := math.Sqrt(xVar * c.energy); xVar > tol*sumSq[i+m] && den > 0 {
+				v = num / den
 			}
-			raw[i] = v
+			a := math.Abs(v)
+			if a > best {
+				best = a
+			}
+			if a >= threshold {
+				dst = append(dst, LagScore{Lag: b + i, Score: v})
+			}
 		}
+		if compact != nil {
+			dst = compact(dst, b+lags)
+		}
+		// The next block's windows start where this block's lags end.
+		copy(sum, sum[lags:lags+m])
+		copy(sumSq, sumSq[lags:lags+m])
+		filled = m
 	}
-	return out
+	return dst, best
 }
 
 // epsilon is the float64 machine epsilon.
@@ -139,21 +168,6 @@ func ArgMax(x []float64) (int, float64) {
 		}
 	}
 	return idx, best
-}
-
-// ArgMaxAbs returns the index and value of the element with the largest
-// absolute value.
-func ArgMaxAbs(x []float64) (int, float64) {
-	idx, best := -1, math.Inf(-1)
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			idx, best = i, a
-		}
-	}
-	if idx < 0 {
-		return -1, math.Inf(-1)
-	}
-	return idx, x[idx]
 }
 
 // Mean returns the arithmetic mean of x (0 for empty input).

@@ -8,7 +8,11 @@
 // their cost shows. On the receive side, FFT-based preamble correlation
 // once took about 45% of the decode CPU; preamble correlation now uses
 // StepCorrelator, which needs no FFT, and the demodulator skips the
-// backward filter pass below the decode gate (DownconvertLPFrom). The
+// backward filter pass below the decode gate (DownconvertLPFrom). Both
+// also bound their memory: StepCorrelator.Scan keeps prefix sums over
+// one block of lags plus the template, and DownconvertGatedFrom takes
+// its input a block at a time, so neither holds a recording-length
+// copy of its input. The
 // FFTs still serve carrier search, long FIR convolutions and, on the
 // synthesis side, the analytic signal: two 2^17-point transforms per
 // sample-level exchange, the largest single cost of building one. The

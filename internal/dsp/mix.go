@@ -86,36 +86,39 @@ func DownconvertLPFrom(x []float64, fc, fs, cutoff float64, order, from int) ([]
 }
 
 // iqStackSections is the longest cascade whose I/Q filter state
-// DownconvertGatedInto keeps on the stack (order 16); longer ones
+// DownconvertGatedFrom keeps on the stack (order 16); longer ones
 // allocate it.
 const iqStackSections = 8
 
 // DownconvertGatedInto mixes x down by fc and runs the low-pass lp
 // forward and then backward over I and Q, returning the baseband from
 // sample from on, written into dst's backing array when it is large
-// enough. The mix and the forward filter pass cover all of x, because
-// the filter state at from depends on every earlier sample; the
-// backward pass stops at from, because its output at index i reads only
-// forward outputs at indices ≥ i. Only the samples from the gate on are
-// stored.
+// enough. It is DownconvertGatedFrom reading x as one block.
 func DownconvertGatedInto(dst []complex128, x []float64, fc, fs float64, lp *IIR, from int) ([]complex128, error) {
-	if from < 0 || from > len(x) {
-		return nil, fmt.Errorf("dsp: demodulation start %d outside [0, %d]", from, len(x))
+	return DownconvertGatedFrom(dst, len(x), len(x), func(off, k int) []float64 { return x[off : off+k] }, fc, fs, lp, from)
+}
+
+// DownconvertGatedFrom is DownconvertGatedInto over an n-sample signal
+// that next supplies in blocks of at most block samples: next(off, k)
+// returns samples [off, off+k), and may reuse one buffer from call to
+// call, since each block is consumed before the next is asked for. The
+// mix and the forward filter pass cover all n samples, because the
+// filter state at from depends on every earlier sample; the backward
+// pass stops at from, because its output at index i reads only forward
+// outputs at indices ≥ i. Only the samples from the gate on are stored.
+func DownconvertGatedFrom(dst []complex128, n, block int, next func(off, k int) []float64, fc, fs float64, lp *IIR, from int) ([]complex128, error) {
+	if from < 0 || from > n {
+		return nil, fmt.Errorf("dsp: demodulation start %d outside [0, %d]", from, n)
 	}
+	block = max(block, 1)
 	w := 2 * math.Pi * fc / fs
-	st := prof.Start(prof.StageDownconvert)
-	bb := Grow(dst, len(x)-from)
-	for i, v := range x[from:] {
-		bb[i] = mixSample(v, w, from+i)
-	}
-	st.Stop(len(bb))
-	st = prof.Start(prof.StageFilter)
+	bb := Grow(dst, n-from)
 	// Both rails pass through the whole cascade one sample at a time,
 	// which yields the values FiltFilt's section-by-section passes do:
 	// each section's output at i depends only on its inputs up to i in
-	// filtering order. The samples before the gate are mixed on the fly
+	// filtering order. The blocks before the gate are mixed on the fly
 	// and dropped once they have moved the forward state, so their
-	// mixing is timed here, not in the downconvert stage.
+	// mixing is timed in the filter stage, not the downconvert stage.
 	var state [2][iqStackSections][2]float64
 	zr, zi := state[0][:], state[1][:]
 	if ns := len(lp.sections); ns > iqStackSections {
@@ -123,9 +126,24 @@ func DownconvertGatedInto(dst []complex128, x []float64, fc, fs float64, lp *IIR
 	} else {
 		zr, zi = zr[:ns], zi[:ns]
 	}
-	for i, v := range x[:from] {
-		lp.cascadeIQ(mixSample(v, w, i), zr, zi)
+	for off := 0; off < from; off += block {
+		x := next(off, min(block, from-off))
+		st := prof.Start(prof.StageFilter)
+		for i, v := range x {
+			lp.cascadeIQ(mixSample(v, w, off+i), zr, zi)
+		}
+		st.Stop(len(x))
 	}
+	for off := from; off < n; off += block {
+		x := next(off, min(block, n-off))
+		st := prof.Start(prof.StageDownconvert)
+		out := bb[off-from:][:len(x)]
+		for i, v := range x {
+			out[i] = mixSample(v, w, off+i)
+		}
+		st.Stop(len(x))
+	}
+	st := prof.Start(prof.StageFilter)
 	for i, v := range bb {
 		bb[i] = lp.cascadeIQ(v, zr, zi)
 	}
@@ -134,7 +152,7 @@ func DownconvertGatedInto(dst []complex128, x []float64, fc, fs float64, lp *IIR
 	for i := len(bb) - 1; i >= 0; i-- {
 		bb[i] = lp.cascadeIQ(bb[i], zr, zi)
 	}
-	st.Stop(len(x))
+	st.Stop(len(bb))
 	return bb, nil
 }
 

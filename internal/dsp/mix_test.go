@@ -175,7 +175,7 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	steps := []float64{1, -1, 1, 1, -1}
 	x := make([]float64, 100)
 	copy(x[40:], steps)
-	corr := NewStepCorrelator(steps, 1).Correlate(nil, x)
+	corr := correlate(NewStepCorrelator(steps, 1), x)
 	idx, _ := ArgMax(corr)
 	if idx != 40 {
 		t.Errorf("correlation peak at %d, want 40", idx)
@@ -189,7 +189,7 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 		x[i] = math.Sin(float64(i) * 0.7)
 	}
 	copy(x[200:], expandSteps(steps, 3))
-	corr := NewStepCorrelator(steps, 3).Correlate(nil, x)
+	corr := correlate(NewStepCorrelator(steps, 3), x)
 	for i, v := range corr {
 		if v > 1+1e-9 || v < -1-1e-9 {
 			t.Fatalf("normalised corr out of bounds at %d: %g", i, v)
@@ -202,12 +202,11 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 }
 
 func TestArgMaxEdgeCases(t *testing.T) {
-	if idx, _ := ArgMax(nil); idx != -1 {
-		t.Error("ArgMax(nil) index should be -1")
+	if idx, val := ArgMax(nil); idx != -1 || !math.IsInf(val, -1) {
+		t.Errorf("ArgMax(nil) = (%d, %g), want (-1, -Inf)", idx, val)
 	}
-	idx, v := ArgMaxAbs([]float64{1, -5, 3})
-	if idx != 1 || v != -5 {
-		t.Errorf("ArgMaxAbs = (%d, %g), want (1, -5)", idx, v)
+	if idx, val := ArgMax([]float64{-3, 2, -1}); idx != 1 || val != 2 {
+		t.Errorf("ArgMax = (%d, %g), want (1, 2)", idx, val)
 	}
 }
 
@@ -277,6 +276,59 @@ func TestDownconvertGatedIntoMatchesLPFrom(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDownconvertGatedFromMatchesOneBlock feeds the gated demodulator
+// block by block through one reused buffer, dirtied before every
+// block, and requires the baseband DownconvertGatedInto returns from
+// the whole input, bit for bit, with the gate before, inside and after
+// the first block.
+func TestDownconvertGatedFromMatchesOneBlock(t *testing.T) {
+	const fs, fc, cutoff = 96000.0, 15000.0, 2000.0
+	rng := rand.New(rand.NewSource(13))
+	x := make([]float64, 3001)
+	for i := range x {
+		x[i] = math.Sin(2*math.Pi*fc/fs*float64(i)+0.2) + 0.2*rng.NormFloat64()
+	}
+	lp, err := DesignButterworthLowpass(cutoff, fs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []int{1, 7, 512, len(x), 2 * len(x)} {
+		buf := make([]float64, block)
+		next := func(off, k int) []float64 {
+			if k < 1 || k > block || off+k > len(x) {
+				t.Fatalf("block %d: asked for %d samples at %d", block, k, off)
+			}
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			copy(buf, x[off:off+k])
+			return buf[:k]
+		}
+		for _, from := range []int{0, 1, 5, 600, len(x) - 1, len(x)} {
+			want, err := DownconvertGatedInto(nil, x, fc, fs, lp, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DownconvertGatedFrom(dirtyComplex(len(x)), len(x), block, next, fc, fs, lp, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("block %d, from %d: length %d, want %d", block, from, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("block %d, from %d: sample %d = %v, want %v", block, from, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if _, err := DownconvertGatedFrom(nil, 10, 4, nil, fc, fs, lp, 11); err == nil {
+		t.Error("gate past the input: no error")
 	}
 }
 

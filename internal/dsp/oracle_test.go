@@ -231,3 +231,140 @@ func firstBitMismatch(got, want []float64) int {
 	}
 	return -1
 }
+
+// refPrefixSums and refCorrelateWith are the replaced recording-length
+// correlator, verbatim: prefix sums over the whole input, one score per
+// lag.
+type refPrefixSums struct {
+	sum, sumSq []float64
+}
+
+func refCorrelateWith(c *StepCorrelator, p *refPrefixSums, dst, x []float64) []float64 {
+	m := c.Len()
+	if len(x) < m {
+		return nil
+	}
+	// Removing the input mean first keeps the prefix sums small, so
+	// their differences lose no precision on long recordings.
+	mean := Mean(x)
+	p.sum = Grow(p.sum, len(x)+1)
+	p.sumSq = Grow(p.sumSq, len(x)+1)
+	sum, sumSq := p.sum, p.sumSq
+	sum[0], sumSq[0] = 0, 0
+	for i, v := range x {
+		d := v - mean
+		sum[i+1] = sum[i] + d
+		sumSq[i+1] = sumSq[i] + d*d
+	}
+	n := len(x) - m + 1
+	out := Grow(dst, n)
+	w := c.width
+	invM := 1 / float64(m)
+	// Rounding leaves a constant window a variance residue of up to
+	// about len(x)·ε of the prefix energy; below that it scores 0.
+	tol := float64(len(x)) * epsilon
+	// Σ x·(h−h̄) equals Σ(x−x̄w)(h−h̄): the centred template sums to
+	// zero, so the window mean drops out of the numerator. It is summed
+	// one step at a time over a block of lags: the lags are independent,
+	// so the inner loop pipelines, and the block's slice of the prefix
+	// sums stays in cache.
+	const block = 1024
+	for b := 0; b < n; b += block {
+		raw := out[b:min(n, b+block)]
+		clear(raw)
+		for k, ck := range c.coef {
+			lo := sum[b+k*w:][:len(raw)]
+			hi := sum[b+(k+1)*w:][:len(raw)]
+			for i := range raw {
+				raw[i] += ck * (hi[i] - lo[i])
+			}
+		}
+		for i := range raw {
+			wSum := sum[b+i+m] - sum[b+i]
+			xVar := sumSq[b+i+m] - sumSq[b+i] - wSum*wSum*invM
+			v := 0.0
+			if den := math.Sqrt(xVar * c.energy); xVar > tol*sumSq[b+i+m] && den > 0 {
+				v = raw[i] / den
+			}
+			raw[i] = v
+		}
+	}
+	return out
+}
+
+// TestScanMatchesRecordingLengthCorrelator compares every scan with the
+// replaced correlator bit for bit: the kept lags are exactly those whose
+// old score reached the threshold, with the old score, and the best
+// |score| is the old maximum. The lag counts straddle one and two
+// blocks; the 18-step template at width 96 (193 samples per bit) is
+// longer than a block, so a block's window is mostly carried from the
+// previous one; constant runs score 0 through the tolerance branch.
+func TestScanMatchesRecordingLengthCorrelator(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	preamble := []float64{-1, 1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, 1, -1, -1}
+	correlators := []*StepCorrelator{
+		NewStepCorrelator([]float64{1, -1, 1, 1, -1}, 4),
+		NewStepCorrelator(preamble, 8),
+		NewStepCorrelator(preamble, 96),
+	}
+	inputs := map[string]func(n int) []float64{
+		"noise": func(n int) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = 2.5 + rng.NormFloat64()
+			}
+			return x
+		},
+		"constant runs": func(n int) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+				if i >= 300 && i < 2300 {
+					x[i] = 0.1
+				}
+			}
+			return x
+		},
+		"zeros": func(n int) []float64 { return make([]float64, n) },
+	}
+	var scratch ScanScratch
+	var ref refPrefixSums
+	for _, c := range correlators {
+		for _, lags := range []int{1, 1023, 1024, 1025, 2049} {
+			for name, gen := range inputs {
+				x := gen(lags + c.Len() - 1)
+				want := refCorrelateWith(c, &ref, nil, x)
+				wantBest := math.Inf(-1)
+				for _, v := range want {
+					wantBest = math.Max(wantBest, math.Abs(v))
+				}
+				for _, threshold := range []float64{0, 0.1, 0.3} {
+					got, best := c.Scan(&scratch, nil, x, threshold, nil)
+					if math.Float64bits(best) != math.Float64bits(wantBest) {
+						t.Fatalf("%d-sample template, %d lags, %s: best %v, want %v", c.Len(), lags, name, best, wantBest)
+					}
+					k := 0
+					for i, v := range want {
+						if math.Abs(v) < threshold {
+							continue
+						}
+						if k >= len(got) {
+							t.Fatalf("%d-sample template, %d lags, %s, threshold %g: lag %d (%v) not kept", c.Len(), lags, name, threshold, i, v)
+						}
+						if got[k].Lag != i || math.Float64bits(got[k].Score) != math.Float64bits(v) {
+							t.Fatalf("%d-sample template, %d lags, %s, threshold %g: kept lag %d is %+v, want {%d %v}",
+								c.Len(), lags, name, threshold, k, got[k], i, v)
+						}
+						k++
+					}
+					if k != len(got) {
+						t.Fatalf("%d-sample template, %d lags, %s, threshold %g: %d lags kept, want %d", c.Len(), lags, name, threshold, len(got), k)
+					}
+				}
+			}
+		}
+	}
+	if got, best := correlators[0].Scan(&scratch, nil, make([]float64, 19), 0, nil); got != nil || !math.IsInf(best, -1) {
+		t.Fatalf("input shorter than the template: %v, best %v; want none, -Inf", got, best)
+	}
+}

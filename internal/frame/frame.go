@@ -9,6 +9,7 @@
 package frame
 
 import (
+	"errors"
 	"fmt"
 
 	"pab/internal/phy"
@@ -127,6 +128,11 @@ func (d DataFrame) Marshal() ([]byte, error) {
 	return append(buf, byte(crc>>8), byte(crc)), nil
 }
 
+// ErrDataCRC is an uplink frame whose CRC does not match its body: the
+// receiver's usual miss on a candidate lock, so it is a constant that
+// costs no allocation.
+var ErrDataCRC = errors.New("frame: data CRC mismatch")
+
 // UnmarshalDataFrame parses and CRC-checks an uplink frame.
 func UnmarshalDataFrame(data []byte) (DataFrame, error) {
 	if len(data) < 5 {
@@ -142,7 +148,7 @@ func UnmarshalDataFrame(data []byte) (DataFrame, error) {
 	body := data[:3+n]
 	want := uint16(data[3+n])<<8 | uint16(data[3+n+1])
 	if got := Checksum(body); got != want {
-		return DataFrame{}, fmt.Errorf("frame: data CRC mismatch: got %04x, want %04x", got, want)
+		return DataFrame{}, ErrDataCRC
 	}
 	df := DataFrame{Source: data[0], Seq: data[1]}
 	if n > 0 {

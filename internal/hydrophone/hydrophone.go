@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"pab/internal/dsp"
 	"pab/internal/units"
 )
 
@@ -50,14 +49,23 @@ func (h Hydrophone) VoltsPerPascal() float64 {
 // Record converts a pressure waveform (Pa) into the recorded voltage
 // waveform, applying sensitivity, clipping and ADC quantisation.
 func (h Hydrophone) Record(pressure []float64) ([]float64, error) {
-	return h.RecordInto(nil, pressure)
+	gain, err := h.Gain(pressure)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(pressure))
+	h.Convert(out, pressure, gain)
+	return out, nil
 }
 
-// RecordInto is Record writing the voltages into dst's backing array
-// when it is large enough.
-func (h Hydrophone) RecordInto(dst, pressure []float64) ([]float64, error) {
+// Gain returns the conversion gain, in volts per pascal, that Record
+// applies to pressure: the sensitivity, trimmed under AutoGain so the
+// recording's peak sits at 80% of full scale. It is the only part of a
+// recording that depends on every sample, so a block-by-block front end
+// computes it once and then converts block by block with Convert.
+func (h Hydrophone) Gain(pressure []float64) (float64, error) {
 	if err := h.Validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	gain := h.VoltsPerPascal()
 	if h.AutoGain {
@@ -71,8 +79,16 @@ func (h Hydrophone) RecordInto(dst, pressure []float64) ([]float64, error) {
 			gain *= 0.8 * h.MaxInputV / peak
 		}
 	}
+	return gain, nil
+}
+
+// Convert writes the recorded voltage of each pressure sample into dst,
+// which must be at least as long: the sample times gain (from Gain over
+// the whole recording), clipped and quantised. Converting a recording
+// in blocks gives Record's volts, bit for bit.
+func (h Hydrophone) Convert(dst, pressure []float64, gain float64) {
 	lsb := h.lsbV()
-	out := dsp.Grow(dst, len(pressure))
+	dst = dst[:len(pressure)]
 	for i, p := range pressure {
 		v := p * gain
 		if v > h.MaxInputV {
@@ -80,9 +96,8 @@ func (h Hydrophone) RecordInto(dst, pressure []float64) ([]float64, error) {
 		} else if v < -h.MaxInputV {
 			v = -h.MaxInputV
 		}
-		out[i] = math.Round(v/lsb) * lsb
+		dst[i] = math.Round(v/lsb) * lsb
 	}
-	return out, nil
 }
 
 // NoiseFloorV returns the quantisation noise RMS of the recorder

@@ -136,7 +136,42 @@ func TestAutoGainPreventsClipping(t *testing.T) {
 	}
 }
 
-func TestRecordIntoMatchesRecord(t *testing.T) {
+// refRecordInto is the replaced one-pass recorder, verbatim.
+func refRecordInto(h Hydrophone, dst, pressure []float64) ([]float64, error) {
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	gain := h.VoltsPerPascal()
+	if h.AutoGain {
+		peak := 0.0
+		for _, p := range pressure {
+			if a := math.Abs(p) * gain; a > peak {
+				peak = a
+			}
+		}
+		if peak > 0.8*h.MaxInputV {
+			gain *= 0.8 * h.MaxInputV / peak
+		}
+	}
+	lsb := h.lsbV()
+	out := dsp.Grow(dst, len(pressure))
+	for i, p := range pressure {
+		v := p * gain
+		if v > h.MaxInputV {
+			v = h.MaxInputV
+		} else if v < -h.MaxInputV {
+			v = -h.MaxInputV
+		}
+		out[i] = math.Round(v/lsb) * lsb
+	}
+	return out, nil
+}
+
+// TestConvertInBlocksMatchesRecord requires Record, and Gain followed
+// by Convert block by block into a dirty buffer, to give the replaced
+// one-pass recorder's volts bit for bit, with and without auto-gain and
+// with clipping.
+func TestConvertInBlocksMatchesRecord(t *testing.T) {
 	for _, autoGain := range []bool{false, true} {
 		h := H2a()
 		h.AutoGain = autoGain
@@ -144,25 +179,39 @@ func TestRecordIntoMatchesRecord(t *testing.T) {
 		for i := range p {
 			p[i] += float64(i%7) * 0.01
 		}
-		want, err := h.Record(p)
+		want, err := refRecordInto(h, nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := make([]float64, 2*len(p))
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		got, err := h.RecordInto(dst[:10], p)
+		rec, err := h.Record(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("length %d, want %d", len(got), len(want))
+		gain, err := h.Gain(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("auto-gain %v: sample %d = %v, want %v", autoGain, i, got[i], want[i])
+		for _, block := range []int{1, 7, 512, len(p)} {
+			buf := make([]float64, block+3)
+			got := make([]float64, len(p))
+			for off := 0; off < len(p); off += block {
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				n := min(block, len(p)-off)
+				h.Convert(buf, p[off:off+n], gain)
+				copy(got[off:], buf[:n])
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(rec[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("auto-gain %v, block %d: sample %d = %v (Record %v), want %v", autoGain, block, i, got[i], rec[i], want[i])
+				}
 			}
 		}
+	}
+	bad := H2a()
+	bad.Bits = 1
+	if _, err := bad.Gain([]float64{1}); err == nil {
+		t.Error("Gain accepted an invalid hydrophone")
 	}
 }

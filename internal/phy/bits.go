@@ -4,7 +4,11 @@
 // frequency offset estimation, and BER accounting.
 package phy
 
-import "fmt"
+import (
+	"fmt"
+
+	"pab/internal/dsp"
+)
 
 // Bit is a single binary symbol (0 or 1).
 type Bit = byte
@@ -23,10 +27,17 @@ func BytesToBits(data []byte) []Bit {
 // BitsToBytes packs bits (MSB first) into bytes. The bit count must be a
 // multiple of 8.
 func BitsToBytes(bits []Bit) ([]byte, error) {
+	return BitsToBytesInto(nil, bits)
+}
+
+// BitsToBytesInto is BitsToBytes writing into dst's backing array when
+// it is large enough.
+func BitsToBytesInto(dst []byte, bits []Bit) ([]byte, error) {
 	if len(bits)%8 != 0 {
 		return nil, fmt.Errorf("phy: bit count %d not a multiple of 8", len(bits))
 	}
-	out := make([]byte, len(bits)/8)
+	out := dsp.Grow(dst, len(bits)/8)
+	clear(out)
 	for i, b := range bits {
 		if b > 1 {
 			return nil, fmt.Errorf("phy: bit %d has non-binary value %d", i, b)

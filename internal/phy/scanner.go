@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"math"
-
-	"pab/internal/dsp"
-)
+import "pab/internal/dsp"
 
 // ScanHit is one preamble correlation peak found by a SyncScanner.
 type ScanHit struct {
@@ -38,14 +34,15 @@ type ScanHit struct {
 // buffers, so a streaming receiver can recycle scanners instead of
 // rebuilding their correlation scratch per stream.
 type SyncScanner struct {
-	corr      *dsp.StepCorrelator // holds its prefix-sum scratch across Scans
+	corr      *dsp.StepCorrelator
+	scan      dsp.ScanScratch // the correlator's sliding window, kept across Scans
 	spb       int
 	threshold float64
 	carry     []float64
 	nCarry    int
 	next      int64 // global index of the next sample to be fed
 	buf       []float64
-	scores    []float64
+	above     []dsp.LagScore
 	hits      []ScanHit
 }
 
@@ -74,8 +71,8 @@ func (s *SyncScanner) Threshold() float64 { return s.threshold }
 
 // Reset returns the scanner to its just-built state: the next Scan
 // starts a new stream at global index 0 with no carried history, and
-// reports what a fresh scanner would. The carry, sample buffer, scores
-// and the correlator's prefix sums keep their storage.
+// reports what a fresh scanner would. The carry, sample buffer, hit
+// buffers and the correlator's scan window keep their storage.
 func (s *SyncScanner) Reset() {
 	s.nCarry = 0
 	s.next = 0
@@ -98,14 +95,12 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 	copy(buf, s.carry[:s.nCarry])
 	copy(buf[s.nCarry:], block)
 	if need >= s.corr.Len() {
-		s.scores = s.corr.Correlate(s.scores, buf)
+		s.above, _ = s.corr.Scan(&s.scan, s.above[:0], buf, s.threshold, nil)
 		base := s.next - int64(s.nCarry)
 		hits := s.hits
-		for i, v := range s.scores {
-			if math.Abs(v) >= s.threshold {
-				//pablint:ignore allocloop hits reuses the scanner's buffer; a realloc happens at most once per scanner lifetime, not per sample
-				hits = append(hits, ScanHit{Index: base + int64(i), Corr: v})
-			}
+		for _, l := range s.above {
+			//pablint:ignore allocloop hits reuses the scanner's buffer; a realloc happens at most once per scanner lifetime, not per sample
+			hits = append(hits, ScanHit{Index: base + int64(l.Lag), Corr: l.Score})
 		}
 		s.hits = hits
 	}

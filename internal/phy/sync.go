@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -33,6 +34,10 @@ type Sync struct {
 	PayloadIndex int
 }
 
+// ErrNoPreamble is a detector's miss: no lag's |correlation| reached
+// the threshold. It is a constant, so a miss costs no allocation.
+var ErrNoPreamble = errors.New("phy: no preamble found")
+
 // DetectPacket locates the start of an FM0 packet in a baseband
 // amplitude waveform by normalised cross-correlation against the encoded
 // preamble, resolving FM0's polarity ambiguity from the correlation sign.
@@ -50,9 +55,14 @@ func DetectPacket(wave []float64, m *FM0, threshold float64) (Sync, error) {
 // strongest first, separated by at least minSeparation samples (default:
 // one preamble length). Multiple candidates let a receiver disambiguate
 // when payload structure correlates with the preamble template as well —
-// it can test each candidate and keep the one that decodes.
+// it can test each candidate and keep the one that decodes. A miss
+// wraps ErrNoPreamble with the best |correlation| found.
 func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, minSeparation int) ([]Sync, error) {
-	return NewDetector(m).Candidates(wave, threshold, maxK, minSeparation)
+	out, best, err := NewDetector(m).candidates(wave, threshold, maxK, minSeparation)
+	if errors.Is(err, ErrNoPreamble) {
+		return nil, fmt.Errorf("%w (best %.3f < threshold %.3f)", err, best, threshold)
+	}
+	return out, err
 }
 
 // Detector runs DetectPacketCandidates repeatedly for one FM0
@@ -66,15 +76,19 @@ type Detector struct {
 }
 
 // DetectScratch is the working memory of Detector.Candidates: the
-// correlator's prefix sums, the scores, the lags above the threshold
-// and the returned candidates. Detectors that never run at once — one
-// receiver's detectors for several bitrates — can share one, so only
-// one recording-length copy stays alive.
+// correlator's sliding scan window, the lags whose |correlation|
+// reached the threshold that a pick can still reach, and the returned
+// candidates. For up to maxSureRanks picks that is about a scan block
+// and two preambles of lags, whatever the waveform's length. Detectors
+// that never run at once — one receiver's detectors for several
+// bitrates — can share one.
 type DetectScratch struct {
-	prefix dsp.PrefixSums
-	scores []float64
-	above  []int
-	out    []Sync
+	scan  dsp.ScanScratch
+	above []dsp.LagScore
+	out   []Sync
+	// dropUnpickable's sliding window and marks, one per kept lag.
+	win  []int32
+	mark []byte
 }
 
 // NewDetector returns a detector for m's encoding of the preamble,
@@ -87,15 +101,23 @@ func NewSharedDetector(m *FM0, s *DetectScratch) *Detector {
 	return &Detector{m: m, corr: preambleCorrelator(m), s: s}
 }
 
-// Candidates is DetectPacketCandidates on the detector's FM0. The
+// Candidates is DetectPacketCandidates on the detector's FM0, except
+// that a miss returns ErrNoPreamble itself, without allocating. The
 // returned slice is the scratch's: the next Candidates call on any
 // detector sharing it overwrites it, so copy anything kept longer.
 func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, error) {
+	out, _, err := d.candidates(wave, threshold, maxK, minSeparation)
+	return out, err
+}
+
+// candidates is Candidates, also returning the best |correlation| of
+// any lag for a miss's message.
+func (d *Detector) candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, float64, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(wave))
 	m, cc, s := d.m, d.corr, d.s
 	if len(wave) < cc.Len() {
-		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
+		return nil, 0, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
 	}
 	if maxK < 1 {
 		maxK = 1
@@ -103,42 +125,36 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 	if minSeparation <= 0 {
 		minSeparation = cc.Len()
 	}
-	corr := cc.CorrelateWith(&s.prefix, s.scores, wave)
-	s.scores = corr
 	// FM0's start level is unknown, so the preamble may appear inverted:
-	// search |corr| and recover the polarity from the sign. Only lags at
-	// or above the threshold can be picked — a few percent of a coarse
-	// projection — so the greedy search walks those alone, dropping the
-	// ones within minSeparation of each pick.
-	nAbove := 0
-	for _, v := range corr {
-		if math.Abs(v) >= threshold {
-			nAbove++
+	// the scan keeps the lags whose |corr| reaches the threshold, and
+	// the polarity comes from the sign. Only those lags can be picked,
+	// so the greedy search walks them alone, dropping the ones within
+	// minSeparation of each pick. On a coarse projection nearly half the
+	// lags reach the threshold, so whenever the kept list has doubled
+	// since it was last pruned, the lags no pick can reach are dropped.
+	pruneAt := 0
+	above, best := cc.Scan(&s.scan, s.above[:0], wave, threshold, func(kept []dsp.LagScore, scored int) []dsp.LagScore {
+		if len(kept) < pruneAt {
+			return kept
 		}
-	}
-	above := dsp.Grow(s.above, nAbove)
+		kept = s.dropUnpickable(kept, scored, minSeparation, maxK)
+		pruneAt = 2*len(kept) + pruneSlack
+		return kept
+	})
 	s.above = above
-	nAbove = 0
-	for i, v := range corr {
-		if math.Abs(v) >= threshold {
-			above[nAbove] = i
-			nAbove++
-		}
-	}
 	out := dsp.Grow(s.out, maxK)
 	s.out = out
 	n := 0
 	for ; n < maxK; n++ {
-		bestIdx, bestAbs := -1, threshold
-		for _, i := range above {
-			if a := math.Abs(corr[i]); a >= bestAbs {
-				bestIdx, bestAbs = i, a
+		bestIdx, bestAbs, val := -1, threshold, 0.0
+		for _, l := range above {
+			if a := math.Abs(l.Score); a >= bestAbs {
+				bestIdx, bestAbs, val = l.Lag, a, l.Score
 			}
 		}
 		if bestIdx < 0 {
 			break
 		}
-		val := corr[bestIdx]
 		start := 1.0
 		if val < 0 {
 			start = -1
@@ -151,9 +167,9 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 			PayloadIndex: bestIdx + len(PreambleBits)*m.SamplesPerBit,
 		}
 		kept := 0
-		for _, i := range above {
-			if i < bestIdx-minSeparation || i >= bestIdx+minSeparation {
-				above[kept] = i
+		for _, l := range above {
+			if l.Lag < bestIdx-minSeparation || l.Lag >= bestIdx+minSeparation {
+				above[kept] = l
 				kept++
 			}
 		}
@@ -162,13 +178,134 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 	out = out[:n]
 	if len(out) == 0 {
 		telemetry.Inc(telemetry.MPhySyncMissesTotal)
-		_, best := dsp.ArgMaxAbs(corr)
-		return nil, fmt.Errorf("phy: no preamble found (best %.3f < threshold %.3f)", math.Abs(best), threshold)
+		return nil, best, ErrNoPreamble
 	}
 	telemetry.Inc(telemetry.MPhySyncDetectsTotal)
 	telemetry.ObserveN(telemetry.MPhySyncCandidates, telemetry.DefCountBuckets, float64(len(out)))
 	telemetry.ObserveN(telemetry.MPhySyncPeak, syncPeakBuckets, out[0].Score)
-	return out, nil
+	return out, best, nil
+}
+
+// pruneSlack is how many kept lags Candidates lets accumulate past twice
+// the last pruned count before it prunes again.
+const pruneSlack = 1024
+
+// maxSureRanks bounds the picks for which dropUnpickable also applies
+// its rank floor (see there).
+const maxSureRanks = 16
+
+// outranks reports whether the greedy search picks a before b: the
+// larger |score| first, and of equal ones the later lag.
+func outranks(a, b dsp.LagScore) bool {
+	x, y := math.Abs(a.Score), math.Abs(b.Score)
+	return x > y || x >= y && a.Lag > b.Lag
+}
+
+// Marks dropOnce keeps per kept lag; the zero mark keeps the lag.
+const (
+	sure byte = iota + 1 // picked, or reached only after the search's last pick
+	drop                 // never picked
+)
+
+// dropUnpickable removes from kept, sorted by lag, lags the greedy
+// search of Candidates — up to maxK picks, sep apart — can never pick,
+// whatever the lags from scored on (not yet scored) turn out to be.
+// A pick p drops the lags in [p−sep, p+sep), so only a pick in
+// (l−sep, l+sep] can drop l. A lag l that outranks every other kept lag
+// there is therefore sure: the search reaches it before anything that
+// could drop it, and picks it unless it has already made maxK picks.
+// So a lag is never picked when a sure lag outranks it within
+// [l−sep, l+sep), or when maxK sure lags outrank it anywhere. Dropping
+// such lags changes no pick. Repeating until nothing drops leaves
+// little besides the sure lags and the last 2·sep lags scored.
+func (s *DetectScratch) dropUnpickable(kept []dsp.LagScore, scored, sep, maxK int) []dsp.LagScore {
+	for {
+		n := len(kept)
+		kept = s.dropOnce(kept, scored, sep, maxK)
+		if len(kept) == n {
+			return kept
+		}
+	}
+}
+
+// dropOnce is one pass of dropUnpickable: it marks the sure lags with
+// a sliding-window maximum, then drops what they outrank.
+func (s *DetectScratch) dropOnce(kept []dsp.LagScore, scored, sep, maxK int) []dsp.LagScore {
+	s.win = dsp.Grow(s.win, len(kept))
+	s.mark = dsp.Grow(s.mark, len(kept))
+	win, mark := s.win, s.mark
+	clear(mark)
+	// win[head:tail] holds the kept indices in (l−sep, l+sep] that no
+	// later one there outranks, best first: its head is the window's
+	// best lag.
+	head, tail, next := 0, 0, 0
+	// top holds the best sure lags, best first, up to maxK of them.
+	var topBuf [maxSureRanks]dsp.LagScore
+	top := topBuf[:0]
+	anySure := false
+	for i, l := range kept {
+		if l.Lag+sep >= scored {
+			break // its window is not all scored yet
+		}
+		for ; next < len(kept) && kept[next].Lag <= l.Lag+sep; next++ {
+			for tail > head && outranks(kept[next], kept[win[tail-1]]) {
+				tail--
+			}
+			win[tail] = int32(next)
+			tail++
+		}
+		for kept[win[head]].Lag <= l.Lag-sep {
+			head++
+		}
+		if int(win[head]) != i {
+			continue
+		}
+		mark[i] = sure
+		anySure = true
+		if maxK <= maxSureRanks && (len(top) < maxK || outranks(l, top[len(top)-1])) {
+			if len(top) < maxK {
+				top = top[:len(top)+1]
+			}
+			k := len(top) - 1
+			for ; k > 0 && outranks(l, top[k-1]); k-- {
+				top[k] = top[k-1]
+			}
+			top[k] = l
+		}
+	}
+	if !anySure {
+		return kept
+	}
+	from := 0 // first kept index a sure lag's range can reach
+	for i, l := range kept {
+		if mark[i] != sure {
+			continue
+		}
+		for kept[from].Lag < l.Lag-sep {
+			from++
+		}
+		for k := from; k < len(kept) && kept[k].Lag < l.Lag+sep; k++ {
+			if k != i && outranks(l, kept[k]) {
+				mark[k] = drop
+			}
+		}
+	}
+	if len(top) == maxK {
+		floor := top[maxK-1]
+		for k, l := range kept {
+			if outranks(floor, l) {
+				mark[k] = drop
+			}
+		}
+	}
+	n := 0
+	for i, l := range kept {
+		if mark[i] != drop {
+			kept[n] = l
+			n++
+		}
+	}
+	return kept[:n]
 }
 
 // finalLevel is the FM0 level after bits, encoded from start (+1 or
@@ -227,19 +364,39 @@ func CorrectCFO(bb []complex128, cfo, fs float64) []complex128 {
 }
 
 // CorrectCFOInto is CorrectCFO writing into dst's backing array when it
-// is large enough. dst must not overlap bb.
+// is large enough. dst may be bb itself, which corrects bb in place,
+// but must not otherwise overlap it.
 func CorrectCFOInto(dst, bb []complex128, cfo, fs float64) []complex128 {
 	out := dsp.Grow(dst, len(bb))
 	if fs <= 0 {
 		copy(out, bb)
 		return out
 	}
-	w := -2 * math.Pi * cfo / fs
+	rot := NewDerotator(cfo, fs)
 	for i, v := range bb {
-		ph := w * float64(i)
-		out[i] = v * complex(math.Cos(ph), math.Sin(ph))
+		out[i] = v * rot.At(i)
 	}
 	return out
+}
+
+// Derotator is the rotation CorrectCFO applies, in radians per sample.
+type Derotator float64
+
+// NewDerotator returns the rotation that removes an offset of cfo Hz
+// at sample rate fs, or none when fs ≤ 0.
+func NewDerotator(cfo, fs float64) Derotator {
+	if fs <= 0 {
+		return 0
+	}
+	return Derotator(-2 * math.Pi * cfo / fs)
+}
+
+// At returns the unit phasor CorrectCFO multiplies sample i by.
+// math.Sincos shares one argument reduction between the two and
+// returns the bits math.Cos and math.Sin do.
+func (w Derotator) At(i int) complex128 {
+	sin, cos := math.Sincos(float64(w) * float64(i))
+	return complex(cos, sin)
 }
 
 // MeasureSNR estimates the decision-point SNR (linear power ratio) of a

@@ -210,3 +210,26 @@ func Do(ctx context.Context, fn func(), kv ...string) {
 	}
 	pprof.Do(ctx, pprof.Labels(kv...), func(context.Context) { fn() })
 }
+
+// Labels is a pprof label set bound to a context once, for a stage
+// whose labels never change: Do with it allocates nothing, where the
+// package-level Do builds the label set and its context on every call.
+type Labels struct{ ctx context.Context }
+
+// NewLabels returns the label set of the key/value pairs kv.
+func NewLabels(kv ...string) Labels {
+	return Labels{pprof.WithLabels(context.Background(), pprof.Labels(kv...))}
+}
+
+// Do runs fn with the calling goroutine labelled l, and clears the
+// goroutine's labels afterwards, as the package-level Do does with a
+// nil context. When the default registry is disabled, fn runs directly.
+func (l Labels) Do(fn func()) {
+	if !telemetry.Enabled() {
+		fn()
+		return
+	}
+	defer pprof.SetGoroutineLabels(context.Background())
+	pprof.SetGoroutineLabels(l.ctx)
+	fn()
+}
