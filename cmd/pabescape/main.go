@@ -50,10 +50,11 @@ import (
 // variants a Receiver runs in its workspace, the workspace helpers, and
 // the allocating public forms that wrap them; the streaming ingest
 // path a live session runs per chunk, from the PCM conversion through
-// the sync scan to the window decode; and the sample-level exchange
-// synthesis every link job runs, from the projector's query waveform
-// through the multipath renders, the node's envelope filter and the
-// analytic signal's FFTs to RunQuery itself.
+// the sync scan to the window decode, and the FFT kernel behind its
+// carrier search; and the sample-level exchange synthesis every link
+// job runs, from the projector's query waveform and its quadrature
+// through the multipath renders and the node's envelope filter to
+// RunQuery itself.
 var hotFuncs = map[string][]string{
 	"pab/internal/hydrophone": {
 		"Hydrophone.Gain", "Hydrophone.Convert",
@@ -62,7 +63,8 @@ var hotFuncs = map[string][]string{
 		"Downconvert", "DownconvertLP", "DownconvertLPFrom", "DownconvertGatedInto", "DownconvertGatedFrom", "Envelope",
 		"(*StepCorrelator).Scan",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filterInPlace", "(*IIR).filtFiltInPlace", "Decimate",
-		"AnalyticSignal", "fftRadix2", "bitReverse", "fftStages", "radix2Pass", "radix22Pass", "AmplitudeEnvelope",
+		"fftRadix2", "bitReverse", "fftStages", "radix2Pass", "radix22Pass", "AmplitudeEnvelope",
+		"(*Oscillator).NextSincos", "AnalyticSine",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).DecodeInto", "(*FM0).EncodeTemplate",

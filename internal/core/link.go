@@ -221,6 +221,20 @@ type ExchangeResult struct {
 	DecodeGate int
 }
 
+// processingMargin is the node's turnaround from decoding a query to
+// backscattering its reply.
+const processingMargin = 0.03
+
+// queryTail returns the seconds of continuous carrier the projector
+// sends after a query: the uplink budget — preamble plus the largest
+// expected frame at the node's bitrate, with 30% slack — and a
+// turnaround on either side.
+func (l *Link) queryTail() float64 {
+	uplinkBits := len(phy.PreambleBits) + frame.DataFrameBitLength(l.cfg.MaxReplyPayload)
+	uplinkSeconds := float64(uplinkBits) / l.node.Bitrate() * 1.3
+	return uplinkSeconds + 2*processingMargin
+}
+
 // RunQuery performs one complete interrogation cycle at the sample
 // level: PWM query downlink, node decode, FM0 backscatter uplink,
 // hydrophone decode. The node must already be powered (use PowerUp).
@@ -237,16 +251,11 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	telemetry.Inc(telemetry.MCoreLinkQueriesTotal)
 	res := &ExchangeResult{Sent: q, UplinkBER: 1}
 
-	// Uplink budget: preamble + the largest expected frame at the
-	// node's bitrate.
-	uplinkBits := len(phy.PreambleBits) + frame.DataFrameBitLength(l.cfg.MaxReplyPayload)
-	uplinkSeconds := float64(uplinkBits) / l.node.Bitrate() * 1.3
-	const processingMargin = 0.03 // node decode → backscatter turnaround
-	tail := uplinkSeconds + 2*processingMargin
+	tail := l.queryTail()
 
-	// 1. Downlink waveform.
+	// 1. Downlink waveform and its quadrature.
 	spStage := sp.Child("modulate")
-	x, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail)
+	x, xq, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail)
 	spStage.Attr("samples", len(x)).End()
 	if err != nil {
 		return nil, err
@@ -254,11 +263,14 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	nx := len(x)
 	queryEndX := nx - int(tail*l.cfg.SampleRate) // end of PWM section
 
-	// 2. Field at the node, and the direct path to the hydrophone, so
-	// the projector waveform is dead before the node's analytic signal.
+	// 2. Complex field at the node. The channel is real and linear, so
+	// it carries the waveform and its quadrature to the field's two
+	// rails. Each recording-length buffer dies at its last use: the
+	// quadrature here, the field's rails at the reflection, the
+	// waveform at the direct path.
 	spStage = sp.Child("project")
+	qNode := l.irPN.Apply(xq)
 	pNode := l.irPN.Apply(x)
-	direct := l.irPH.Apply(x)
 	spStage.End()
 
 	// 3. Node-side envelope decode of the query.
@@ -283,29 +295,26 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	l.trackHarvest(pNode, nx)
 	spRect.Attr("cap_voltage", l.node.CapVoltage()).End()
 
-	// The reflection coefficient is complex (magnitude and phase); apply
-	// it to the narrowband field via the analytic signal, which holds its
-	// own copy of the field, so the reflection overwrites pNode.
-	aNode := dsp.AnalyticSignal(pNode)
-	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
-	reflected := pNode
-	for i := range reflected {
-		reflected[i] = real(absorbGain * aNode[i])
-	}
-
+	// The node's reply switches its load from sample start on.
+	var states []piezo.SwitchState
+	start := 0
+	midFrameBrownout := false
 	if res.NodeDecodedQuery {
 		bits, err := l.node.HandleQuery(decodedQ)
-		if err == nil && bits != nil {
+		if err != nil {
+			spStage.End()
+			return nil, err
+		}
+		if bits != nil {
 			res.UplinkBits = bits
-			states, err := l.node.StartBackscatter(bits, l.cfg.SampleRate)
+			states, err = l.node.StartBackscatter(bits, l.cfg.SampleRate)
 			if err != nil {
 				return nil, err
 			}
 			// The uplink starts after the node finishes decoding plus a
 			// turnaround, offset by the propagation delay to the node.
 			delayPN := int(l.irPN.Taps[0].DelaySeconds * l.cfg.SampleRate)
-			start := queryEndX + delayPN + int(processingMargin*l.cfg.SampleRate)
-			midFrameBrownout := false
+			start = queryEndX + delayPN + int(processingMargin*l.cfg.SampleRate)
 			if l.fault != nil {
 				ulStart := l.fault.Now() + float64(start)/l.cfg.SampleRate
 				ulDur := float64(len(states)) / l.cfg.SampleRate
@@ -319,39 +328,45 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 					telemetry.Inc(telemetry.MCoreFaultMidframeBrownoutsTotal)
 				}
 			}
-			reflGain := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
-			// The resonator's stored energy slews the reflection between
-			// states over its ring time τ rather than instantaneously —
-			// the high-bitrate limiter of Fig 8.
-			tau := l.node.FrontEnd().ResponseTimeConstant()
-			alpha := 1 - math.Exp(-1/(tau*l.cfg.SampleRate))
-			gSmooth := absorbGain
-			for i, s := range states {
-				idx := start + i
-				if idx >= len(reflected) {
-					break
-				}
-				g := absorbGain
-				if s == piezo.Reflective {
-					g = reflGain
-				}
-				gSmooth += complex(alpha, 0) * (g - gSmooth)
-				reflected[idx] = real(gSmooth * aNode[idx])
+		}
+	}
+
+	// The reflection coefficient Γ is complex (magnitude and phase), so
+	// the reflected wave is real(Γ·field). Γ is the absorptive load's
+	// but during the reply, where the resonator's stored energy slews it
+	// between the two loads' over its ring time τ rather than
+	// instantaneously — the high-bitrate limiter of Fig 8. Each sample
+	// of the field is read before the reflection overwrites it.
+	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
+	reflGain := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
+	tau := l.node.FrontEnd().ResponseTimeConstant()
+	alpha := complex(1-math.Exp(-1/(tau*l.cfg.SampleRate)), 0)
+	gSmooth := absorbGain
+	reflected := pNode
+	for i, p := range pNode {
+		g := absorbGain
+		if k := i - start; k >= 0 && k < len(states) {
+			target := absorbGain
+			if states[k] == piezo.Reflective {
+				target = reflGain
 			}
-			if midFrameBrownout {
-				l.node.ForceBrownout()
-			} else {
-				l.node.FinishBackscatter()
-			}
-		} else if err != nil {
-			spStage.End()
-			return nil, err
+			gSmooth += alpha * (target - gSmooth)
+			g = gSmooth
+		}
+		reflected[i] = real(g * complex(p, qNode[i]))
+	}
+	if res.UplinkBits != nil {
+		if midFrameBrownout {
+			l.node.ForceBrownout()
+		} else {
+			l.node.FinishBackscatter()
 		}
 	}
 	spStage.End() // piezo
 
 	// 5. Hydrophone field: direct downlink + node reflections + noise.
 	spStage = sp.Child("channel")
+	direct := l.irPH.Apply(x)
 	if l.cfg.NodeRadialSpeedMS != 0 {
 		reflected = dopplerScale(reflected, l.cfg.NodeRadialSpeedMS, l.cfg.Tank.Water.SoundSpeed())
 	}
@@ -482,26 +497,21 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 		return nil, fmt.Errorf("core: toggle rate %g Hz needs a %g Hz demodulation cutoff, at or above fs/2=%g", toggleHz, demodCut, fs/2)
 	}
 	halfPeriod := int(fs / (2 * toggleHz))
-	n := int(total * fs)
-	x := make([]float64, n)
 	amp := l.proj.PressureAmplitude(l.cfg.DriveV, l.cfg.CarrierHz)
-	osc := dsp.NewOscillator(l.cfg.CarrierHz, fs)
-	txIdx := int(txStart * fs)
-	for i := txIdx; i < n; i++ {
-		x[i] = amp * osc.Next()
-	}
+	x, xq := switchedCW(amp, l.cfg.CarrierHz, fs, int(txStart*fs), int(total*fs))
+	// The node's complex field and its reflection, as in RunQuery.
+	qNode := l.irPN.Apply(xq)
 	pNode := l.irPN.Apply(x)
-	aNode := dsp.AnalyticSignal(pNode)
 	absorb := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	refl := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	bsIdx := int(bsStart * fs)
-	reflected := make([]float64, len(pNode))
-	for i := range reflected {
+	reflected := pNode
+	for i, p := range pNode {
 		g := absorb
 		if i >= bsIdx && ((i-bsIdx)/halfPeriod)%2 == 0 {
 			g = refl
 		}
-		reflected[i] = real(g * aNode[i])
+		reflected[i] = real(g * complex(p, qNode[i]))
 	}
 	c := l.cfg.Tank.Water.SoundSpeed()
 	direct := l.applyMaybeMoving(l.irPH, x, c)
@@ -533,6 +543,20 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 		tr.Time[i] = float64(i) / tr.SampleRate
 	}
 	return tr, nil
+}
+
+// switchedCW returns both rails of the analytic signal of a carrier of
+// amplitude amp at f Hz, silent before sample on and running to sample
+// n: amp·sin θ and −amp·cos θ, with θ counting from sample on.
+func switchedCW(amp, f, fs float64, on, n int) (wave, quad []float64) {
+	wave, quad = make([]float64, n), make([]float64, n)
+	osc := dsp.NewOscillator(f, fs)
+	for i := on; i < n; i++ {
+		sin, cos := osc.NextSincos()
+		wave[i] = amp * sin
+		quad[i] = -amp * cos
+	}
+	return wave, quad
 }
 
 // applyMaybeMoving renders a waveform through an impulse response,

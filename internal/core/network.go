@@ -154,14 +154,14 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 	payLen := cfg.PayloadBits * spb
 	total := settle + 2*trainLen + payLen + int(0.05*fs)
 
-	// Dual-tone downlink.
-	x := make([]float64, 0, total)
-	tone := func(f float64) []float64 {
-		return dsp.Sine(proj.PressureAmplitude(cfg.DriveV, f), f, fs, 0, total)
+	// Dual-tone downlink, with each tone's quadrature for the field at
+	// the nodes.
+	tone := func(f float64) (wave, quad []float64) {
+		return dsp.AnalyticSine(proj.PressureAmplitude(cfg.DriveV, f), f, fs, 0, total)
 	}
-	x1 := tone(cfg.Carriers[0])
-	x2 := tone(cfg.Carriers[1])
-	x = make([]float64, total)
+	x1, x1q := tone(cfg.Carriers[0])
+	x2, x2q := tone(cfg.Carriers[1])
+	x := make([]float64, total)
 	copy(x, x1)
 	dsp.Add(x, x2)
 
@@ -196,8 +196,9 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 	reflected := make([]float64, total) // reused across nodes; fully rewritten each pass
 	for k := 0; k < 2; k++ {
 		fe := nodes[k].FrontEnd()
-		aTone1 := dsp.AnalyticSignal(irPN[k].Apply(x1))
-		aTone2 := dsp.AnalyticSignal(irPN[k].Apply(x2))
+		// The node's complex field per tone, as in RunQuery.
+		p1, q1 := irPN[k].Apply(x1), irPN[k].Apply(x1q)
+		p2, q2 := irPN[k].Apply(x2), irPN[k].Apply(x2q)
 		gains := [2][2]complex128{}
 		for t, f := range cfg.Carriers {
 			gains[t][0] = fe.ReflectionCoeff(piezo.Absorptive, f)
@@ -215,7 +216,7 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 			}
 			g1 += alpha * (gains[0][state] - g1)
 			g2 += alpha * (gains[1][state] - g2)
-			reflected[i] = real(g1*aTone1[i] + g2*aTone2[i])
+			reflected[i] = real(g1*complex(p1[i], q1[i]) + g2*complex(p2[i], q2[i]))
 		}
 		scat := irNH[k].Apply(reflected)
 		if len(scat) > len(y) {

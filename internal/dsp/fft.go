@@ -12,14 +12,15 @@
 // also bound their memory: StepCorrelator.Scan keeps prefix sums over
 // one block of lags plus the template, and DownconvertGatedFrom takes
 // its input a block at a time, so neither holds a recording-length
-// copy of its input. The
-// FFTs still serve carrier search, long FIR convolutions and, on the
-// synthesis side, the analytic signal: two 2^17-point transforms per
-// sample-level exchange, the largest single cost of building one. The
-// radix-2 kernel is therefore scheduled for the cache (block-by-block
-// early stages, fused stage pairs, twiddles evaluated once per call)
-// while computing every butterfly and twiddle exactly as the textbook
-// loop does, so its output is bit-identical to it.
+// copy of its input. On the synthesis side no FFT runs either: the
+// node's complex field comes from the carrier's quadrature rail
+// (Oscillator.NextSincos, AnalyticSine), not from a 2^17-point analytic
+// signal. The FFTs serve carrier search (FindPeaks), long FIR
+// convolutions and spectrograms. The radix-2 kernel is scheduled for
+// the cache (block-by-block early stages, fused stage pairs, twiddles
+// evaluated once per call) while computing every butterfly and twiddle
+// exactly as the textbook loop does, so its output is bit-identical to
+// it.
 package dsp
 
 import (
@@ -91,8 +92,8 @@ func FFTReal(x []float64) []complex128 {
 // It is the iterative radix-2 Cooley-Tukey transform: a bit-reversal
 // permutation, then log2(n) stages of butterflies, the stage of half h
 // with twiddles w_k = w_{k-1}·e^{∓iπ/h} from w_0 = 1. The schedule is
-// tuned for the 2^17-point transforms of the analytic signal, with no
-// change to any butterfly or twiddle value:
+// tuned for long transforms, such as a whole recording's carrier
+// search, with no change to any butterfly or twiddle value:
 //   - each stage's twiddles come from that one recurrence, evaluated
 //     once per call instead of once per block, so the multiply chain is
 //     off the butterflies' critical path;
@@ -467,43 +468,6 @@ func validateLength(n int, what string) error {
 		return fmt.Errorf("dsp: %s length must be positive, got %d", what, n)
 	}
 	return nil
-}
-
-// AnalyticSignal returns the complex analytic signal of x via the FFT
-// method (negative frequencies zeroed, positive doubled): its real part
-// is x and its imaginary part the Hilbert transform. Narrowband
-// backscatter applies a complex reflection coefficient to the carrier —
-// magnitude scales and phase shifts — which is exactly multiplication of
-// the analytic signal.
-//
-// The result is the first len(x) elements of the transform's own
-// buffer, so its backing array has the padded power-of-two length
-// (cap(result) = NextPow2(len(x))).
-func AnalyticSignal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	m := NextPow2(n)
-	buf := make([]complex128, m)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	fftRadix2(buf, false)
-	// Keep DC and Nyquist, double positive frequencies, zero negatives.
-	for k := 1; k < m/2; k++ {
-		buf[k] *= 2
-	}
-	for k := m/2 + 1; k < m; k++ {
-		buf[k] = 0
-	}
-	fftRadix2(buf, true)
-	inv := complex(1/float64(m), 0)
-	out := buf[:n]
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 // Spectrogram computes the magnitude STFT of x: frames of winLen samples

@@ -256,72 +256,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestAnalyticSignalRealPart(t *testing.T) {
-	// Re{analytic(x)} == x for any real signal.
-	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, 1000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	a := AnalyticSignal(x)
-	if len(a) != len(x) {
-		t.Fatalf("length %d, want %d", len(a), len(x))
-	}
-	for i := range x {
-		if math.Abs(real(a[i])-x[i]) > 1e-9 {
-			t.Fatalf("Re{analytic}[%d] = %g, want %g", i, real(a[i]), x[i])
-		}
-	}
-}
-
-func TestAnalyticSignalQuadrature(t *testing.T) {
-	// analytic(cos) = cos + j·sin = e^{jωt}: constant magnitude, and the
-	// imaginary part is the 90°-lagged copy.
-	fs := 96000.0
-	n := 4096
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * 15000 * float64(i) / fs)
-	}
-	a := AnalyticSignal(x)
-	for i := n / 8; i < 7*n/8; i++ { // away from FFT edge effects
-		mag := cmplx.Abs(a[i])
-		if math.Abs(mag-1) > 0.02 {
-			t.Fatalf("|analytic|[%d] = %g, want ~1", i, mag)
-		}
-		wantIm := math.Sin(2 * math.Pi * 15000 * float64(i) / fs)
-		if math.Abs(imag(a[i])-wantIm) > 0.02 {
-			t.Fatalf("Im[%d] = %g, want %g", i, imag(a[i]), wantIm)
-		}
-	}
-}
-
-func TestAnalyticSignalPhaseShift(t *testing.T) {
-	// Multiplying the analytic signal by e^{jφ} phase-shifts the carrier:
-	// Re{e^{jπ/2}·analytic(cos)} = −sin.
-	fs := 96000.0
-	n := 4096
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * 12000 * float64(i) / fs)
-	}
-	a := AnalyticSignal(x)
-	rot := cmplx.Exp(complex(0, math.Pi/2))
-	for i := n / 8; i < 7*n/8; i++ {
-		got := real(rot * a[i])
-		want := -math.Sin(2 * math.Pi * 12000 * float64(i) / fs)
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("rotated[%d] = %g, want %g", i, got, want)
-		}
-	}
-}
-
-func TestAnalyticSignalEmpty(t *testing.T) {
-	if AnalyticSignal(nil) != nil {
-		t.Error("AnalyticSignal(nil) should be nil")
-	}
-}
-
 func TestSpectrogramLocatesToneBursts(t *testing.T) {
 	fs := 96000.0
 	n := 16384

@@ -24,11 +24,27 @@ func NewOscillator(f, fs float64) *Oscillator {
 // Next returns sin(phase) and advances one sample.
 func (o *Oscillator) Next() float64 {
 	v := math.Sin(o.phase)
+	o.advance()
+	return v
+}
+
+// NextSincos returns sin(phase) and cos(phase) and advances one sample
+// as Next does; the sine is Next's bit for bit (math.Sincos returns the
+// bits math.Sin and math.Cos do). A carrier amp·sin θ keyed by a slow
+// level has the analytic signal level·amp·(sin θ − j·cos θ), so the
+// pair yields both of its rails.
+func (o *Oscillator) NextSincos() (sin, cos float64) {
+	sin, cos = math.Sincos(o.phase)
+	o.advance()
+	return sin, cos
+}
+
+// advance steps the phase one sample, wrapping it past 2π.
+func (o *Oscillator) advance() {
 	o.phase += 2 * math.Pi * o.freq / o.fs
 	if o.phase > 2*math.Pi {
 		o.phase -= 2 * math.Pi
 	}
-	return v
 }
 
 // Sine synthesises amplitude·sin(2πft + phase) sampled at fs for n samples.
@@ -39,6 +55,20 @@ func Sine(amplitude, f, fs, phase float64, n int) []float64 {
 		out[i] = amplitude * math.Sin(w*float64(i)+phase)
 	}
 	return out
+}
+
+// AnalyticSine returns the analytic signal of Sine(amplitude, f, fs,
+// phase, n) as its two rails: re is Sine's output bit for bit and im,
+// its Hilbert transform, is −amplitude·cos(2πft + phase).
+func AnalyticSine(amplitude, f, fs, phase float64, n int) (re, im []float64) {
+	re, im = make([]float64, n), make([]float64, n)
+	w := 2 * math.Pi * f / fs
+	for i := range re {
+		sin, cos := math.Sincos(w*float64(i) + phase)
+		re[i] = amplitude * sin
+		im[i] = -amplitude * cos
+	}
+	return re, im
 }
 
 // Downconvert mixes the real passband signal x (sample rate fs) down by

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The tests in this file compare the FFT kernel, the analytic signal
+// The tests in this file compare the FFT kernel
 // and the IIR filters bit for bit (math.Float64bits) with verbatim
 // copies of the code they replaced: the textbook radix-2 loop, which
 // recomputed each stage's twiddle recurrence in every block, and the
@@ -48,35 +48,6 @@ func refFFTRadix2(x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// refAnalyticSignal is the replaced AnalyticSignal, verbatim but for
-// the kernel it calls.
-func refAnalyticSignal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	m := NextPow2(n)
-	buf := make([]complex128, m)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	refFFTRadix2(buf, false)
-	// Keep DC and Nyquist, double positive frequencies, zero negatives.
-	for k := 1; k < m/2; k++ {
-		buf[k] *= 2
-	}
-	for k := m/2 + 1; k < m; k++ {
-		buf[k] = 0
-	}
-	refFFTRadix2(buf, true)
-	inv := complex(1/float64(m), 0)
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = buf[i] * inv
-	}
-	return out
 }
 
 // oracleSignal returns n samples of Gaussian noise with runs of exact
@@ -145,20 +116,6 @@ func TestFFTKernelMatchesReference(t *testing.T) {
 					t.Fatalf("n=2^%d %s inverse=%v: bin %d is %v, reference %v", logN, name, inverse, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestAnalyticSignalMatchesReference covers the recording lengths a
-// sample-level exchange produces (73k–110k samples, padded to 2^17).
-func TestAnalyticSignalMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 3, 1000, 73_000, 86_017, 98_304, 110_000, 131_072} {
-		x := oracleSignal(rng, n)
-		got := AnalyticSignal(x)
-		want := refAnalyticSignal(x)
-		if i := firstComplexMismatch(got, want); i >= 0 {
-			t.Fatalf("n=%d: sample %d is %v, reference %v", n, i, got[i], want[i])
 		}
 	}
 }

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -347,9 +351,12 @@ func TestMobilityValidation(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/<experiment>.tsv from the runners")
+
 func TestAllRunnersEndToEnd(t *testing.T) {
 	// Every registered experiment produces a well-formed TSV through the
-	// dispatcher — the exact path the pabsim CLI and benches use. Heavy
+	// dispatcher — the exact path the pabsim CLI and benches use — equal
+	// to its committed testdata/<name>.tsv, which -update rewrites. Heavy
 	// generators make this a multi-second test; skip under -short.
 	if testing.Short() {
 		t.Skip("heavy end-to-end runners")
@@ -358,6 +365,19 @@ func TestAllRunnersEndToEnd(t *testing.T) {
 		var buf bytes.Buffer
 		if err := Run(name, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		golden := filepath.Join("testdata", name+".tsv")
+		if *update {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != string(want) {
+			t.Errorf("%s: output differs from %s%s", name, golden, firstLineDiff(got, string(want)))
 		}
 		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 		if len(lines) < 2 {
@@ -373,6 +393,24 @@ func TestAllRunnersEndToEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firstLineDiff describes the first line where got and want differ.
+func firstLineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf(" at line %d:\n got %q\nwant %q", i+1, gl, wl)
+		}
+	}
+	return ""
 }
 
 func TestScalingExtension(t *testing.T) {

@@ -68,10 +68,18 @@ func (p *Projector) CW(driveV, f, duration float64) []float64 {
 // by a continuous carrier tail of tailSeconds during which the node
 // backscatters its reply and harvests (§3.2: PWM "provides ample
 // opportunities for energy harvesting").
-func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64) ([]float64, error) {
+//
+// It returns both rails of the keyed carrier's analytic signal: the
+// waveform level·amp·sin θ and its quadrature −level·amp·cos θ. The
+// keying level changes only every PWM unit, far slower than the
+// carrier, so the quadrature is the waveform's Hilbert transform away
+// from the keying edges, and any linear channel carries the pair to a
+// complex field whose product with a reflection coefficient is the
+// reflected narrowband wave.
+func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64) (wave, quad []float64, err error) {
 	pwm, err := phy.NewPWM(unitSamples)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bits := append(append([]phy.Bit{}, phy.PreambleBits...), frame.Bits(q.Marshal())...)
 	// Lead-in silence lets the node's envelope detector settle so the
@@ -81,20 +89,25 @@ func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tai
 	tail := int(tailSeconds * p.SampleRate)
 	amp := p.PressureAmplitude(driveV, f)
 	osc := dsp.NewOscillator(f, p.SampleRate)
-	out := make([]float64, lead+pwm.EncodedLength(bits)+tail)
+	n := lead + pwm.EncodedLength(bits) + tail
+	wave, quad = make([]float64, n), make([]float64, n)
 	for range lead {
 		osc.Next()
 	}
 	i := lead
 	pwm.Keying(bits, func(level float64, samples int) {
 		for end := i + samples; i < end; i++ {
-			out[i] = level * (amp * osc.Next())
+			sin, cos := osc.NextSincos()
+			wave[i] = level * (amp * sin)
+			quad[i] = -level * (amp * cos)
 		}
 	})
-	for ; i < len(out); i++ {
-		out[i] = amp * osc.Next()
+	for ; i < n; i++ {
+		sin, cos := osc.NextSincos()
+		wave[i] = amp * sin
+		quad[i] = -amp * cos
 	}
-	return out, nil
+	return wave, quad, nil
 }
 
 // Tone describes one component of a multi-tone downlink.
