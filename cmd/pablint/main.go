@@ -1,10 +1,9 @@
 // Command pablint runs the PAB domain lint suite (internal/lint) over
 // the module: the syntactic tier (determinism, floatcmp, unitsafety,
-// telemetryhygiene), the flow tier (nanguard), the concurrency tier
-// (lockdiscipline: defer-less unlock ladders) and the hot-path
-// performance tier (allocloop, invhoist) — the invariants the paper's
-// reproducibility and throughput claims rest on, encoded as
-// machine-checked rules.
+// telemetryhygiene), the flow tier (nanguard) and the concurrency tier
+// (lockdiscipline: defer-less unlock ladders) — the invariants the
+// paper's reproducibility claims rest on, encoded as machine-checked
+// rules.
 //
 //	go run ./cmd/pablint ./...            # whole module
 //	go run ./cmd/pablint ./internal/...   # one subtree

@@ -170,14 +170,12 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 	trainWave := fm0.EncodeTemplate(phy.PreambleBits)
 	schedules := [2][]float64{}
 	for k := 0; k < 2; k++ {
-		//pablint:ignore allocloop per-node payload bits are retained in the result; two iterations of setup code
 		bits := make([]phy.Bit, cfg.PayloadBits)
 		for i := range bits {
 			bits[i] = phy.Bit(rng.Intn(2))
 		}
 		res.PayloadBits[k] = bits
 		payload, _ := fm0.Encode(bits, 1)
-		//pablint:ignore allocloop per-node schedule is retained across the simulation; two iterations of setup code
 		sched := make([]float64, total)
 		// -1 (absorptive) everywhere except own training and payload.
 		for i := range sched {
@@ -220,7 +218,6 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 		}
 		scat := irNH[k].Apply(reflected)
 		if len(scat) > len(y) {
-			//pablint:ignore allocloop grow-once to the longest scatter tail, at most twice over the whole simulation
 			y = append(y, make([]float64, len(scat)-len(y))...)
 		}
 		dsp.Add(y, scat)

@@ -75,6 +75,24 @@ func TestFFTIFFTRoundTripArbitraryN(t *testing.T) {
 	}
 }
 
+// TestFFTKernelAllocs pins the in-place radix-2 kernel behind FFT,
+// PowerSpectrum and FindPeaks at zero allocations, forward and inverse:
+// the plain and tiled bit reversals, the blocked radix-2² passes, and
+// the wide stages with their lone radix-2 pass.
+func TestFFTKernelAllocs(t *testing.T) {
+	for _, n := range []int{16, 1024, 1 << 17} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(float64(i%7)-3, float64(i%5)-2)
+		}
+		for _, inverse := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(3, func() { fftRadix2(x, inverse) }); allocs > 0 {
+				t.Errorf("fftRadix2(%d points, inverse %v): %.0f allocations, want 0", n, inverse, allocs)
+			}
+		}
+	}
+}
+
 func TestBluesteinMatchesRadix2(t *testing.T) {
 	// Zero-padding a power-of-two signal through Bluestein isn't directly
 	// comparable, but a DFT computed naively should match both paths.

@@ -6,58 +6,51 @@ import (
 	"go/types"
 )
 
-// This file is the intraprocedural dataflow engine behind nanguard
-// and the hot-path tier's sample-scaling pass. It computes, per
-// function, a conservative abstract value for every local object
-// (parameter, receiver, named result, local variable, assigned struct
-// field) by iterating the function body to a fixpoint.
+// This file is the intraprocedural dataflow engine behind nanguard. It
+// computes, per function, a conservative taint × sign value (nanguard.go)
+// for every local object (parameter, receiver, named result, local
+// variable, assigned struct field) by iterating the function body to a
+// fixpoint.
 //
 // The engine is deliberately flow-insensitive *within* a function body
 // in the classic "join all assignments" sense: the environment maps
 // each object to the join of every value ever assigned to it, seeded
 // with the domain's initial value for parameters. That is sound for
-// the properties checked here (a value that MIGHT carry unit U, or
-// MIGHT be tainted, keeps that possibility), converges in a handful of
-// passes because the client lattices are shallow, and avoids needing a
-// CFG — branches, loops and gotos all collapse into joins.
+// the property checked here (a value that MIGHT be tainted keeps that
+// possibility), converges in a handful of passes because the lattice
+// is shallow, and avoids needing a CFG — branches, loops and gotos all
+// collapse into joins.
 //
-// Clients implement flowDomain over a comparable abstract value V:
-//
-//	Top      — the "unknown" element; joins absorb into it.
-//	Join     — least upper bound of two values at a merge point.
-//	Seed     — initial value for a parameter/receiver/named result
-//	           (ok=false means "use Top").
-//	Eval     — abstract evaluation of an expression under an
-//	           environment lookup. Must be side-effect free: the
-//	           engine re-evaluates expressions during iteration, so
-//	           reporting happens in a separate client pass after the
-//	           environment is solved.
-//	EvalOp   — binary transfer function, exposed so the engine can
-//	           model augmented assignments (x += e) without
-//	           synthesising AST nodes that lack type info.
-//	EvalRange — element/key values for "for k, v := range x".
-type flowDomain[V comparable] interface {
-	Top() V
-	Join(a, b V) V
-	Seed(obj types.Object) (V, bool)
-	Eval(e ast.Expr, get func(types.Object) V) V
-	EvalOp(op token.Token, x, y V) V
-	EvalRange(x V) (key, val V)
-}
+// The domain supplies the lattice (Join, Seed, with taintTop as the
+// "unknown" element joins absorb into) and the transfer functions:
+// Eval for expressions, EvalOp for binary operators (so the engine can
+// model augmented assignments, x += e, without synthesising AST nodes
+// that lack type info) and EvalRange for "for k, v := range x". Eval
+// must be side-effect free: the engine re-evaluates expressions during
+// iteration, so reporting happens in a separate pass over the solved
+// environment.
 
-// maxFlowIters bounds fixpoint iteration. The client lattices have
-// height ≤ 2 (unknown / known / top-like collapses), so convergence
-// normally takes 2–3 passes; the bound only guards pathological
-// domains.
+// maxFlowIters bounds fixpoint iteration. The lattice has height ≤ 2
+// (unknown / known / top-like collapses), so convergence normally
+// takes 2–3 passes; the bound only guards pathological cases.
 const maxFlowIters = 8
 
 // solveFlow runs the fixpoint for one function body and returns the
-// final environment. Absent objects are ⊥ — reads of them fall back to
-// dom.Seed then dom.Top via the lookup closure handed to Eval.
-func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[V]) map[types.Object]V {
-	env := make(map[types.Object]V)
+// lookup over the final environment. Absent objects are ⊥ — reads of
+// them fall back to dom.Seed, then taintTop.
+func solveFlow(info *types.Info, fn *ast.FuncDecl, dom *taintDomain) func(types.Object) taint {
+	env := make(map[types.Object]taint)
+	get := func(obj types.Object) taint {
+		if v, ok := env[obj]; ok {
+			return v
+		}
+		if v, ok := dom.Seed(obj); ok {
+			return v
+		}
+		return taintTop
+	}
 	if fn.Body == nil {
-		return env
+		return get
 	}
 
 	// Parameters, receiver and named results hold their seed at entry;
@@ -72,11 +65,7 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 				if obj == nil {
 					continue
 				}
-				if v, ok := dom.Seed(obj); ok {
-					env[obj] = v
-				} else {
-					env[obj] = dom.Top()
-				}
+				env[obj] = get(obj)
 			}
 		}
 	}
@@ -84,17 +73,7 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 	seedField(fn.Type.Params)
 	seedField(fn.Type.Results)
 
-	get := func(obj types.Object) V {
-		if v, ok := env[obj]; ok {
-			return v
-		}
-		if v, ok := dom.Seed(obj); ok {
-			return v
-		}
-		return dom.Top()
-	}
-
-	update := func(obj types.Object, v V) bool {
+	update := func(obj types.Object, v taint) bool {
 		if obj == nil {
 			return false
 		}
@@ -119,9 +98,9 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 				switch {
 				case len(x.Rhs) == 1 && len(x.Lhs) > 1:
 					// Tuple assignment (multi-return, map/chan comma-ok):
-					// component values are opaque to the domains.
+					// component values are opaque to the domain.
 					for _, lh := range x.Lhs {
-						if update(lhsObject(info, lh), dom.Top()) {
+						if update(lhsObject(info, lh), taintTop) {
 							changed = true
 						}
 					}
@@ -131,7 +110,7 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 						if obj == nil {
 							continue
 						}
-						var v V
+						var v taint
 						if op, aug := augBinOp(x.Tok); aug {
 							v = dom.EvalOp(op, dom.Eval(x.Lhs[i], get), dom.Eval(x.Rhs[i], get))
 						} else {
@@ -149,7 +128,7 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 					if obj == nil {
 						continue
 					}
-					v := dom.Top()
+					v := taintTop
 					if i < len(x.Values) {
 						v = dom.Eval(x.Values[i], get)
 					}
@@ -172,7 +151,7 @@ func solveFlow[V comparable](info *types.Info, fn *ast.FuncDecl, dom flowDomain[
 			break
 		}
 	}
-	return env
+	return get
 }
 
 // lhsObject resolves an assignable expression to the object it writes:

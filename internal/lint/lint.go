@@ -5,9 +5,8 @@
 // The Go compiler cannot check the properties the paper's headline
 // numbers rest on — bit-identical same-seed runs, unit-consistent
 // physics, a stable telemetry namespace, unlocks that an early return
-// cannot skip, an allocation-free decode loop — so this package
-// encodes them as analyzers, the way large Go codebases ship custom
-// vet passes:
+// cannot skip — so this package encodes them as analyzers, the way
+// large Go codebases ship custom vet passes:
 //
 //   - determinism       — no wall clock, no global math/rand, no
 //     map-iteration-order-dependent results in the deterministic
@@ -23,11 +22,7 @@
 //     unguarded external inputs (NaN/Inf sources), built on the
 //     dataflow engine in dataflow.go;
 //   - lockdiscipline    — defer-less unlock ladders: two or more manual
-//     Unlock paths for one mutex and no deferred unlock;
-//   - allocloop         — allocations inside sample-scaled loops of the
-//     decode chain;
-//   - invhoist          — loop-invariant math, divisions and map loads
-//     recomputed per sample.
+//     Unlock paths for one mutex and no deferred unlock.
 //
 // Findings can be suppressed, with a mandatory reason, by a
 // "//pablint:ignore <rules> <reason>" comment on the offending line,
@@ -95,13 +90,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Tier labels for Analyzer.Tier — the four families the suite grew in
-// (PRs 3, 4, 8, 9), in the order `pablint -list` prints them.
+// Tier labels for Analyzer.Tier — the three families the suite grew
+// in, in the order `pablint -list` prints them.
 const (
 	TierSyntactic   = "syntactic"
 	TierFlow        = "flow"
 	TierConcurrency = "concurrency"
-	TierHotpath     = "hotpath"
 )
 
 // Analyzer is one named rule.
@@ -144,10 +138,6 @@ type Config struct {
 	// EpsilonHelpers maps import path -> function names whose bodies
 	// may compare floats exactly (they implement the tolerance).
 	EpsilonHelpers map[string][]string
-	// HotPkgs are import paths subject to the hot-path performance
-	// rules (allocloop, invhoist) — the sample-rate decode chain, where
-	// per-iteration costs multiply by the recording length.
-	HotPkgs []string
 }
 
 // DefaultConfig returns the configuration for the pab module itself.
@@ -188,14 +178,6 @@ func DefaultConfig() *Config {
 			"pab/internal/units": {"ApproxEqual"},
 			"pab/internal/stats": {"ApproxEqual"},
 		},
-		HotPkgs: []string{
-			"pab/internal/dsp",
-			"pab/internal/phy",
-			"pab/internal/channel",
-			"pab/internal/core",
-			"pab/internal/acoustics",
-			"pab/internal/stream",
-		},
 	}
 }
 
@@ -209,8 +191,6 @@ func (cfg *Config) TargetsFor(rule string) []string {
 		return cfg.PhysicsPkgs
 	case "nanguard":
 		return cfg.FlowPkgs
-	case "allocloop", "invhoist":
-		return cfg.HotPkgs
 	}
 	return nil // module-wide
 }
@@ -224,8 +204,6 @@ func Analyzers(cfg *Config) []*Analyzer {
 		TelemetryHygieneAnalyzer(),
 		NanGuardAnalyzer(),
 		LockDisciplineAnalyzer(),
-		AllocLoopAnalyzer(),
-		InvHoistAnalyzer(),
 	}
 }
 

@@ -193,7 +193,7 @@ func TestSuppression(t *testing.T) {
 func TestRuleInventory(t *testing.T) {
 	want := []string{
 		"determinism", "floatcmp", "unitsafety", "telemetryhygiene",
-		"nanguard", "lockdiscipline", "allocloop", "invhoist",
+		"nanguard", "lockdiscipline",
 	}
 	var got []string
 	for _, a := range Analyzers(DefaultConfig()) {
@@ -306,19 +306,19 @@ func TestDedupeFindings(t *testing.T) {
 func TestDedupeByPosRule(t *testing.T) {
 	pos := token.Position{Filename: "a.go", Line: 3, Column: 7}
 	fs := []Finding{
-		{Pos: pos, Rule: "allocloop", Msg: "make inside loop"},
-		{Pos: pos, Rule: "allocloop", Msg: "same site, second wording"},
-		{Pos: pos, Rule: "invhoist", Msg: "loop-invariant call"},
-		{Pos: token.Position{Filename: "a.go", Line: 4, Column: 7}, Rule: "allocloop", Msg: "make inside loop"},
+		{Pos: pos, Rule: "nanguard", Msg: "division by fs"},
+		{Pos: pos, Rule: "nanguard", Msg: "same site, second wording"},
+		{Pos: pos, Rule: "unitsafety", Msg: "adjacent bare float64 params"},
+		{Pos: token.Position{Filename: "a.go", Line: 4, Column: 7}, Rule: "nanguard", Msg: "division by fs"},
 	}
 	out := DedupeByPosRule(fs)
 	if len(out) != 3 {
 		t.Fatalf("dedupe kept %d findings, want 3: %v", len(out), out)
 	}
-	if out[0].Rule != "allocloop" || out[0].Msg != "make inside loop" {
+	if out[0].Rule != "nanguard" || out[0].Msg != "division by fs" {
 		t.Errorf("first finding should survive, got %v", out[0])
 	}
-	if out[1].Rule != "invhoist" {
+	if out[1].Rule != "unitsafety" {
 		t.Errorf("distinct rule at same position should survive, got %v", out[1])
 	}
 }
@@ -406,22 +406,6 @@ func FuzzParseIgnoreDirective(f *testing.F) {
 			t.Fatalf("directive %q produced non-normalised reason %q", text, reason)
 		}
 	})
-}
-
-// BenchmarkLintHotpath times just the hot-path tier (allocloop,
-// invhoist) over the real module tree; the per-function
-// sample-taint fixpoint is the tier's only superlinear piece, so this
-// isolates its cost from the rest of the suite.
-func BenchmarkLintHotpath(b *testing.B) {
-	prog, cfg, err := loadProgram(filepath.Join("..", ".."))
-	if err != nil {
-		b.Fatal(err)
-	}
-	analyzers := []*Analyzer{AllocLoopAnalyzer(), InvHoistAnalyzer()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunAll(prog, cfg, analyzers)
-	}
 }
 
 // BenchmarkLintTree times the full suite over the real module tree —

@@ -71,8 +71,8 @@ func joinSign(a, b int8) int8 {
 	return signUnknown
 }
 
-// taintDomain implements flowDomain[taint] for one function: the guard
-// set and tainted-parameter set are per-function.
+// taintDomain is the dataflow engine's domain (dataflow.go) for one
+// function: the guard set and tainted-parameter set are per-function.
 type taintDomain struct {
 	pkg     *Package
 	info    *types.Info
@@ -169,8 +169,6 @@ func isComparisonOp(op token.Token) bool {
 	}
 	return false
 }
-
-func (d *taintDomain) Top() taint { return taintTop }
 
 func (d *taintDomain) Join(a, b taint) taint {
 	return taint{t: a.t || b.t, sign: joinSign(a.sign, b.sign)}
@@ -525,16 +523,7 @@ func runNanGuard(pass *Pass) {
 				continue
 			}
 			dom := newTaintDomain(pass, fn)
-			env := solveFlow(pass.Pkg.Info, fn, dom)
-			get := func(obj types.Object) taint {
-				if v, ok := env[obj]; ok {
-					return v
-				}
-				if v, ok := dom.Seed(obj); ok {
-					return v
-				}
-				return taintTop
-			}
+			get := solveFlow(pass.Pkg.Info, fn, dom)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.BinaryExpr:

@@ -51,6 +51,23 @@ func TestCorrectCFOIntoMatchesCorrectCFO(t *testing.T) {
 	}
 }
 
+// TestCorrectCFOIntoAllocs pins CorrectCFOInto at zero allocations
+// into a buffer of sufficient capacity and in place (dst == bb).
+func TestCorrectCFOIntoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	bb := make([]complex128, 1500)
+	for i := range bb {
+		bb[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	dst := make([]complex128, 2*len(bb))
+	if allocs := testing.AllocsPerRun(3, func() { CorrectCFOInto(dst[:3], bb, 3.7, 96000) }); allocs > 0 {
+		t.Errorf("into a buffer of sufficient capacity: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { CorrectCFOInto(bb, bb, 3.7, 96000) }); allocs > 0 {
+		t.Errorf("in place: %.0f allocations, want 0", allocs)
+	}
+}
+
 func TestDecodeIntoMatchesDecodeFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m, _ := NewFM0(16)

@@ -99,7 +99,6 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 		base := s.next - int64(s.nCarry)
 		hits := s.hits
 		for _, l := range s.above {
-			//pablint:ignore allocloop hits reuses the scanner's buffer; a realloc happens at most once per scanner lifetime, not per sample
 			hits = append(hits, ScanHit{Index: base + int64(l.Lag), Corr: l.Score})
 		}
 		s.hits = hits

@@ -468,7 +468,6 @@ func (d *Decoder) drainWindow(out []Frame) []Frame {
 		if !ok {
 			break
 		}
-		//pablint:ignore allocloop one append per CRC-clean frame, not per sample; frames are rare relative to the sample rate
 		out = append(out, d.emit(dec))
 	}
 	d.dropCoveredCands()
@@ -548,7 +547,6 @@ func (d *Decoder) dropCoveredCands() {
 	keep := d.cands[:0]
 	for _, c := range d.cands {
 		if c >= d.winStart && c+int64(d.maxPacket) > winEnd {
-			//pablint:ignore allocloop keep reslices cands' backing array (cap ≥ len bounds every append); no reallocation possible
 			keep = append(keep, c)
 		}
 	}
