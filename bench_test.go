@@ -627,58 +627,6 @@ func BenchmarkExtensionFDMANetwork(b *testing.B) {
 	b.ReportMetric(goodput, "net_goodput_bps")
 }
 
-// BenchmarkExtensionCDMABandwidth verifies footnote 4's bandwidth
-// argument across user counts, reporting the CDMA/FDMA spectrum ratio
-// at 8 users (1.0 = the paper's claim).
-func BenchmarkExtensionCDMABandwidth(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		fdma, cdma, err := phy.MultipleAccessBandwidth(8, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = cdma / fdma
-	}
-	b.ReportMetric(ratio, "cdma/fdma_bandwidth")
-}
-
-// BenchmarkAblationFM0vsManchester compares the two bi-phase codes the
-// paper names (§3.2) at equal AWGN, reporting the error ratio
-// (FM0 errors / Manchester errors). Manchester holds a small raw-BER
-// edge (independent per-bit decisions); FM0 wins on self-clocking.
-func BenchmarkAblationFM0vsManchester(b *testing.B) {
-	fm0, err := phy.NewFM0(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	man, err := phy.NewManchester(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(17))
-		fmErrs, manErrs := 1, 1
-		for trial := 0; trial < 40; trial++ {
-			bits := make([]phy.Bit, 100)
-			for j := range bits {
-				bits[j] = phy.Bit(rng.Intn(2))
-			}
-			w1, _ := fm0.Encode(bits, 1)
-			w2 := man.Encode(bits)
-			for j := range w1 {
-				w1[j] += rng.NormFloat64()
-				w2[j] += rng.NormFloat64()
-			}
-			got1, _ := fm0.DecodeFrom(w1, len(bits), 1)
-			fmErrs += phy.CountBitErrors(bits, got1)
-			manErrs += phy.CountBitErrors(bits, man.Decode(w2, len(bits)))
-		}
-		ratio = float64(fmErrs) / float64(manErrs)
-	}
-	b.ReportMetric(ratio, "fm0/manchester_errors")
-}
-
 // BenchmarkAblationLMSEqualizer quantifies what an LMS equalizer claws
 // back from a two-tap ISI channel (the high-bitrate reverberation
 // limiter of Fig 8), reporting the decision-error improvement factor.

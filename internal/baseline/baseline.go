@@ -38,19 +38,6 @@ func (m ActiveModem) EnergyPerBit() float64 {
 	return m.TransmitPowerW / m.BitrateBps
 }
 
-// BatteryLifeHours returns how long a battery of the given capacity (J)
-// lasts at a duty cycle (fraction of time transmitting).
-func (m ActiveModem) BatteryLifeHours(batteryJ, dutyCycle float64) float64 {
-	if batteryJ <= 0 {
-		return 0
-	}
-	p := m.TransmitPowerW*dutyCycle + m.IdlePowerW*(1-dutyCycle)
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return batteryJ / p / 3600
-}
-
 // HarvestBeacon is a batteryless node that banks harvested energy and
 // emits short active beacons when it has stored enough (e.g. the
 // fish-movement harvester of §2's citation [40]).

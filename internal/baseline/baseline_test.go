@@ -47,19 +47,6 @@ func TestHarvestBeaconThroughputFewBps(t *testing.T) {
 	}
 }
 
-func TestBatteryLife(t *testing.T) {
-	m := WHOIClassModem()
-	// A 100 Wh battery (360 kJ) at 10% duty: P = 5 + 0.18 = 5.18 W.
-	h := m.BatteryLifeHours(360e3, 0.1)
-	want := 360e3 / 5.18 / 3600
-	if math.Abs(h-want) > 0.1 {
-		t.Errorf("battery life %g h, want %g", h, want)
-	}
-	if m.BatteryLifeHours(0, 0.1) != 0 {
-		t.Error("zero battery should be zero life")
-	}
-}
-
 func TestDegenerateConfigs(t *testing.T) {
 	if !math.IsInf(ActiveModem{}.EnergyPerBit(), 1) {
 		t.Error("zero-bitrate modem energy/bit should be +Inf")

@@ -1,6 +1,6 @@
 // Package channel simulates acoustic propagation inside rectangular water
-// tanks using the image method (Allen–Berkley), plus ambient and white
-// noise injection. It is the stand-in for the MIT Sea Grant pools the
+// tanks using the image method (Allen–Berkley), plus white noise
+// injection. It is the stand-in for the MIT Sea Grant pools the
 // paper evaluated in: Pool A (3 m × 4 m × 1.3 m) and Pool B, the long
 // 1.2 m × 10 m × 1 m corridor whose waveguide focusing explains the
 // longer power-up range in Fig 9.
@@ -109,9 +109,6 @@ type Tap struct {
 	// Gain is the signed pressure amplitude ratio relative to the source
 	// amplitude referenced at 1 m.
 	Gain float64
-	// SurfaceBounces counts reflections off the (moving) water surface;
-	// these taps wander when the surface does.
-	SurfaceBounces int
 }
 
 // ImpulseResponse holds the multipath taps of a source→receiver link
@@ -133,18 +130,6 @@ type Options struct {
 	MinGain float64
 	// CarrierHz is the frequency used for absorption (narrowband links).
 	CarrierHz float64
-	// SrcDirectivity and DstDirectivity, when non-nil, weight each image
-	// path by the endpoints' vertical beam patterns, evaluated at the
-	// path's elevation angle (radians from horizontal). Transducers like
-	// the paper's radial cylinder are horizontal-omni but roll off
-	// vertically, which de-weights steep surface/floor bounces.
-	SrcDirectivity func(elevationRad float64) float64
-	DstDirectivity func(elevationRad float64) float64
-}
-
-// DefaultOptions returns image-method settings appropriate for PAB links.
-func DefaultOptions(carrierHz float64) Options {
-	return Options{MaxOrder: 3, MinGain: 0.01, CarrierHz: carrierHz}
 }
 
 // Response computes the impulse response from src to dst at sample rate
@@ -204,23 +189,10 @@ func (t Tank) Response(src, dst Vec3, fs float64, opt Options) (*ImpulseResponse
 								math.Pow(t.FloorReflect, math.Abs(float64(nz-w))) *
 								math.Pow(t.SurfaceReflect, math.Abs(float64(nz)))
 							g := refl * t.pathGain(r, opt.CarrierHz)
-							if opt.SrcDirectivity != nil || opt.DstDirectivity != nil {
-								elev := math.Asin(math.Abs(img.Z-dst.Z) / r)
-								if opt.SrcDirectivity != nil {
-									g *= opt.SrcDirectivity(elev)
-								}
-								if opt.DstDirectivity != nil {
-									g *= opt.DstDirectivity(elev)
-								}
-							}
 							if math.Abs(g) < floor {
 								continue
 							}
-							taps = append(taps, Tap{
-								DelaySeconds:   r / c,
-								Gain:           g,
-								SurfaceBounces: int(math.Abs(float64(nz))),
-							})
+							taps = append(taps, Tap{DelaySeconds: r / c, Gain: g})
 						}
 					}
 				}
@@ -325,69 +297,6 @@ func addTap(out, x []float64, lo, hi, i0 int, g0, g1 float64) {
 	}
 }
 
-// SurfaceMotion describes sinusoidal surface waves for time-varying
-// propagation: each surface-reflected path's length changes by roughly
-// 2·amplitude per bounce as the reflection point rises and falls — the
-// slow fading a real open-water deployment sees (paper §8: testing in
-// "rivers, lakes, and oceans ... likely to introduce new challenges,
-// such as mobility and multipath").
-type SurfaceMotion struct {
-	// AmplitudeM is the wave amplitude (half the crest-to-trough height).
-	AmplitudeM float64
-	// PeriodS is the wave period.
-	PeriodS float64
-	// PhaseRad offsets the wave phase.
-	PhaseRad float64
-}
-
-// ApplyTimeVarying renders x through the channel like Apply, but
-// surface-reflected taps ride the given surface motion: their delays are
-// modulated by ±2·amplitude·bounces/c around the still-water value.
-func (ir *ImpulseResponse) ApplyTimeVarying(x []float64, motion SurfaceMotion, soundSpeed float64) []float64 {
-	if len(x) == 0 || len(ir.Taps) == 0 {
-		return nil
-	}
-	if motion.AmplitudeM <= 0 || motion.PeriodS <= 0 || soundSpeed <= 0 || ir.SampleRate <= 0 {
-		return ir.Apply(x)
-	}
-	maxExtra := 2 * motion.AmplitudeM * float64(maxSurfaceBounces(ir.Taps)) / soundSpeed
-	spread := int(math.Ceil((ir.MaxDelay()+maxExtra)*ir.SampleRate)) + 2
-	out := make([]float64, len(x)+spread)
-	w := 2 * math.Pi / motion.PeriodS
-	for _, tap := range ir.Taps {
-		if tap.SurfaceBounces == 0 {
-			// Static path: render directly.
-			i0, g0, g1 := tap.split(ir.SampleRate)
-			addTap(out, x, 0, len(out), i0, g0, g1)
-			continue
-		}
-		wobble := 2 * motion.AmplitudeM * float64(tap.SurfaceBounces) / soundSpeed
-		invFs := 1 / ir.SampleRate
-		for i, v := range x {
-			t := float64(i) * invFs
-			d := (tap.DelaySeconds + wobble*math.Sin(w*t+motion.PhaseRad)) * ir.SampleRate
-			i0 := int(math.Floor(d))
-			frac := d - float64(i0)
-			if i+i0+1 >= len(out) || i0 < 0 {
-				continue
-			}
-			out[i+i0] += tap.Gain * (1 - frac) * v
-			out[i+i0+1] += tap.Gain * frac * v
-		}
-	}
-	return out
-}
-
-func maxSurfaceBounces(taps []Tap) int {
-	m := 0
-	for _, t := range taps {
-		if t.SurfaceBounces > m {
-			m = t.SurfaceBounces
-		}
-	}
-	return m
-}
-
 // AddWhiteNoise adds zero-mean Gaussian noise of the given RMS (same
 // units as x, i.e. pascal in the simulator) in place.
 func AddWhiteNoise(x []float64, rms float64, rng *rand.Rand) {
@@ -397,21 +306,4 @@ func AddWhiteNoise(x []float64, rms float64, rng *rand.Rand) {
 	for i := range x {
 		x[i] += rng.NormFloat64() * rms
 	}
-}
-
-// AmbientNoiseRMS returns the RMS pressure (Pa) of ambient noise within
-// the receiver's processing band [f1Hz, f2Hz] for the given conditions.
-func AmbientNoiseRMS(nc acoustics.NoiseConditions, f1Hz, f2Hz float64) (float64, error) {
-	level, err := nc.BandNoiseLevel(f1Hz, f2Hz)
-	if err != nil {
-		return 0, err
-	}
-	return units.PressureFromSPL(level), nil
-}
-
-// NoiseForSNR returns the white-noise RMS that produces the requested SNR
-// (dB) against a signal of RMS sRMS. Used by the BER–SNR sweep (Fig 7) to
-// pin the operating point exactly.
-func NoiseForSNR(sRMS float64, snr units.DB) float64 {
-	return sRMS / units.DBToAmplitude(snr)
 }

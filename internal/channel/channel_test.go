@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pab/internal/acoustics"
 	"pab/internal/dsp"
 )
 
@@ -81,7 +80,7 @@ func TestMultipathHasMoreTaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir3, err := tank.Response(src, dst, fs, DefaultOptions(15000))
+	ir3, err := tank.Response(src, dst, fs, order3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +131,13 @@ func TestResponseErrors(t *testing.T) {
 	tank := PoolA()
 	in := Vec3{1, 1, 0.5}
 	out := Vec3{99, 1, 0.5}
-	if _, err := tank.Response(in, out, 96000, DefaultOptions(15000)); err == nil {
+	if _, err := tank.Response(in, out, 96000, order3); err == nil {
 		t.Error("outside receiver should error")
 	}
-	if _, err := tank.Response(out, in, 96000, DefaultOptions(15000)); err == nil {
+	if _, err := tank.Response(out, in, 96000, order3); err == nil {
 		t.Error("outside source should error")
 	}
-	if _, err := tank.Response(in, in, 0, DefaultOptions(15000)); err == nil {
+	if _, err := tank.Response(in, in, 0, order3); err == nil {
 		t.Error("zero sample rate should error")
 	}
 	if _, err := tank.Response(in, in, 96000, Options{MaxOrder: -1}); err == nil {
@@ -176,7 +175,7 @@ func TestApplyFractionalDelay(t *testing.T) {
 
 func TestApplyLinearity(t *testing.T) {
 	tank := PoolA()
-	ir, err := tank.Response(Vec3{0.5, 1, 0.6}, Vec3{2, 3, 0.6}, 96000, DefaultOptions(15000))
+	ir, err := tank.Response(Vec3{0.5, 1, 0.6}, Vec3{2, 3, 0.6}, 96000, order3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestChannelGainVariesWithLocation(t *testing.T) {
 	base := Vec3{0.3, 0.3, 0.65}
 	var gains []float64
 	for _, p := range []Vec3{{1, 1, 0.6}, {1.7, 2.3, 0.5}, {2.4, 3.1, 0.8}, {0.9, 3.3, 0.4}} {
-		ir, err := tank.Response(base, p, fs, DefaultOptions(15000))
+		ir, err := tank.Response(base, p, fs, order3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,53 +269,10 @@ func TestAddWhiteNoise(t *testing.T) {
 	}
 }
 
-func TestNoiseForSNR(t *testing.T) {
-	// Signal RMS 1.0, want 20 dB SNR ⇒ noise RMS 0.1.
-	if n := NoiseForSNR(1.0, 20); math.Abs(n-0.1) > 1e-12 {
-		t.Errorf("noise RMS %g, want 0.1", n)
-	}
-	// Verify end to end with measured RMS.
-	rng := rand.New(rand.NewSource(1))
-	sig := dsp.Sine(math.Sqrt2, 15000, 96000, 0, 96000) // RMS 1
-	noise := NoiseForSNR(1.0, 10)
-	noisy := make([]float64, len(sig))
-	copy(noisy, sig)
-	AddWhiteNoise(noisy, noise, rng)
-	var nPow float64
-	for i := range sig {
-		d := noisy[i] - sig[i]
-		nPow += d * d
-	}
-	snr := 10 * math.Log10(1.0/(nPow/float64(len(sig))))
-	if math.Abs(snr-10) > 0.3 {
-		t.Errorf("achieved SNR %g dB, want 10", snr)
-	}
-}
-
-func TestAmbientNoiseRMS(t *testing.T) {
-	rms, err := AmbientNoiseRMS(acoustics.CoastalNoise(), 14e3, 16e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rms <= 0 {
-		t.Error("ambient noise RMS should be positive")
-	}
-	quietRMS, err := AmbientNoiseRMS(acoustics.QuietTank(), 14e3, 16e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quietRMS >= rms {
-		t.Error("quiet tank should be quieter than coastal water")
-	}
-	if _, err := AmbientNoiseRMS(acoustics.QuietTank(), 16e3, 14e3); err == nil {
-		t.Error("inverted band should error")
-	}
-}
-
 func TestToneThroughChannelKeepsFrequency(t *testing.T) {
 	tank := PoolA()
 	fs := 96000.0
-	ir, err := tank.Response(Vec3{0.5, 0.5, 0.6}, Vec3{2.5, 3.5, 0.6}, fs, DefaultOptions(15000))
+	ir, err := tank.Response(Vec3{0.5, 0.5, 0.6}, Vec3{2.5, 3.5, 0.6}, fs, order3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,118 +284,6 @@ func TestToneThroughChannelKeepsFrequency(t *testing.T) {
 	}
 }
 
-func TestDirectivityDeweightsSteepPaths(t *testing.T) {
-	tank := PoolA()
-	src := Vec3{1, 1, 0.65}
-	dst := Vec3{2, 1.2, 0.65}
-	fs := 96000.0
-	omni := DefaultOptions(15000)
-	directive := omni
-	cosPattern := func(elev float64) float64 {
-		d := math.Abs(math.Cos(elev))
-		if d < 0.05 {
-			return 0.05
-		}
-		return d
-	}
-	directive.SrcDirectivity = cosPattern
-	directive.DstDirectivity = cosPattern
-
-	irO, err := tank.Response(src, dst, fs, omni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	irD, err := tank.Response(src, dst, fs, directive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The direct (horizontal) path is untouched; total reverberant
-	// energy drops because the vertical bounces are de-weighted.
-	if math.Abs(irD.Taps[0].Gain-irO.Taps[0].Gain) > 1e-9 {
-		t.Errorf("horizontal direct path changed: %g vs %g", irD.Taps[0].Gain, irO.Taps[0].Gain)
-	}
-	energy := func(ir *ImpulseResponse) float64 {
-		e := 0.0
-		for _, tap := range ir.Taps[1:] {
-			e += tap.Gain * tap.Gain
-		}
-		return e
-	}
-	if energy(irD) >= energy(irO) {
-		t.Errorf("directive reverb energy %g should be below omni %g", energy(irD), energy(irO))
-	}
-}
-
-func TestSurfaceBounceCounting(t *testing.T) {
-	tank := PoolA()
-	ir, err := tank.Response(Vec3{1, 1, 0.65}, Vec3{2, 1.5, 0.65}, 96000,
-		Options{MaxOrder: 2, MinGain: 0.001, CarrierHz: 15000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Taps[0].SurfaceBounces != 0 {
-		t.Error("direct path should have zero surface bounces")
-	}
-	var surface int
-	for _, tap := range ir.Taps {
-		if tap.SurfaceBounces > 0 {
-			surface++
-		}
-	}
-	if surface == 0 {
-		t.Error("order-2 response should contain surface-reflected paths")
-	}
-}
-
-func TestApplyTimeVaryingStillWaterMatchesApply(t *testing.T) {
-	tank := PoolA()
-	ir, err := tank.Response(Vec3{1, 1, 0.65}, Vec3{2, 1.5, 0.65}, 96000, DefaultOptions(15000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := dsp.Sine(1, 15000, 96000, 0, 2000)
-	static := ir.Apply(x)
-	calm := ir.ApplyTimeVarying(x, SurfaceMotion{}, 1482) // zero motion → Apply
-	n := len(static)
-	if len(calm) < n {
-		n = len(calm)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(static[i]-calm[i]) > 1e-9 {
-			t.Fatalf("calm water mismatch at %d", i)
-		}
-	}
-}
-
-func TestApplyTimeVaryingFadesTheCarrier(t *testing.T) {
-	// Surface waves swing the surface-path phase, so the coherent sum
-	// with the direct path fades in and out over the wave period.
-	tank := PoolA()
-	// Strengthen the surface path so the fading is unmistakable.
-	tank.WallReflect = 0
-	tank.FloorReflect = 0
-	tank.SurfaceReflect = -0.95
-	fs := 96000.0
-	ir, err := tank.Response(Vec3{1, 1, 0.65}, Vec3{2, 1.5, 0.65}, fs,
-		Options{MaxOrder: 1, MinGain: 0.001, CarrierHz: 15000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := int(2 * fs) // two seconds, two wave periods
-	x := dsp.Sine(1, 15000, fs, 0, n)
-	y := ir.ApplyTimeVarying(x, SurfaceMotion{AmplitudeM: 0.03, PeriodS: 1}, tank.Water.SoundSpeed())
-	// Envelope over 50 ms blocks must vary far more than in still water.
-	block := int(0.05 * fs)
-	var levels []float64
-	for s := 0; s+block < n; s += block {
-		levels = append(levels, dsp.RMS(y[s:s+block]))
-	}
-	minL, maxL := levels[0], levels[0]
-	for _, l := range levels {
-		minL = math.Min(minL, l)
-		maxL = math.Max(maxL, l)
-	}
-	if maxL/minL < 1.2 {
-		t.Errorf("surface motion should fade the carrier: levels %g–%g", minL, maxL)
-	}
-}
+// order3 is the image-method setting PAB links use: third-order
+// reflections, pruned at 1% of the direct path.
+var order3 = Options{MaxOrder: 3, MinGain: 0.01, CarrierHz: 15000}

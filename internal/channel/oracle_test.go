@@ -97,16 +97,6 @@ func TestApplyMatchesReference(t *testing.T) {
 			if i := firstBitMismatch(got, want); i >= 0 {
 				t.Fatalf("response %d, len %d: output %d is %v, reference %v", j, n, i, got[i], want[i])
 			}
-			// With no surface bounces every tap is static, and
-			// ApplyTimeVarying renders through the same per-tap sums.
-			static := &ImpulseResponse{SampleRate: ir.SampleRate, Taps: append([]Tap(nil), ir.Taps...)}
-			for i := range static.Taps {
-				static.Taps[i].SurfaceBounces = 0
-			}
-			still := static.ApplyTimeVarying(x, SurfaceMotion{AmplitudeM: 0.01, PeriodS: 1}, 1480)
-			if i := firstBitMismatch(still, want); i >= 0 {
-				t.Fatalf("response %d, len %d: time-varying output %d is %v, reference %v", j, n, i, still[i], want[i])
-			}
 		}
 	}
 }

@@ -27,12 +27,6 @@ func (a *AxisTracker) Add(block []complex128) {
 	a.n += float64(len(block))
 }
 
-// Reset clears the accumulators.
-func (a *AxisTracker) Reset() { *a = AxisTracker{} }
-
-// Count returns the number of samples folded in.
-func (a *AxisTracker) Count() float64 { return a.n }
-
 // axis materialises the current estimate.
 func (a *AxisTracker) axis() modAxis {
 	if a.n == 0 {

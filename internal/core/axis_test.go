@@ -32,8 +32,8 @@ func TestAxisTrackerMatchesBatchEstimate(t *testing.T) {
 			}
 			tr.Add(bb[off:end])
 		}
-		if tr.Count() != float64(len(bb)) {
-			t.Fatalf("block %d: count %g, want %d", block, tr.Count(), len(bb))
+		if tr.n != float64(len(bb)) {
+			t.Fatalf("block %d: count %g, want %d", block, tr.n, len(bb))
 		}
 		got := tr.ProjectInto(make([]float64, len(bb)), bb, false)
 		for i := range got {
@@ -67,15 +67,17 @@ func TestAxisTrackerQuadratureOrthogonal(t *testing.T) {
 
 func TestAxisTrackerEmptyAndReset(t *testing.T) {
 	var tr AxisTracker
-	out := tr.ProjectInto(make([]float64, 3), []complex128{1, 2, 3}, false)
-	for i, v := range out {
-		if v != float64(i+1) {
-			t.Fatalf("empty tracker should be the identity projection, got %v", out)
+	identity := func(what string) {
+		t.Helper()
+		out := tr.ProjectInto(make([]float64, 3), []complex128{1, 2, 3}, false)
+		for i, v := range out {
+			if v != float64(i+1) {
+				t.Fatalf("%s tracker should be the identity projection, got %v", what, out)
+			}
 		}
 	}
+	identity("empty")
 	tr.Add([]complex128{5, 6})
-	tr.Reset()
-	if tr.Count() != 0 {
-		t.Fatalf("count after Reset = %g", tr.Count())
-	}
+	tr = AxisTracker{}
+	identity("reset")
 }

@@ -324,23 +324,6 @@ func TestRunConcurrentValidation(t *testing.T) {
 	}
 }
 
-func TestReceiverFindCarriers(t *testing.T) {
-	r, err := NewReceiver(96000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := dsp.Sine(1, 15000, 96000, 0, 16384)
-	y := dsp.Sine(0.7, 18000, 96000, 0, 16384)
-	dsp.Add(x, y)
-	carriers := r.FindCarriers(x, 2)
-	if len(carriers) != 2 {
-		t.Fatalf("found %d carriers, want 2", len(carriers))
-	}
-	if math.Abs(carriers[0]-15000) > 50 || math.Abs(carriers[1]-18000) > 50 {
-		t.Errorf("carriers %v", carriers)
-	}
-}
-
 func TestDecodedSNRdB(t *testing.T) {
 	d := &Decoded{SNRLinear: 100}
 	if math.Abs(d.SNRdB()-20) > 1e-9 {

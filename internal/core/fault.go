@@ -79,10 +79,6 @@ func (l *Link) Upshift() bool {
 	return true
 }
 
-// Level is the current adaptation rung, 0 = most robust
-// (mac.RateControl).
-func (l *Link) Level() int { return l.level }
-
 // faultNodeOff reports whether the attached engine (if any) has the
 // node unpowered at the link's fault-clock cursor, forcing the brownout
 // into the node's power domain.

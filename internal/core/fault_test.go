@@ -57,8 +57,8 @@ func newFaultLink(t *testing.T) *Link {
 func TestLinkRateControl(t *testing.T) {
 	link := newFaultLink(t)
 	base := link.Config()
-	if link.Level() != 2 {
-		t.Fatalf("initial level %d, want fastest (2)", link.Level())
+	if link.level != 2 {
+		t.Fatalf("initial level %d, want fastest (2)", link.level)
 	}
 	if !link.Downshift() {
 		t.Fatal("downshift refused at the fastest rung")
@@ -75,7 +75,7 @@ func TestLinkRateControl(t *testing.T) {
 	for link.Upshift() {
 	}
 	got = link.Config()
-	if link.Level() != 2 || got.PWMUnit != base.PWMUnit || got.MaxReplyPayload != base.MaxReplyPayload {
+	if link.level != 2 || got.PWMUnit != base.PWMUnit || got.MaxReplyPayload != base.MaxReplyPayload {
 		t.Errorf("upshifting back did not restore the base point: %+v", got)
 	}
 }
@@ -90,17 +90,18 @@ func TestSetFaultEngineSkewsNodeClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nominal := link.Node().Bitrate()
 	link.SetFaultEngine(eng)
-	want := eng.ClockDriftPPM(0x01)
-	if want == 0 {
+	ppm := eng.ClockDriftPPM(0x01)
+	if ppm == 0 {
 		t.Fatal("drift profile drew zero ppm; pick another seed")
 	}
-	if got := link.Node().ClockSkewPPM(); got != want {
-		t.Errorf("node skew %g ppm, want %g", got, want)
+	if got, want := link.Node().Bitrate(), nominal*(1+ppm*1e-6); got != want {
+		t.Errorf("node bitrate %g, want %g (%g ppm skew)", got, want, ppm)
 	}
 	link.SetFaultEngine(nil)
-	if got := link.Node().ClockSkewPPM(); got != 0 {
-		t.Errorf("detaching left %g ppm of skew", got)
+	if got := link.Node().Bitrate(); got != nominal {
+		t.Errorf("detaching left bitrate %g, want %g", got, nominal)
 	}
 }
 

@@ -76,8 +76,6 @@ func DefaultFDMANetworkConfig() FDMANetworkConfig {
 // adjacent channels can be upgraded to concurrent operation with
 // RunConcurrent.
 type FDMANetwork struct {
-	cfg   FDMANetworkConfig
-	plan  []mac.Assignment
 	links map[byte]*Link
 	net   *mac.Network
 }
@@ -137,7 +135,7 @@ func NewFDMANetwork(cfg FDMANetworkConfig, maxRetries int) (*FDMANetwork, error)
 		return nil, err
 	}
 	telemetry.Set(telemetry.MCoreFdmaChannels, float64(len(plan)))
-	return &FDMANetwork{cfg: cfg, plan: plan, links: links, net: net}, nil
+	return &FDMANetwork{links: links, net: net}, nil
 }
 
 // newTunedNode builds a node whose single matching circuit is tuned to
@@ -169,9 +167,6 @@ func (t linkTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 	}
 	return mac.Exchange{Reply: reply, AirtimeSeconds: airtime, SNRLinear: snr}, nil
 }
-
-// Plan returns the channel assignments.
-func (n *FDMANetwork) Plan() []mac.Assignment { return n.plan }
 
 // Link returns the physical link for one node.
 func (n *FDMANetwork) Link(addr byte) *Link { return n.links[addr] }

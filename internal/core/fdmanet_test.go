@@ -14,18 +14,21 @@ func TestFDMANetworkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Channel plan: three distinct channels, properly spaced.
-	plan := net.Plan()
-	if len(plan) != 3 {
-		t.Fatalf("plan %v", plan)
+	var carriers []float64
+	for _, spec := range cfg.Nodes {
+		carriers = append(carriers, net.Link(spec.Addr).Config().CarrierHz)
 	}
-	for i := range plan {
-		for j := i + 1; j < len(plan); j++ {
-			d := plan[i].FrequencyHz - plan[j].FrequencyHz
+	if len(carriers) != 3 {
+		t.Fatalf("carriers %v", carriers)
+	}
+	for i := range carriers {
+		for j := i + 1; j < len(carriers); j++ {
+			d := carriers[i] - carriers[j]
 			if d < 0 {
 				d = -d
 			}
 			if d < cfg.SpacingHz {
-				t.Errorf("channels %g and %g too close", plan[i].FrequencyHz, plan[j].FrequencyHz)
+				t.Errorf("channels %g and %g too close", carriers[i], carriers[j])
 			}
 		}
 	}

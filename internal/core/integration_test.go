@@ -268,40 +268,6 @@ func TestBrownoutMidOperationRecovers(t *testing.T) {
 	}
 }
 
-func TestTraceFadesUnderSurfaceWaves(t *testing.T) {
-	// The same Fig 2 trace run in calm and wavy water: waves make the
-	// carrier level wander over the wave period (§8's open-water
-	// challenge).
-	calmCfg := DefaultLinkConfig()
-	calmCfg.NoiseRMS = 0.05
-	wavyCfg := calmCfg
-	wavyCfg.Surface = channel.SurfaceMotion{AmplitudeM: 0.08, PeriodS: 0.4}
-
-	variation := func(cfg LinkConfig) float64 {
-		l := newTestLink(t, cfg, 500)
-		tr, err := l.RunTrace(1.2, 0.1, 1.15, 5) // carrier only, essentially
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := func(sec float64) int { return int(sec * tr.SampleRate) }
-		var levels []float64
-		for s := 0.3; s+0.1 < 1.1; s += 0.1 {
-			levels = append(levels, dsp.Mean(tr.Amplitude[idx(s):idx(s+0.1)]))
-		}
-		minL, maxL := levels[0], levels[0]
-		for _, v := range levels {
-			minL = math.Min(minL, v)
-			maxL = math.Max(maxL, v)
-		}
-		return maxL / minL
-	}
-	calm := variation(calmCfg)
-	wavy := variation(wavyCfg)
-	if wavy <= calm*1.03 {
-		t.Errorf("wavy variation %.3f should exceed calm %.3f", wavy, calm)
-	}
-}
-
 func TestSwimmingPoolValidation(t *testing.T) {
 	// §5.1d: "we also validated that the system operates correctly in an
 	// indoor swimming pool" — the full exchange in the third environment.

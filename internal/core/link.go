@@ -42,11 +42,6 @@ type LinkConfig struct {
 	// at this speed Doppler-scales the scattered path by 1 + 2v/c — a
 	// carrier shift of 2v/c·fc and a matching bit-clock skew.
 	NodeRadialSpeedMS float64
-	// Surface, when non-zero, puts sinusoidal waves on the water surface
-	// (open-water conditions, §8): surface-reflected paths wander, so
-	// the received level fades over the wave period. Applied by
-	// RunTrace.
-	Surface channel.SurfaceMotion
 	// Seed drives the link's noise generator.
 	Seed int64
 }
@@ -513,10 +508,7 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 		}
 		reflected[i] = real(g * complex(p, qNode[i]))
 	}
-	c := l.cfg.Tank.Water.SoundSpeed()
-	direct := l.applyMaybeMoving(l.irPH, x, c)
-	scattered := l.applyMaybeMoving(l.irNH, reflected, c)
-	y := superpose(direct, scattered)
+	y := superpose(l.irPH.Apply(x), l.irNH.Apply(reflected))
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -557,15 +549,6 @@ func switchedCW(amp, f, fs float64, on, n int) (wave, quad []float64) {
 		quad[i] = -amp * cos
 	}
 	return wave, quad
-}
-
-// applyMaybeMoving renders a waveform through an impulse response,
-// letting surface-reflected paths ride the configured surface motion.
-func (l *Link) applyMaybeMoving(ir *channel.ImpulseResponse, x []float64, soundSpeed float64) []float64 {
-	if l.cfg.Surface.AmplitudeM > 0 && l.cfg.Surface.PeriodS > 0 {
-		return ir.ApplyTimeVarying(x, l.cfg.Surface, soundSpeed)
-	}
-	return ir.Apply(x)
 }
 
 // dopplerScale time-compresses (approaching, v > 0) or dilates

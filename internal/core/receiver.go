@@ -54,10 +54,6 @@ var (
 // never exist as one recording-length buffer.
 const frontEndBlock = 8192
 
-// decodeLabels label a decode's CPU profile samples stage=decode_uplink;
-// built once, so labelling a decode allocates nothing.
-var decodeLabels = prof.NewLabels("stage", "decode_uplink")
-
 // ChannelCutoff is the channel low-pass cutoff in Hz for a backscatter
 // bitrate at sample rate fs: four times the FM0 occupied bandwidth
 // keeps the bit transitions sharp enough for the half-bit correlators,
@@ -106,17 +102,6 @@ func NewReceiver(fs float64) (*Receiver, error) {
 	hyd := hydrophone.H2a()
 	hyd.AutoGain = true // the operator trims the input level to avoid clipping
 	return &Receiver{Hydro: hyd, SampleRate: fs}, nil
-}
-
-// FindCarriers identifies up to maxN downlink carrier frequencies in a
-// recording by FFT peak detection (§5.1b).
-func (r *Receiver) FindCarriers(recording []float64, maxN int) []float64 {
-	peaks := dsp.FindPeaks(recording, r.SampleRate, maxN, 1000, 0)
-	out := make([]float64, 0, len(peaks))
-	for _, p := range peaks {
-		out = append(out, p.Frequency)
-	}
-	return out
 }
 
 // Demodulate mixes the recording down by the carrier and low-pass
@@ -190,18 +175,13 @@ func projectAxisInto(dst []float64, bb []complex128, a modAxis) []float64 {
 	return dst
 }
 
-// CoherentWaveTracked projects bb onto a slowly *rotating* modulation
-// axis: the axis is re-estimated per block and the per-block 180°
+// coherentWaveTrackedInto projects bb onto a slowly *rotating*
+// modulation axis, writing into dst's backing array when it is large
+// enough: the axis is re-estimated per block and the per-block 180°
 // ambiguity is resolved by phase continuity with the previous block.
 // This is the mobile-receiver upgrade the paper's §8 anticipates — a
 // drifting node Doppler-rotates the backscatter phasor through the
 // packet, which a fixed-axis projection smears.
-func CoherentWaveTracked(bb []complex128, blockLen int) []float64 {
-	return coherentWaveTrackedInto(nil, bb, blockLen)
-}
-
-// coherentWaveTrackedInto is CoherentWaveTracked writing into dst's
-// backing array when it is large enough.
 func coherentWaveTrackedInto(dst []float64, bb []complex128, blockLen int) []float64 {
 	if len(bb) == 0 {
 		return dst[:0]
@@ -273,17 +253,12 @@ func (r *Receiver) DecodeUplink(pressure []float64, carrier, bitrate float64, se
 }
 
 // DecodeUplinkTraced is DecodeUplink with an optional parent telemetry
-// span: the demod → sync → decode stages become child spans, every
-// attempt — successful or not — files a telemetry.DecodeReport, and the
-// whole chain runs under a stage=decode_uplink pprof label so CPU
-// profiles attribute receiver time separately from the rest of a
-// simulation job.
+// span: the demod → sync → decode stages become child spans, and every
+// attempt — successful or not — files a telemetry.DecodeReport. It sets
+// no pprof labels, so inside a pabd job the decode's CPU samples keep
+// the job's; its DecodeUplink frames attribute them to the decode.
 func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	var dec *Decoded
-	var err error
-	decodeLabels.Do(func() {
-		dec, err = r.decodeUplinkStaged(parent, pressure, carrier, bitrate, searchFrom)
-	})
+	dec, err := r.decodeUplinkStaged(parent, pressure, carrier, bitrate, searchFrom)
 	rep := telemetry.DecodeReport{CarrierHz: carrier, BitrateBps: bitrate}
 	if err != nil {
 		telemetry.Inc(telemetry.MCoreUplinkDecodeFailuresTotal)
@@ -791,12 +766,12 @@ func carrierConcentration(bb []complex128) float64 {
 	return cmplx.Abs(sum) / mag
 }
 
-// correctedConcentration is carrierConcentration(phy.CorrectCFO(bb, cfo,
-// fs)) without the corrected copy: the same rotations, summed in the
-// same order.
+// correctedConcentration is carrierConcentration(phy.CorrectCFOInto(nil,
+// bb, cfo, fs)) without the corrected copy: the same rotations, summed
+// in the same order.
 func correctedConcentration(bb []complex128, cfo, fs float64) float64 {
 	if fs <= 0 || len(bb) == 0 {
-		return carrierConcentration(bb) // CorrectCFO copies bb
+		return carrierConcentration(bb) // CorrectCFOInto copies bb
 	}
 	rot := phy.NewDerotator(cfo, fs)
 	var sum complex128

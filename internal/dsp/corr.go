@@ -194,23 +194,6 @@ func RMS(x []float64) float64 {
 	return math.Sqrt(s / float64(len(x)))
 }
 
-// Energy returns Σx².
-func Energy(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// Scale multiplies every element by k in place and returns x.
-func Scale(x []float64, k float64) []float64 {
-	for i := range x {
-		x[i] *= k
-	}
-	return x
-}
-
 // Add accumulates src into dst elementwise over the overlapping prefix and
 // returns dst.
 func Add(dst, src []float64) []float64 {

@@ -221,14 +221,6 @@ func TestStatsHelpers(t *testing.T) {
 	if !approx(RMS([]float64{3, 4}), math.Sqrt(12.5), 1e-12) {
 		t.Error("RMS wrong")
 	}
-	if !approx(Energy([]float64{3, 4}), 25, 1e-12) {
-		t.Error("Energy wrong")
-	}
-	x := []float64{1, 2}
-	Scale(x, 2)
-	if x[0] != 2 || x[1] != 4 {
-		t.Error("Scale wrong")
-	}
 	dst := []float64{1, 1, 1}
 	Add(dst, []float64{1, 2})
 	if dst[0] != 2 || dst[1] != 3 || dst[2] != 1 {

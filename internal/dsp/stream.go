@@ -80,10 +80,3 @@ func (s *IIRStream) Process(dst, block []float64) []float64 {
 	}
 	return out
 }
-
-// Reset zeroes the carried filter state.
-func (s *IIRStream) Reset() {
-	for i := range s.state {
-		s.state[i] = [2]float64{}
-	}
-}

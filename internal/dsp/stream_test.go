@@ -65,23 +65,6 @@ func TestIIRStreamInPlace(t *testing.T) {
 	}
 }
 
-func TestIIRStreamReset(t *testing.T) {
-	lp, err := DesignButterworthLowpass(1000, 8000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := testSignal(256)
-	st := lp.Stream()
-	first := append([]float64(nil), st.Process(make([]float64, len(x)), x)...)
-	st.Reset()
-	second := st.Process(make([]float64, len(x)), x)
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("after Reset sample %d differs: %v vs %v", i, first[i], second[i])
-		}
-	}
-}
-
 func TestDownmixerMatchesDownconvert(t *testing.T) {
 	const fs, fc = 96000.0, 15000.0
 	x := testSignal(20000)

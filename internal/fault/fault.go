@@ -66,10 +66,7 @@ var classes = []string{
 // implements the mac.Clock contract (Now/Sleep) so a Session backing
 // off genuinely waits out a noise episode in simulated time.
 type Engine struct {
-	profile  Profile
-	seed     int64
-	horizonS float64
-	now      float64
+	now float64
 
 	bursts     []Burst           // sorted by StartS
 	noiseSteps []window          // noise-floor scale ≥ 1
@@ -93,9 +90,6 @@ func NewEngine(p Profile, seed int64, horizonS float64, nodes []byte) (*Engine, 
 		return nil, fmt.Errorf("fault: horizon must be positive, got %g", horizonS)
 	}
 	e := &Engine{
-		profile:   p,
-		seed:      seed,
-		horizonS:  horizonS,
 		brownouts: make(map[byte][]window),
 		driftPPM:  make(map[byte]float64),
 		deadFrom:  make(map[byte]float64),
@@ -150,12 +144,6 @@ func NewEngine(p Profile, seed int64, horizonS float64, nodes []byte) (*Engine, 
 	}
 	return e, nil
 }
-
-// Profile returns the engine's profile.
-func (e *Engine) Profile() Profile { return e.profile }
-
-// Seed returns the engine's seed.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }

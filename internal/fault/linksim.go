@@ -110,16 +110,6 @@ func NewLinkSim(eng *Engine, nodes []byte, cfg LinkSimConfig) (*LinkSim, error) 
 	return ls, nil
 }
 
-// Transport returns the node's transport (nil for unknown addresses).
-// The returned value also implements mac.RateControl when the simulator
-// is adaptive.
-func (ls *LinkSim) Transport(addr byte) mac.Transport {
-	if n, ok := ls.nodes[addr]; ok {
-		return n
-	}
-	return nil
-}
-
 // Transports returns every node transport keyed by address, ready for
 // mac.NewNetwork or mac.NewSession.
 func (ls *LinkSim) Transports() map[byte]mac.Transport {
@@ -128,14 +118,6 @@ func (ls *LinkSim) Transports() map[byte]mac.Transport {
 		out[addr] = n
 	}
 	return out
-}
-
-// Level returns a node's current ladder rung (-1 for unknown nodes).
-func (ls *LinkSim) Level(addr byte) int {
-	if n, ok := ls.nodes[addr]; ok {
-		return n.level
-	}
-	return -1
 }
 
 // fastestUnit returns the shortest PWM unit on the ladder (the
@@ -276,6 +258,3 @@ func (n *nodeTransport) Upshift() bool {
 	n.level++
 	return true
 }
-
-// Level is the current rung, 0 = most robust (mac.RateControl).
-func (n *nodeTransport) Level() int { return n.level }

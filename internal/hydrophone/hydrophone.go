@@ -100,12 +100,6 @@ func (h Hydrophone) Convert(dst, pressure []float64, gain float64) {
 	}
 }
 
-// NoiseFloorV returns the quantisation noise RMS of the recorder
-// (lsb/√12), a fundamental floor on detectable backscatter modulation.
-func (h Hydrophone) NoiseFloorV() float64 {
-	return h.lsbV() / math.Sqrt(12)
-}
-
 // lsbV returns the ADC step size in volts. Validate enforces the same
 // bounds; clamping here as well keeps the helper total on receivers that
 // were never validated.

@@ -73,21 +73,6 @@ func TestRecordQuantises(t *testing.T) {
 	}
 }
 
-func TestNoiseFloor(t *testing.T) {
-	h := H2a()
-	nf := h.NoiseFloorV()
-	lsb := 2.0 / 65536
-	if math.Abs(nf-lsb/math.Sqrt(12)) > 1e-12 {
-		t.Errorf("noise floor %g", nf)
-	}
-	// More bits, lower floor.
-	h24 := h
-	h24.Bits = 24
-	if h24.NoiseFloorV() >= nf {
-		t.Error("24-bit floor should be below 16-bit")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := H2a()
 	bad.MaxInputV = 0

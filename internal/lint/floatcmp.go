@@ -11,7 +11,7 @@ import (
 // operands. Exact float equality is almost never what the signal path
 // means — a single ULP of drift in an FFT or filter would silently flip
 // such a branch — so comparisons must go through an approved epsilon
-// helper (units.ApproxEqual / stats.ApproxEqual).
+// helper (units.ApproxEqual).
 //
 // Two idioms stay legal:
 //

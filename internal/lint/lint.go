@@ -78,9 +78,6 @@ type Pass struct {
 	rule     string
 }
 
-// Fset returns the file set shared by all packages in the run.
-func (p *Pass) Fset() *token.FileSet { return p.fset }
-
 // Reportf records a finding for the current analyzer at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
@@ -176,7 +173,6 @@ func DefaultConfig() *Config {
 		TelemetryPkg: "pab/internal/telemetry",
 		EpsilonHelpers: map[string][]string{
 			"pab/internal/units": {"ApproxEqual"},
-			"pab/internal/stats": {"ApproxEqual"},
 		},
 	}
 }

@@ -170,11 +170,6 @@ func (p *Poller) ReadSensor(dest byte, sensor frame.SensorID) (*frame.DataFrame,
 	return p.Poll(frame.Query{Dest: dest, Command: frame.CmdReadSensor, Param: byte(sensor)})
 }
 
-// Ping checks node liveness.
-func (p *Poller) Ping(dest byte) (*frame.DataFrame, error) {
-	return p.Poll(frame.Query{Dest: dest, Command: frame.CmdPing})
-}
-
 // ---------------------------------------------------------------------------
 // FDMA channel planning
 // ---------------------------------------------------------------------------

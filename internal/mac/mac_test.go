@@ -35,7 +35,7 @@ func TestPollerFirstTry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	df, err := p.Ping(5)
+	df, err := p.Poll(frame.Query{Dest: 5, Command: frame.CmdPing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPollerARQRecovers(t *testing.T) {
 func TestPollerExhaustsRetries(t *testing.T) {
 	tr := &mockTransport{failFirst: 100, airtime: 0.1}
 	p, _ := NewPoller(tr, 2)
-	if _, err := p.Ping(1); err == nil {
+	if _, err := p.Poll(frame.Query{Dest: 1, Command: frame.CmdPing}); err == nil {
 		t.Error("should fail after retries exhausted")
 	}
 	if s := p.Stats(); s.Queries != 3 || s.Replies != 0 {

@@ -29,8 +29,6 @@ type Clock interface {
 type RateControl interface {
 	Downshift() bool
 	Upshift() bool
-	// Level is the current rung, 0 = most robust.
-	Level() int
 }
 
 // SessionConfig tunes failure handling and link adaptation.
@@ -215,27 +213,6 @@ func NewSession(transports map[byte]Transport, cfg SessionConfig, clk Clock) (*S
 // Stats returns the accumulated session counters.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// Health returns a copy of the node's health record (zero value for an
-// unknown address).
-func (s *Session) Health(addr byte) NodeHealth {
-	if h := s.health[addr]; h != nil {
-		return *h
-	}
-	return NodeHealth{Addr: addr}
-}
-
-// Active returns the addresses currently in service (not evicted), in
-// address order.
-func (s *Session) Active() []byte {
-	var out []byte
-	for _, addr := range s.order {
-		if !s.health[addr].Evicted {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 // Poll performs one logical query with classification, backoff and rate
 // adaptation. Quarantined nodes are refused until their probe window
 // opens; evicted nodes are refused permanently. Failures return a
@@ -304,11 +281,6 @@ func (s *Session) Poll(q frame.Query) (*frame.DataFrame, error) {
 	}
 	s.notePollFailure(h, probing)
 	return nil, &ExchangeError{Dest: q.Dest, Attempts: attempts, Class: lastClass, Err: lastErr}
-}
-
-// ReadSensor polls a node for one sensor value.
-func (s *Session) ReadSensor(dest byte, sensor frame.SensorID) (*frame.DataFrame, error) {
-	return s.Poll(frame.Query{Dest: dest, Command: frame.CmdReadSensor, Param: byte(sensor)})
 }
 
 // Sweep performs one pass over all in-service nodes, skipping

@@ -242,7 +242,7 @@ func TestSessionQuarantineProbeEvict(t *testing.T) {
 	// Two failed polls → quarantine.
 	s.Poll(q1())
 	s.Poll(q1())
-	h := s.Health(1)
+	h := *s.health[1]
 	if !h.Quarantined {
 		t.Fatalf("not quarantined after %d failures: %+v", h.ConsecutiveFailures, h)
 	}
@@ -273,14 +273,14 @@ func TestSessionQuarantineProbeEvict(t *testing.T) {
 	if tr.level != 0 {
 		t.Errorf("probe ran at level %d, want parked at 0", tr.level)
 	}
-	if h := s.Health(1); h.FailedProbes != 1 || h.Evicted {
+	if h := *s.health[1]; h.FailedProbes != 1 || h.Evicted {
 		t.Errorf("after probe 1: %+v", h)
 	}
 
 	// Probe 2 fails → eviction.
 	clk.advance(cfg.QuarantineS + 1)
 	s.Poll(q1())
-	h = s.Health(1)
+	h = *s.health[1]
 	if !h.Evicted {
 		t.Fatalf("not evicted after %d failed probes: %+v", h.FailedProbes, h)
 	}
@@ -290,9 +290,6 @@ func TestSessionQuarantineProbeEvict(t *testing.T) {
 	_, err = s.Poll(q1())
 	if !errors.Is(err, ErrEvicted) {
 		t.Fatalf("want evicted refusal, got %v", err)
-	}
-	if got := s.Active(); len(got) != 0 {
-		t.Errorf("Active() = %v, want empty", got)
 	}
 }
 
@@ -313,7 +310,7 @@ func TestSessionProbeRestoreAndRecovery(t *testing.T) {
 	if err != nil || reply == nil {
 		t.Fatalf("probe failed: %v", err)
 	}
-	h := s.Health(1)
+	h := *s.health[1]
 	if h.Quarantined || h.Evicted || h.ConsecutiveFailures != 0 || h.FailedProbes != 0 {
 		t.Errorf("health not reset after rehabilitation: %+v", h)
 	}

@@ -138,9 +138,3 @@ func (rp *RectoPiezo) ResponseTimeConstant() float64 {
 func (rp *RectoPiezo) ReflectionCoeff(state piezo.SwitchState, f float64) complex128 {
 	return rp.Transducer.StateReflectionCoeff(state, rp.LoadImpedance(f), f)
 }
-
-// ModulationDepth returns the backscatter amplitude swing between the
-// reflective and absorptive states at frequency f.
-func (rp *RectoPiezo) ModulationDepth(f float64) float64 {
-	return rp.Transducer.ModulationDepth(rp.LoadImpedance(f), f)
-}

@@ -106,15 +106,3 @@ func (m MCU) AchievableBitrate(requested float64) (float64, error) {
 	}
 	return m.CrystalHz / div, nil
 }
-
-// DividerFor returns the integer divider used for a requested bitrate.
-func (m MCU) DividerFor(requested float64) (int, error) {
-	if requested <= 0 {
-		return 0, fmt.Errorf("node: requested bitrate must be positive, got %g", requested)
-	}
-	div := int(math.Round(m.CrystalHz / requested))
-	if div < 1 {
-		div = 1
-	}
-	return div, nil
-}

@@ -51,8 +51,6 @@ type Node struct {
 	state    PowerState
 	bitrate  float64 // divider-quantised
 	seq      byte
-	energyJ  float64
-	timeOnS  float64
 	batteryJ float64 // remaining assist energy
 	skewPPM  float64 // bit-clock offset from crystal tolerance
 	probe    sensors.PHProbe
@@ -119,9 +117,6 @@ func (n *Node) Bitrate() float64 { return n.bitrate * (1 + n.skewPPM*1e-6) }
 // drives this hook.
 func (n *Node) SetClockSkewPPM(ppm float64) { n.skewPPM = ppm }
 
-// ClockSkewPPM returns the configured crystal skew.
-func (n *Node) ClockSkewPPM() float64 { return n.skewPPM }
-
 // ForceBrownout drains the supercapacitor below the LDO's power-off
 // threshold, cutting the digital domain immediately — the
 // fault-injection hook for mid-protocol power loss. The node cold-starts
@@ -134,23 +129,9 @@ func (n *Node) ForceBrownout() {
 // CapVoltage returns the supercapacitor voltage.
 func (n *Node) CapVoltage() float64 { return n.cfg.Cap.Voltage() }
 
-// EnergyUsed returns the total energy (J) the digital domain has drawn.
-func (n *Node) EnergyUsed() float64 { return n.energyJ }
-
 // BatteryRemaining returns the unused assist energy (J); 0 for a
 // battery-free node or an exhausted battery.
 func (n *Node) BatteryRemaining() float64 { return n.batteryJ }
-
-// BatteryAssisted reports whether the node still has assist energy.
-func (n *Node) BatteryAssisted() bool { return n.batteryJ > 0 }
-
-// AveragePower returns the node's mean power draw (W) while powered.
-func (n *Node) AveragePower() float64 {
-	if n.timeOnS == 0 {
-		return 0
-	}
-	return n.energyJ / n.timeOnS
-}
 
 // HarvestStep advances the node's power domain by dt seconds with an
 // incident downlink pressure amplitude (Pa) at frequency f in water of
@@ -167,11 +148,6 @@ func (n *Node) HarvestStep(pressureAmp, f, rhoC, dt float64) PowerState {
 	pSustain := fe.SustainablePower(pressureAmp, f, rhoC)
 	maxCharge := pSustain / math.Max(v, 0.5)
 	n.cfg.Cap.StepPowerLimited(voc, rout, iLoad, maxCharge, dt)
-
-	if n.state != Off {
-		n.energyJ += n.cfg.MCU.Power(n.state, n.bitrate) * dt
-		n.timeOnS += dt
-	}
 
 	// Battery assist: whenever harvesting cannot hold the capacitor at
 	// the operating point, the battery covers the shortfall — it tops
@@ -205,23 +181,6 @@ func (n *Node) HarvestStep(pressureAmp, f, rhoC, dt float64) PowerState {
 		n.state = Off
 	}
 	return n.state
-}
-
-// BeginDecoding moves an idle node into the edge-timing state (a falling
-// edge raised the interrupt). Returns false if the node is not powered.
-func (n *Node) BeginDecoding() bool {
-	if n.state != Idle {
-		return false
-	}
-	n.state = Decoding
-	return true
-}
-
-// FinishDecoding returns the node to idle after a downlink query ends.
-func (n *Node) FinishDecoding() {
-	if n.state == Decoding {
-		n.state = Idle
-	}
 }
 
 // DecodeDownlink runs the node's receive chain over a downlink envelope:
@@ -373,7 +332,6 @@ func (n *Node) readSensor(id frame.SensorID) ([]byte, error) {
 				n.cfg.Cap.Voltage(), after)
 		}
 		n.cfg.Cap.Step(0, 1, phSenseEnergyJ/math.Max(n.cfg.Cap.Voltage(), 0.5)/0.1, 0.1)
-		n.energyJ += phSenseEnergyJ
 		code := n.adc.Sample(n.afe.Condition(n.probe.Voltage(n.cfg.Env)))
 		ph := sensors.PHFromCode(code, n.adc, n.afe, n.probe, n.cfg.Env.TemperatureC)
 		v := uint16(ph*100 + 0.5)

@@ -159,21 +159,6 @@ func (m *FM0) DecodeInto(dst []Bit, t *Trellis, wave []float64, nbits int, prevL
 	return bits, total / float64(nbits)
 }
 
-// Decode is DecodeFrom with unknown entry level: it tries both and keeps
-// the higher-metric result. Note that without an external polarity
-// reference (normally the preamble) FM0 is ambiguous under level
-// inversion, so Decode may return the bitwise complement sequence when
-// handed an isolated waveform; use DecodeFrom with the polarity from
-// DetectPacket in receiver chains.
-func (m *FM0) Decode(wave []float64, nbits int) ([]Bit, float64) {
-	bitsA, confA := m.DecodeFrom(wave, nbits, 1)
-	bitsB, confB := m.DecodeFrom(wave, nbits, -1)
-	if confA >= confB {
-		return bitsA, confA
-	}
-	return bitsB, confB
-}
-
 // ThresholdDecode is the naive slicer baseline used by the ablation
 // bench: it thresholds each half-bit at the waveform mean and reads the
 // mid-bit transition directly, with no likelihood tracking.
@@ -216,14 +201,6 @@ func meanOf(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Bitrate returns the data rate in bit/s at sample rate fs.
-func (m *FM0) Bitrate(fs float64) float64 {
-	if m.SamplesPerBit <= 0 {
-		return 0
-	}
-	return fs / float64(m.SamplesPerBit)
 }
 
 // OccupiedBandwidth returns the approximate null-to-null baseband

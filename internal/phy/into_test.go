@@ -33,7 +33,7 @@ func TestCorrectCFOIntoMatchesCorrectCFO(t *testing.T) {
 		bb[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	for _, fs := range []float64{96000, 0} {
-		want := CorrectCFO(bb, 3.7, fs)
+		want := CorrectCFOInto(nil, bb, 3.7, fs)
 		dst := make([]complex128, 2*len(bb))
 		for i := range dst {
 			dst[i] = complex(math.NaN(), math.NaN())
@@ -145,7 +145,7 @@ func TestSharedDetectorsMatchFresh(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, r := range runs {
 			for _, maxK := range []int{1, 8} {
-				want, wantErr := NewDetector(r.m).Candidates(r.wave, 0.3, maxK, 0)
+				want, wantErr := NewSharedDetector(r.m, new(DetectScratch)).Candidates(r.wave, 0.3, maxK, 0)
 				got, gotErr := r.det.Candidates(r.wave, 0.3, maxK, 0)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("run %d, maxK %d: error %v, fresh detector %v", i, maxK, gotErr, wantErr)

@@ -388,7 +388,7 @@ func TestCorrectCFOMatchesCosSin(t *testing.T) {
 	}
 	for _, c := range []struct{ cfo, fs float64 }{{0.7, 96000}, {-3.3, 96000}, {431.5, 8000}, {2e6, 1}, {-1.1e8, 3}} {
 		want := refCorrectCFOInto(nil, bb, c.cfo, c.fs)
-		got := CorrectCFO(bb, c.cfo, c.fs)
+		got := CorrectCFOInto(nil, bb, c.cfo, c.fs)
 		inPlace := append([]complex128(nil), bb...)
 		inPlace = CorrectCFOInto(inPlace, inPlace, c.cfo, c.fs)
 		for i := range want {

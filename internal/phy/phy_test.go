@@ -165,22 +165,6 @@ func TestFM0SingleOneBitIsAmbiguous(t *testing.T) {
 	}
 }
 
-func TestFM0DecodeComplementAmbiguity(t *testing.T) {
-	// Without a polarity reference, Decode returns either the bits or
-	// their complement — never a mixture.
-	m, _ := NewFM0(8)
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 20; trial++ {
-		bits := randBits(rng, 30)
-		wave, _ := m.Encode(bits, -1)
-		got, _ := m.Decode(wave, len(bits))
-		errs := CountBitErrors(bits, got)
-		if errs != 0 && errs != len(bits) {
-			t.Fatalf("trial %d: %d errors; expected exact bits or exact complement", trial, errs)
-		}
-	}
-}
-
 func TestFM0DecodeWithOffsetAndScale(t *testing.T) {
 	// Receiver sees arbitrary amplitude levels, e.g. 0.8 (reflective)
 	// and 0.55 (absorptive), not ±1.
@@ -239,11 +223,11 @@ func TestFM0DecodeTruncated(t *testing.T) {
 	m, _ := NewFM0(8)
 	bits := []Bit{1, 0, 1}
 	wave, _ := m.Encode(bits, 1)
-	got, _ := m.Decode(wave, 10) // ask for more bits than present
+	got, _ := m.DecodeFrom(wave, 10, 1) // ask for more bits than present
 	if len(got) != 3 {
 		t.Errorf("decode should clamp to available bits, got %d", len(got))
 	}
-	if out, _ := m.Decode(wave[:4], 1); out != nil {
+	if out, _ := m.DecodeFrom(wave[:4], 1, 1); out != nil {
 		t.Error("waveform shorter than a bit should decode to nil")
 	}
 }
@@ -271,12 +255,24 @@ func TestOccupiedBandwidth(t *testing.T) {
 	}
 }
 
+// keyingEnvelope lays Keying's runs of bits end to end: the on/off
+// envelope (1 = carrier on, 0 = off) a node's trigger sees.
+func keyingEnvelope(p *PWM, bits []Bit) []float64 {
+	var env []float64
+	p.Keying(bits, func(level float64, samples int) {
+		for range samples {
+			env = append(env, level)
+		}
+	})
+	return env
+}
+
 func TestPWMRoundTrip(t *testing.T) {
 	p, _ := NewPWM(10)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		bits := randBits(rng, 1+rng.Intn(40))
-		env := p.Encode(bits)
+		env := keyingEnvelope(p, bits)
 		levels := make([]bool, len(env))
 		for i, v := range env {
 			levels[i] = v > 0.5
@@ -292,8 +288,8 @@ func TestPWMRoundTrip(t *testing.T) {
 func TestPWMEncodedLength(t *testing.T) {
 	p, _ := NewPWM(10)
 	bits := []Bit{0, 1, 0}
-	if n := p.EncodedLength(bits); n != len(p.Encode(bits)) {
-		t.Errorf("EncodedLength %d != actual %d", n, len(p.Encode(bits)))
+	if n := p.EncodedLength(bits); n != len(keyingEnvelope(p, bits)) {
+		t.Errorf("EncodedLength %d != actual %d", n, len(keyingEnvelope(p, bits)))
 	}
 	if p.SymbolSamples(0) != 20 || p.SymbolSamples(1) != 30 {
 		t.Error("symbol sample counts wrong")
@@ -305,7 +301,7 @@ func TestPWMTimingJitterTolerance(t *testing.T) {
 	p, _ := NewPWM(20)
 	rng := rand.New(rand.NewSource(3))
 	bits := randBits(rng, 20)
-	env := p.Encode(bits)
+	env := keyingEnvelope(p, bits)
 	levels := make([]bool, 0, len(env))
 	for i := 0; i < len(env); i++ {
 		levels = append(levels, env[i] > 0.5)
@@ -347,6 +343,15 @@ func TestSchmittTriggerHysteresis(t *testing.T) {
 	}
 }
 
+// detectPacket is the strongest candidate a fresh detector finds.
+func detectPacket(wave []float64, m *FM0, threshold float64) (Sync, error) {
+	cands, err := NewSharedDetector(m, new(DetectScratch)).Candidates(wave, threshold, 1, 0)
+	if err != nil {
+		return Sync{}, err
+	}
+	return cands[0], nil
+}
+
 func TestDetectPacket(t *testing.T) {
 	m, _ := NewFM0(12)
 	rng := rand.New(rand.NewSource(21))
@@ -362,7 +367,7 @@ func TestDetectPacket(t *testing.T) {
 	for i, v := range wave {
 		rx[lead+i] += v
 	}
-	sync, err := DetectPacket(rx, m, 0.5)
+	sync, err := detectPacket(rx, m, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +395,7 @@ func TestDetectPacketInverted(t *testing.T) {
 	wave, _ := m.Encode(frame, -1)
 	rx := make([]float64, 300+len(wave))
 	copy(rx[300:], wave)
-	sync, err := DetectPacket(rx, m, 0.5)
+	sync, err := detectPacket(rx, m, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +419,10 @@ func TestDetectPacketAbsent(t *testing.T) {
 	for i := range rx {
 		rx[i] = rng.NormFloat64()
 	}
-	if _, err := DetectPacket(rx, m, 0.85); err == nil {
+	if _, err := detectPacket(rx, m, 0.85); err == nil {
 		t.Error("pure noise should not contain a preamble at 0.85 threshold")
 	}
-	if _, err := DetectPacket(rx[:10], m, 0.5); err == nil {
+	if _, err := detectPacket(rx[:10], m, 0.5); err == nil {
 		t.Error("too-short waveform should error")
 	}
 }
@@ -435,7 +440,7 @@ func TestEstimateAndCorrectCFO(t *testing.T) {
 	if math.Abs(est-cfo) > 0.5 {
 		t.Fatalf("CFO estimate %g, want %g", est, cfo)
 	}
-	fixed := CorrectCFO(bb, est, fs)
+	fixed := CorrectCFOInto(nil, bb, est, fs)
 	if resid := EstimateCFO(fixed, fs); math.Abs(resid) > 0.5 {
 		t.Errorf("residual CFO %g after correction", resid)
 	}

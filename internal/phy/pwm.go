@@ -26,18 +26,6 @@ func NewPWM(unitSamples int) (*PWM, error) {
 	return &PWM{UnitSamples: unitSamples}, nil
 }
 
-// Encode returns the on/off keying envelope (1 = carrier on, 0 = off)
-// for bits: Keying's runs laid end to end.
-func (p *PWM) Encode(bits []Bit) []float64 {
-	out := make([]float64, 0, p.EncodedLength(bits))
-	p.Keying(bits, func(level float64, samples int) {
-		for range samples {
-			out = append(out, level)
-		}
-	})
-	return out
-}
-
 // Keying calls run for each stretch of the keying envelope of bits, in
 // order, with its level (1 = carrier on, 0 = off) and its length in
 // samples. Each bit is ON for 1 unit ('0') or 2 units ('1') and then

@@ -10,11 +10,11 @@ type ScanHit struct {
 	Index int64
 	// Corr is the signed normalised correlation at the alignment
 	// (|Corr| ≥ the scanner threshold; the sign carries the FM0
-	// polarity, as in DetectPacketCandidates).
+	// polarity, as in Detector.Candidates).
 	Corr float64
 }
 
-// SyncScanner is the incremental face of DetectPacketCandidates: it
+// SyncScanner is the incremental face of Detector.Candidates: it
 // watches a real-valued projection stream for FM0 preamble correlation
 // peaks block by block, carrying len(template)−1 samples of history so
 // an alignment torn across a block boundary is still evaluated whole.
@@ -58,9 +58,6 @@ func NewSyncScanner(m *FM0, threshold float64) *SyncScanner {
 		hits:      make([]ScanHit, 0, 8),
 	}
 }
-
-// Offset returns the global index of the next sample Scan will consume.
-func (s *SyncScanner) Offset() int64 { return s.next }
 
 // SamplesPerBit returns the samples per bit of the FM0 encoding the
 // scanner matches.

@@ -91,7 +91,7 @@ func TestSyncScannerAgreesWithBatchDetector(t *testing.T) {
 	}
 	const offset = 777
 	wave := scannerWave(m, 3000, offset)
-	sync, err := DetectPacket(wave, m, 0.8)
+	sync, err := detectPacket(wave, m, 0.8)
 	if err != nil {
 		t.Fatalf("batch detector: %v", err)
 	}
@@ -123,8 +123,8 @@ func TestSyncScannerShortAndEmptyBlocks(t *testing.T) {
 			t.Fatalf("sub-template stream produced hits: %v", hits)
 		}
 	}
-	if s.Offset() != 50 {
-		t.Fatalf("offset = %d, want 50", s.Offset())
+	if s.next != 50 {
+		t.Fatalf("offset = %d, want 50", s.next)
 	}
 }
 
@@ -159,8 +159,8 @@ func TestSyncScannerResetMatchesFresh(t *testing.T) {
 		s := NewSyncScanner(m, 0.3)
 		scan(s, a, 97)
 		s.Reset()
-		if s.Offset() != 0 {
-			t.Fatalf("block %d: offset %d after Reset, want 0", block, s.Offset())
+		if s.next != 0 {
+			t.Fatalf("block %d: offset %d after Reset, want 0", block, s.next)
 		}
 		got := scan(s, b, block)
 		if len(got) != len(want) {

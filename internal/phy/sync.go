@@ -38,37 +38,11 @@ type Sync struct {
 // the threshold. It is a constant, so a miss costs no allocation.
 var ErrNoPreamble = errors.New("phy: no preamble found")
 
-// DetectPacket locates the start of an FM0 packet in a baseband
-// amplitude waveform by normalised cross-correlation against the encoded
-// preamble, resolving FM0's polarity ambiguity from the correlation sign.
-// It returns an error when no point exceeds the threshold. The waveform
-// need not be mean-centred; DetectPacket removes the mean itself.
-func DetectPacket(wave []float64, m *FM0, threshold float64) (Sync, error) {
-	cands, err := DetectPacketCandidates(wave, m, threshold, 1, 0)
-	if err != nil {
-		return Sync{}, err
-	}
-	return cands[0], nil
-}
-
-// DetectPacketCandidates returns up to maxK candidate packet starts,
-// strongest first, separated by at least minSeparation samples (default:
-// one preamble length). Multiple candidates let a receiver disambiguate
-// when payload structure correlates with the preamble template as well —
-// it can test each candidate and keep the one that decodes. A miss
-// wraps ErrNoPreamble with the best |correlation| found.
-func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, minSeparation int) ([]Sync, error) {
-	out, best, err := NewDetector(m).candidates(wave, threshold, maxK, minSeparation)
-	if errors.Is(err, ErrNoPreamble) {
-		return nil, fmt.Errorf("%w (best %.3f < threshold %.3f)", err, best, threshold)
-	}
-	return out, err
-}
-
-// Detector runs DetectPacketCandidates repeatedly for one FM0
-// configuration, reusing its scratch from call to call — a receiver's
-// coarse and refining searches over one recording. It must not be used
-// from several goroutines at once.
+// Detector locates FM0 packet starts in baseband amplitude waveforms by
+// normalised cross-correlation against the encoded preamble, reusing its
+// scratch from call to call — a receiver's coarse and refining searches
+// over one recording. It must not be used from several goroutines at
+// once.
 type Detector struct {
 	m    *FM0
 	corr *dsp.StepCorrelator
@@ -91,33 +65,28 @@ type DetectScratch struct {
 	mark []byte
 }
 
-// NewDetector returns a detector for m's encoding of the preamble,
-// with scratch of its own.
-func NewDetector(m *FM0) *Detector { return NewSharedDetector(m, new(DetectScratch)) }
-
 // NewSharedDetector returns a detector for m's encoding of the preamble
 // that works in s, shared with every other detector built on s.
 func NewSharedDetector(m *FM0, s *DetectScratch) *Detector {
 	return &Detector{m: m, corr: preambleCorrelator(m), s: s}
 }
 
-// Candidates is DetectPacketCandidates on the detector's FM0, except
-// that a miss returns ErrNoPreamble itself, without allocating. The
-// returned slice is the scratch's: the next Candidates call on any
-// detector sharing it overwrites it, so copy anything kept longer.
+// Candidates returns up to maxK candidate packet starts in wave,
+// strongest first, separated by at least minSeparation samples (default:
+// one preamble length), resolving FM0's polarity ambiguity from the
+// correlation sign. The waveform need not be mean-centred. Multiple
+// candidates let a receiver disambiguate when payload structure
+// correlates with the preamble template as well — it can test each
+// candidate and keep the one that decodes. A miss returns ErrNoPreamble
+// without allocating. The returned slice is the scratch's: the
+// next Candidates call on any detector sharing it overwrites it, so copy
+// anything kept longer.
 func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, error) {
-	out, _, err := d.candidates(wave, threshold, maxK, minSeparation)
-	return out, err
-}
-
-// candidates is Candidates, also returning the best |correlation| of
-// any lag for a miss's message.
-func (d *Detector) candidates(wave []float64, threshold float64, maxK, minSeparation int) ([]Sync, float64, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(wave))
 	m, cc, s := d.m, d.corr, d.s
 	if len(wave) < cc.Len() {
-		return nil, 0, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
+		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), cc.Len())
 	}
 	if maxK < 1 {
 		maxK = 1
@@ -133,7 +102,7 @@ func (d *Detector) candidates(wave []float64, threshold float64, maxK, minSepara
 	// lags reach the threshold, so whenever the kept list has doubled
 	// since it was last pruned, the lags no pick can reach are dropped.
 	pruneAt := 0
-	above, best := cc.Scan(&s.scan, s.above[:0], wave, threshold, func(kept []dsp.LagScore, scored int) []dsp.LagScore {
+	above, _ := cc.Scan(&s.scan, s.above[:0], wave, threshold, func(kept []dsp.LagScore, scored int) []dsp.LagScore {
 		if len(kept) < pruneAt {
 			return kept
 		}
@@ -178,12 +147,12 @@ func (d *Detector) candidates(wave []float64, threshold float64, maxK, minSepara
 	out = out[:n]
 	if len(out) == 0 {
 		telemetry.Inc(telemetry.MPhySyncMissesTotal)
-		return nil, best, ErrNoPreamble
+		return nil, ErrNoPreamble
 	}
 	telemetry.Inc(telemetry.MPhySyncDetectsTotal)
 	telemetry.ObserveN(telemetry.MPhySyncCandidates, telemetry.DefCountBuckets, float64(len(out)))
 	telemetry.ObserveN(telemetry.MPhySyncPeak, syncPeakBuckets, out[0].Score)
-	return out, best, nil
+	return out, nil
 }
 
 // pruneSlack is how many kept lags Candidates lets accumulate past twice
@@ -357,15 +326,10 @@ func EstimateCFO(bb []complex128, fs float64) float64 {
 	return cmplx.Phase(acc) * fs / (2 * math.Pi)
 }
 
-// CorrectCFO derotates a complex baseband signal by the given frequency
-// offset (Hz), returning a new slice.
-func CorrectCFO(bb []complex128, cfo, fs float64) []complex128 {
-	return CorrectCFOInto(nil, bb, cfo, fs)
-}
-
-// CorrectCFOInto is CorrectCFO writing into dst's backing array when it
-// is large enough. dst may be bb itself, which corrects bb in place,
-// but must not otherwise overlap it.
+// CorrectCFOInto derotates a complex baseband signal by the given
+// frequency offset (Hz), writing into dst's backing array when it is
+// large enough. dst may be bb itself, which corrects bb in place, but
+// must not otherwise overlap it.
 func CorrectCFOInto(dst, bb []complex128, cfo, fs float64) []complex128 {
 	out := dsp.Grow(dst, len(bb))
 	if fs <= 0 {
@@ -379,7 +343,7 @@ func CorrectCFOInto(dst, bb []complex128, cfo, fs float64) []complex128 {
 	return out
 }
 
-// Derotator is the rotation CorrectCFO applies, in radians per sample.
+// Derotator is the rotation CorrectCFOInto applies, in radians per sample.
 type Derotator float64
 
 // NewDerotator returns the rotation that removes an offset of cfo Hz
@@ -391,7 +355,7 @@ func NewDerotator(cfo, fs float64) Derotator {
 	return Derotator(-2 * math.Pi * cfo / fs)
 }
 
-// At returns the unit phasor CorrectCFO multiplies sample i by.
+// At returns the unit phasor CorrectCFOInto multiplies sample i by.
 // math.Sincos shares one argument reduction between the two and
 // returns the bits math.Cos and math.Sin do.
 func (w Derotator) At(i int) complex128 {

@@ -30,20 +30,6 @@ const (
 	Open
 )
 
-// String returns the state name.
-func (s SwitchState) String() string {
-	switch s {
-	case Absorptive:
-		return "absorptive"
-	case Reflective:
-		return "reflective"
-	case Open:
-		return "open"
-	default:
-		return "unknown"
-	}
-}
-
 // Design describes a transducer to be fabricated (the knobs §4.1 of the
 // paper discusses).
 type Design struct {
@@ -68,14 +54,6 @@ type Design struct {
 	// TransmitResponse is the source sensitivity at resonance, Pa·m/V:
 	// pressure at 1 m per volt of drive.
 	TransmitResponse float64
-	// ReceiveResponse is the open-circuit receive sensitivity at
-	// resonance, V/Pa.
-	ReceiveResponse float64
-	// VerticalDirectivityExp shapes the vertical beam pattern
-	// |cos(elevation)|^exp. The paper's cylinder "vibrates radially
-	// making it omnidirectional in the horizontal plane" (§4.1); its
-	// vertical response falls off toward the cylinder axis. 0 = omni.
-	VerticalDirectivityExp float64
 }
 
 // PaperCylinder returns the design of the paper's transducer: a radially
@@ -104,10 +82,7 @@ func PaperCylinder() Design {
 		// 3 Pa·m/V ⇒ ~190 dB re 1 µPa @ 1 m at the amplifier's full
 		// 350 V — the modest source level of a hand-built projector,
 		// which is what pins Fig 9's power-up ranges to metres.
-		TransmitResponse: 3,    // Pa·m/V
-		ReceiveResponse:  4e-4, // V/Pa
-		// A 4 cm tall radial cylinder has a broad vertical lobe.
-		VerticalDirectivityExp: 1,
+		TransmitResponse: 3, // Pa·m/V
 	}
 }
 
@@ -119,7 +94,6 @@ func FullyPottedCylinder() Design {
 	d.MechanicalQ = 1.5
 	d.Efficiency = 0.35
 	d.MassLoading = 0.45
-	d.ReceiveResponse *= 0.5
 	d.TransmitResponse *= 0.5
 	return d
 }
@@ -178,12 +152,6 @@ func (t *Transducer) Design() Design { return t.design }
 // ResonanceHz returns the in-water motional (series) resonance frequency.
 func (t *Transducer) ResonanceHz() float64 { return t.waterResonance }
 
-// BandwidthHz returns the -3 dB mechanical bandwidth f0/Q (the paper's
-// footnote 2: Q = f/bandwidth).
-func (t *Transducer) BandwidthHz() float64 {
-	return t.waterResonance / t.design.MechanicalQ
-}
-
 // Impedance returns the electrical impedance of the transducer at
 // frequency f: C0 in parallel with the motional R1-L1-C1 branch.
 func (t *Transducer) Impedance(f float64) circuit.Impedance {
@@ -221,13 +189,6 @@ func (t *Transducer) GeometricResponse(f float64) float64 {
 // P = αV·sin(2πft+φ)).
 func (t *Transducer) TransmitPressure(driveVolts, freqHz float64) float64 {
 	return t.design.TransmitResponse * driveVolts * t.GeometricResponse(freqHz)
-}
-
-// OpenCircuitVoltage returns the amplitude of the voltage the transducer
-// develops across open terminals for an incident pressure amplitude
-// pressurePa at frequency freqHz.
-func (t *Transducer) OpenCircuitVoltage(pressurePa, freqHz float64) float64 {
-	return t.design.ReceiveResponse * pressurePa * t.GeometricResponse(freqHz)
 }
 
 // AvailableElectricalPower returns the maximum electrical power (W) a
@@ -285,12 +246,6 @@ func (t *Transducer) StateReflectionCoeff(state SwitchState, matched circuit.Imp
 	return t.ReflectionCoeff(loadFor(state, matched), f)
 }
 
-// StateReflection returns the reflection amplitude for a switch state
-// given the matched harvesting load impedance at this frequency.
-func (t *Transducer) StateReflection(state SwitchState, matched circuit.Impedance, f float64) float64 {
-	return cmplx.Abs(t.StateReflectionCoeff(state, matched, f))
-}
-
 // ModulationDepth returns the magnitude of the *complex* difference in
 // reflection coefficient between the reflective and absorptive states,
 // per unit incident pressure — the quantity that sets backscatter SNR
@@ -312,33 +267,6 @@ func RhoC(soundSpeed float64, saline bool) float64 {
 		rho = 1025.0
 	}
 	return rho * soundSpeed
-}
-
-// VerticalDirectivity returns the amplitude beam pattern at the given
-// elevation angle (radians from the horizontal plane):
-// |cos(elev)|^exp, floored at 0.05 so no path vanishes entirely
-// (diffraction and mounting scatter fill deep nulls in practice).
-func (t *Transducer) VerticalDirectivity(elevationRad float64) float64 {
-	exp := t.design.VerticalDirectivityExp
-	if exp <= 0 {
-		return 1
-	}
-	d := math.Pow(math.Abs(math.Cos(elevationRad)), exp)
-	if d < 0.05 {
-		return 0.05
-	}
-	return d
-}
-
-// ResponseTimeConstant returns the resonator's exponential settling time
-// τ = Q/(π·f0) in seconds: the stored mechanical energy cannot follow an
-// instantaneous switch flip, so the reflected wave slews between states
-// over ~τ. At high backscatter bitrates the half-bit approaches τ and
-// the modulation collapses — the physical cause of the paper's sharp SNR
-// drop beyond 3 kbit/s (Fig 8, "the efficiency of the recto-piezo
-// reduces as the frequency moves from its resonance").
-func (t *Transducer) ResponseTimeConstant() float64 {
-	return t.design.MechanicalQ / (math.Pi * t.waterResonance)
 }
 
 // ConjugateImpedance returns the conjugate of the transducer impedance at

@@ -25,13 +25,8 @@ type Options struct {
 	LogY bool
 }
 
-// Render draws the series onto a width×height character canvas with
-// axis annotations.
-func Render(w io.Writer, title string, series []Series, width, height int) error {
-	return RenderWithOptions(w, title, series, width, height, Options{})
-}
-
-// RenderWithOptions is Render with explicit options.
+// RenderWithOptions draws the series onto a width×height character
+// canvas with axis annotations.
 func RenderWithOptions(w io.Writer, title string, series []Series, width, height int, opt Options) error {
 	if opt.LogY {
 		logged := make([]Series, 0, len(series))

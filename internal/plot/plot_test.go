@@ -10,7 +10,7 @@ import (
 func TestRenderBasics(t *testing.T) {
 	var buf bytes.Buffer
 	s := Series{Name: "line", X: []float64{0, 1, 2, 3}, Y: []float64{0, 1, 2, 3}}
-	if err := Render(&buf, "test", []Series{s}, 40, 10); err != nil {
+	if err := RenderWithOptions(&buf, "test", []Series{s}, 40, 10, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -34,7 +34,7 @@ func TestRenderMultiSeriesGlyphs(t *testing.T) {
 	var buf bytes.Buffer
 	a := Series{Name: "a", X: []float64{0, 1}, Y: []float64{0, 1}}
 	b := Series{Name: "b", X: []float64{0, 1}, Y: []float64{1, 0}}
-	if err := Render(&buf, "", []Series{a, b}, 30, 8); err != nil {
+	if err := RenderWithOptions(&buf, "", []Series{a, b}, 30, 8, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -45,19 +45,19 @@ func TestRenderMultiSeriesGlyphs(t *testing.T) {
 
 func TestRenderDegenerate(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(&buf, "", nil, 40, 10); err == nil {
+	if err := RenderWithOptions(&buf, "", nil, 40, 10, Options{}); err == nil {
 		t.Error("no series should error")
 	}
-	if err := Render(&buf, "", []Series{{X: []float64{1}, Y: []float64{2}}}, 5, 2); err == nil {
+	if err := RenderWithOptions(&buf, "", []Series{{X: []float64{1}, Y: []float64{2}}}, 5, 2, Options{}); err == nil {
 		t.Error("tiny canvas should error")
 	}
 	nan := Series{X: []float64{math.NaN()}, Y: []float64{1}}
-	if err := Render(&buf, "", []Series{nan}, 40, 10); err == nil {
+	if err := RenderWithOptions(&buf, "", []Series{nan}, 40, 10, Options{}); err == nil {
 		t.Error("all-NaN should error")
 	}
 	// Constant series must not divide by zero.
 	flat := Series{X: []float64{1, 1}, Y: []float64{2, 2}}
-	if err := Render(&buf, "", []Series{flat}, 40, 10); err != nil {
+	if err := RenderWithOptions(&buf, "", []Series{flat}, 40, 10, Options{}); err != nil {
 		t.Errorf("flat series: %v", err)
 	}
 }

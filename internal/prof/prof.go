@@ -13,9 +13,9 @@
 //     durations are available for percentile math (cmd/pabprof) and
 //     trace export. A timer is a value: starting and stopping one
 //     allocates nothing.
-//   - Do: pprof label plumbing. Wrapping scheduler jobs and decode
-//     runs attaches (stage, job_id, spec_hash, …) labels so
-//     /debug/pprof/profile flamegraphs break down by pipeline stage.
+//   - Do: pprof label plumbing. Wrapping scheduler jobs attaches
+//     (stage, job_id, spec_hash, kind) labels so /debug/pprof/profile
+//     flamegraphs break down by job; a decode inside a job keeps them.
 //   - trace.go: a Chrome trace-event JSON exporter (/trace.json and
 //     the -trace-out flag) that renders any run in Perfetto,
 //     including the scheduler's queue-wait vs service-time phases.
@@ -126,7 +126,6 @@ func heapAllocs() uint64 {
 type StageTimer struct {
 	reg        *telemetry.Registry
 	stage      Stage
-	parent     uint64
 	start      time.Time
 	allocStart uint64
 	haveAlloc  bool
@@ -147,14 +146,6 @@ func StartIn(reg *telemetry.Registry, stage Stage) StageTimer {
 		t.haveAlloc = true
 	}
 	t.start = time.Now()
-	return t
-}
-
-// WithParent links the stage's span record into an existing span tree
-// (trace export groups a tree onto one Perfetto track). Returns the
-// timer for chaining.
-func (t StageTimer) WithParent(parent uint64) StageTimer {
-	t.parent = parent
 	return t
 }
 
@@ -184,7 +175,6 @@ func (t StageTimer) Stop(samples int) time.Duration {
 		t.reg.ObserveN(t.stage.alloc, telemetry.DefBytesBuckets, float64(allocDelta))
 	}
 	t.reg.RecordSpan(telemetry.SpanRecord{
-		ParentID:        t.parent,
 		Name:            t.stage.span,
 		Start:           t.start,
 		DurationSeconds: sec,
@@ -209,27 +199,4 @@ func Do(ctx context.Context, fn func(), kv ...string) {
 		ctx = context.Background()
 	}
 	pprof.Do(ctx, pprof.Labels(kv...), func(context.Context) { fn() })
-}
-
-// Labels is a pprof label set bound to a context once, for a stage
-// whose labels never change: Do with it allocates nothing, where the
-// package-level Do builds the label set and its context on every call.
-type Labels struct{ ctx context.Context }
-
-// NewLabels returns the label set of the key/value pairs kv.
-func NewLabels(kv ...string) Labels {
-	return Labels{pprof.WithLabels(context.Background(), pprof.Labels(kv...))}
-}
-
-// Do runs fn with the calling goroutine labelled l, and clears the
-// goroutine's labels afterwards, as the package-level Do does with a
-// nil context. When the default registry is disabled, fn runs directly.
-func (l Labels) Do(fn func()) {
-	if !telemetry.Enabled() {
-		fn()
-		return
-	}
-	defer pprof.SetGoroutineLabels(context.Background())
-	pprof.SetGoroutineLabels(l.ctx)
-	fn()
 }

@@ -164,8 +164,10 @@ func (r *BenchReport) AttributePerChain() {
 // stage's alloc_bytes_per_op may grow more than maxAllocRegress×.
 // Durations under floorMS are floored before the latency ratio so
 // sub-noise stages cannot trip the gate; the allocation ratio floors at
-// 4 KiB per op for the same reason (allocator noise on near-zero
-// stages). Returns one message per violation.
+// 256 B per op for the same reason (allocator noise on near-zero
+// stages). 256 B is a warm receiver's whole steady-state decode budget,
+// so a stage that starts allocating a buffer per call trips the gate.
+// Returns one message per violation.
 func (r BenchReport) CheckAgainst(base BenchReport, maxRegress, floorMS, maxAllocRegress float64) []string {
 	var problems []string
 	floor := func(v float64) float64 {
@@ -174,7 +176,7 @@ func (r BenchReport) CheckAgainst(base BenchReport, maxRegress, floorMS, maxAllo
 		}
 		return v
 	}
-	const allocFloorBytes = 4096
+	const allocFloorBytes = 256
 	floorAlloc := func(v float64) float64 {
 		if v < allocFloorBytes {
 			return allocFloorBytes

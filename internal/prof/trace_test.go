@@ -15,7 +15,7 @@ func TestBuildTraceValidTraceEventJSON(t *testing.T) {
 	root := reg.StartSpan("sim_job").Attr("id", "abc")
 	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_queue_wait", ParentID: root.ID(),
 		Start: time.Now().Add(-10 * time.Millisecond), DurationSeconds: 0.01, Attrs: map[string]any{"id": "abc"}})
-	StartIn(reg, StageDecode).WithParent(root.ID()).Stop(64)
+	StartIn(reg, StageDecode).Stop(64)
 	root.End()
 
 	tf := BuildTrace(reg.Snapshot().Spans)

@@ -55,14 +55,6 @@ func (p *Projector) PressureAmplitude(driveV, f float64) float64 {
 	return p.Transducer.TransmitPressure(p.clampDrive(driveV), f)
 }
 
-// CW synthesises a continuous wave of duration seconds at frequency f,
-// as pressure at 1 m.
-func (p *Projector) CW(driveV, f, duration float64) []float64 {
-	n := int(duration * p.SampleRate)
-	amp := p.PressureAmplitude(driveV, f)
-	return dsp.Sine(amp, f, p.SampleRate, 0, n)
-}
-
 // Query synthesises the PWM-keyed downlink query waveform: carrier at f
 // on/off keyed with the preamble plus the marshalled query bits, followed
 // by a continuous carrier tail of tailSeconds during which the node
@@ -108,39 +100,4 @@ func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tai
 		quad[i] = -amp * cos
 	}
 	return wave, quad, nil
-}
-
-// Tone describes one component of a multi-tone downlink.
-type Tone struct {
-	Frequency float64
-	DriveV    float64
-}
-
-// MultiTone synthesises the sum of CW carriers (the dual-frequency
-// downlink that activates both recto-piezos in §6.3). Each tone is
-// clamped to the amplifier limit independently; real amplifiers share
-// headroom, which the caller models by choosing drives that sum within
-// MaxDriveV.
-func (p *Projector) MultiTone(tones []Tone, duration float64) ([]float64, error) {
-	if len(tones) == 0 {
-		return nil, fmt.Errorf("projector: no tones")
-	}
-	n := int(duration * p.SampleRate)
-	out := make([]float64, n)
-	for _, tone := range tones {
-		amp := p.PressureAmplitude(tone.DriveV, tone.Frequency)
-		w := dsp.Sine(amp, tone.Frequency, p.SampleRate, 0, n)
-		dsp.Add(out, w)
-	}
-	return out, nil
-}
-
-// QueryDuration returns the on-air duration in seconds of a PWM query
-// with the given unit size (worst case: all-ones bits).
-func (p *Projector) QueryDuration(unitSamples int) float64 {
-	if p.SampleRate <= 0 {
-		return 0
-	}
-	bits := len(phy.PreambleBits) + frame.QueryBitLength
-	return float64(bits*3*unitSamples) / p.SampleRate
 }

@@ -1,7 +1,6 @@
 package projector
 
 import (
-	"math"
 	"testing"
 
 	"pab/internal/dsp"
@@ -33,23 +32,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(tr, 100, 0); err == nil {
 		t.Error("zero sample rate should error")
-	}
-}
-
-func TestCWProperties(t *testing.T) {
-	p := testProjector(t)
-	w := p.CW(100, 15000, 0.1)
-	if len(w) != 9600 {
-		t.Fatalf("length %d, want 9600", len(w))
-	}
-	peaks := dsp.FindPeaks(w, 96000, 1, 500, 0)
-	if len(peaks) != 1 || math.Abs(peaks[0].Frequency-15000) > 20 {
-		t.Errorf("CW spectrum wrong: %+v", peaks)
-	}
-	// Amplitude = transmit response × drive at resonance (15 kHz ≈ f0).
-	wantAmp := p.Transducer.TransmitPressure(100, 15000)
-	if got := dsp.RMS(w) * math.Sqrt2; math.Abs(got-wantAmp) > 0.01*wantAmp {
-		t.Errorf("amplitude %g, want %g", got, wantAmp)
 	}
 }
 
@@ -123,33 +105,5 @@ func TestQueryWaveform(t *testing.T) {
 	}
 	if !found {
 		t.Error("query not recoverable from projector waveform envelope")
-	}
-}
-
-func TestMultiTone(t *testing.T) {
-	p := testProjector(t)
-	w, err := p.MultiTone([]Tone{{15000, 100}, {18000, 100}}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peaks := dsp.FindPeaks(w, 96000, 2, 1000, 0)
-	if len(peaks) != 2 {
-		t.Fatalf("want 2 tones, got %d", len(peaks))
-	}
-	freqs := []float64{peaks[0].Frequency, peaks[1].Frequency}
-	if math.Min(freqs[0], freqs[1]) > 15100 || math.Max(freqs[0], freqs[1]) < 17900 {
-		t.Errorf("tones at %v", freqs)
-	}
-	if _, err := p.MultiTone(nil, 0.1); err == nil {
-		t.Error("empty tone list should error")
-	}
-}
-
-func TestQueryDuration(t *testing.T) {
-	p := testProjector(t)
-	d := p.QueryDuration(48)
-	// 49 bits × ≤3 units × 48 samples at 96 kHz ⇒ ≤ 73.5 ms.
-	if d <= 0 || d > 0.08 {
-		t.Errorf("query duration %g s", d)
 	}
 }

@@ -92,16 +92,6 @@ func (r Rectifier) InputPeakFromPower(p float64) float64 {
 	return math.Sqrt(2 * p * r.InputResistance)
 }
 
-// LoadedVoltage returns the steady-state DC output when the output sinks
-// a constant current iLoadA (A): Voc − I·Rout, floored at zero.
-func (r Rectifier) LoadedVoltage(vinPeakV, iLoadA float64) float64 {
-	v := r.OpenCircuitVoltage(vinPeakV) - iLoadA*r.OutputResistance()
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Supercap is the node's storage capacitor.
 type Supercap struct {
 	// Capacitance in farads (paper: 1000 µF).
@@ -174,27 +164,6 @@ func (s *Supercap) Step(vocV, routOhm, iLoadA, dtS float64) float64 {
 		s.voltage = vocV
 	}
 	return s.voltage
-}
-
-// SteadyState returns the voltage the capacitor converges to for a fixed
-// source and load (ignoring the leak for routOhm == 0).
-func (s *Supercap) SteadyState(vocV, routOhm, iLoadA float64) float64 {
-	if routOhm <= 0 {
-		return math.Max(vocV, 0)
-	}
-	// 0 = (vocV − v)/routOhm − iLoadA − v/Rleak
-	gLeak := 0.0
-	if s.LeakResistance > 0 {
-		gLeak = 1 / s.LeakResistance
-	}
-	v := (vocV/routOhm - iLoadA) / (1/routOhm + gLeak)
-	if v < 0 {
-		return 0
-	}
-	if v > vocV {
-		return vocV
-	}
-	return v
 }
 
 // StepPowerLimited advances the capacitor like Step but additionally

@@ -45,22 +45,6 @@ func TestInputPeakFromPower(t *testing.T) {
 	}
 }
 
-func TestLoadedVoltageDroops(t *testing.T) {
-	r := Paper()
-	voc := r.OpenCircuitVoltage(1.5)
-	loaded := r.LoadedVoltage(1.5, 200e-6)
-	if loaded >= voc {
-		t.Errorf("loaded %g should droop below open-circuit %g", loaded, voc)
-	}
-	if math.Abs((voc-loaded)-200e-6*r.OutputResistance()) > 1e-9 {
-		t.Error("droop should equal I·Rout")
-	}
-	// Heavy overload floors at zero.
-	if r.LoadedVoltage(0.3, 1) != 0 {
-		t.Error("overloaded output should floor at 0")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := Paper()
 	if err := good.Validate(); err != nil {
@@ -141,22 +125,15 @@ func TestSupercapLeak(t *testing.T) {
 
 func TestSupercapSteadyState(t *testing.T) {
 	s, _ := NewSupercap(1000e-6, 0)
-	// Analytic steady state matches simulation.
+	// Simulation settles at the analytic steady state of a leak-free
+	// capacitor: the source current (voc − v)/rout balances the load.
 	voc, rout, iLoad := 4.0, 2700.0, 300e-6
-	want := s.SteadyState(voc, rout, iLoad)
+	want := voc - iLoad*rout
 	for i := 0; i < 60000; i++ {
 		s.Step(voc, rout, iLoad, 1e-3)
 	}
 	if math.Abs(s.Voltage()-want) > 0.02 {
 		t.Errorf("steady state sim %g vs analytic %g", s.Voltage(), want)
-	}
-	// Overload gives zero.
-	if s.SteadyState(1, 2700, 1) != 0 {
-		t.Error("overloaded steady state should be 0")
-	}
-	// Ideal source.
-	if s.SteadyState(5, 0, 1) != 5 {
-		t.Error("ideal source steady state should be voc")
 	}
 }
 

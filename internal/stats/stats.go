@@ -1,24 +1,8 @@
 // Package stats provides the summary statistics the evaluation harness
-// reports: means, standard deviations (the error bars of Fig 8),
-// percentiles, and dB conversions for SNR/SINR aggregation.
+// reports: means and standard deviations (the error bars of Fig 8).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"pab/internal/units"
-)
-
-// ApproxEqual reports whether a and b agree to within tol, absolutely
-// or relative to their magnitude. It is the evaluation harness's
-// approved float comparison (pablint's floatcmp rule forbids raw ==/!=
-// on floats outside helpers like this one); it delegates to
-// units.ApproxEqual so every layer agrees on what "equal" means.
-func ApproxEqual(a, b, tol float64) bool {
-	return units.ApproxEqual(a, b, tol)
-}
+import "math"
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(x []float64) float64 {
@@ -45,79 +29,4 @@ func StdDev(x []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(x)-1))
-}
-
-// Median returns the middle value (mean of the middle two for even n).
-func Median(x []float64) float64 {
-	return Percentile(x, 50)
-}
-
-// Percentile returns the p-th percentile (0–100) by linear
-// interpolation; 0 for empty input.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(x))
-	copy(sorted, x)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// MeanDB averages linear power ratios and returns the result in dB —
-// the right way to aggregate SNR across trials.
-func MeanDB(linear []float64) units.DB {
-	return units.PowerToDB(Mean(linear))
-}
-
-// LinearToDB converts each element from linear power ratio to dB.
-func LinearToDB(linear []float64) []float64 {
-	out := make([]float64, len(linear))
-	for i, v := range linear {
-		out[i] = float64(units.PowerToDB(v))
-	}
-	return out
-}
-
-// Summary is a labelled aggregate for experiment tables.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarise computes a Summary of x.
-func Summarise(x []float64) Summary {
-	if len(x) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(x), Mean: Mean(x), StdDev: StdDev(x), Min: x[0], Max: x[0]}
-	for _, v := range x {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	return s
-}
-
-// String formats the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g", s.N, s.Mean, s.StdDev, s.Min, s.Max)
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanStd(t *testing.T) {
@@ -17,77 +16,5 @@ func TestMeanStd(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Error("degenerate inputs should be 0")
-	}
-}
-
-func TestMedianPercentile(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median %g", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Errorf("even median %g", m)
-	}
-	x := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(x, 0); p != 1 {
-		t.Errorf("P0 = %g", p)
-	}
-	if p := Percentile(x, 100); p != 5 {
-		t.Errorf("P100 = %g", p)
-	}
-	if p := Percentile(x, 25); p != 2 {
-		t.Errorf("P25 = %g", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	x := []float64{3, 1, 2}
-	Percentile(x, 50)
-	if x[0] != 3 || x[1] != 1 || x[2] != 2 {
-		t.Error("Percentile must not sort the caller's slice")
-	}
-}
-
-func TestPercentileMonotonic(t *testing.T) {
-	f := func(seed int64) bool {
-		x := []float64{float64(seed % 97), float64(seed % 31), float64(seed % 13), float64(seed % 7)}
-		return Percentile(x, 25) <= Percentile(x, 50) && Percentile(x, 50) <= Percentile(x, 75)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMeanDB(t *testing.T) {
-	// Mean of 10× and 1000× linear power is 505 ⇒ ~27 dB (not the 20 dB
-	// a naive dB-average would give).
-	db := MeanDB([]float64{10, 1000})
-	if math.Abs(float64(db)-10*math.Log10(505)) > 1e-9 {
-		t.Errorf("MeanDB = %v", db)
-	}
-}
-
-func TestLinearToDB(t *testing.T) {
-	out := LinearToDB([]float64{1, 10, 100})
-	want := []float64{0, 10, 20}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-9 {
-			t.Errorf("out[%d] = %g, want %g", i, out[i], want[i])
-		}
-	}
-}
-
-func TestSummarise(t *testing.T) {
-	s := Summarise([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("summary %+v", s)
-	}
-	if Summarise(nil).N != 0 {
-		t.Error("empty summary should have N=0")
-	}
-	if s.String() == "" {
-		t.Error("summary string empty")
 	}
 }

@@ -40,8 +40,7 @@ type Config struct {
 	// SampleRate of the incoming voltage stream (Hz).
 	SampleRate float64
 	// CarrierHz is the downlink carrier. 0 means detect it from the
-	// leading unmodulated carrier by FFT peak search, as the batch
-	// receiver's FindCarriers does.
+	// leading unmodulated carrier by FFT peak search (§5.1b).
 	CarrierHz float64
 	// BitrateBps is the backscatter bitrate.
 	BitrateBps float64
@@ -331,8 +330,7 @@ func (d *Decoder) absorb(piece []float64, out []Frame) []Frame {
 	return d.replay(out)
 }
 
-// tryLock runs the FFT carrier search over the buffered lead-in, as
-// Receiver.FindCarriers does over a whole recording.
+// tryLock runs the FFT carrier search over the buffered lead-in.
 func (d *Decoder) tryLock() bool {
 	peaks := dsp.FindPeaks(d.pending, d.cfg.SampleRate, 1, 1000, 0)
 	if len(peaks) == 0 {

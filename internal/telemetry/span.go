@@ -107,14 +107,6 @@ func (s *Span) finish() (map[string]any, bool) {
 	return s.attrs, true
 }
 
-// Name returns the span name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // ID returns the span's registry-unique id (0 on nil — a no-op span —
 // so it can be passed straight to RecordSpan as a parent).
 func (s *Span) ID() uint64 {

@@ -42,9 +42,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Add adds n (negative deltas are ignored: counters are monotonic).
 func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
@@ -168,14 +165,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets"`
 	Sum     float64  `json:"sum"`
 	Count   int64    `json:"count"`
-}
-
-// Mean returns the average observation (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // DefDurationBuckets are the default histogram bounds for span and

@@ -18,44 +18,9 @@ const MicroPascal = 1e-6
 // conversion function used, not by the type.
 type DB float64
 
-// PowerToDB converts a linear power ratio to decibels.
-// Non-positive ratios map to -Inf.
-func PowerToDB(ratio float64) DB {
-	if ratio <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(ratio))
-}
-
-// DBToPower converts decibels to a linear power ratio.
-func DBToPower(db DB) float64 {
-	return math.Pow(10, float64(db)/10)
-}
-
-// AmplitudeToDB converts a linear amplitude ratio to decibels.
-// Non-positive ratios map to -Inf.
-func AmplitudeToDB(ratio float64) DB {
-	if ratio <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(20 * math.Log10(ratio))
-}
-
 // DBToAmplitude converts decibels to a linear amplitude ratio.
 func DBToAmplitude(db DB) float64 {
 	return math.Pow(10, float64(db)/20)
-}
-
-// SPL returns the sound pressure level, in dB re 1 µPa, of an RMS pressure
-// given in pascal.
-func SPL(rmsPressurePa float64) DB {
-	return AmplitudeToDB(rmsPressurePa / MicroPascal)
-}
-
-// PressureFromSPL returns the RMS pressure in pascal corresponding to a
-// sound pressure level in dB re 1 µPa.
-func PressureFromSPL(spl DB) float64 {
-	return DBToAmplitude(spl) * MicroPascal
 }
 
 // HydrophoneVoltage returns the output voltage of a hydrophone with the
@@ -63,18 +28,6 @@ func PressureFromSPL(spl DB) float64 {
 func HydrophoneVoltage(rmsPressurePa float64, sensitivity DB) float64 {
 	// V = P[µPa] · 10^(S/20) with S in dB re 1 V/µPa.
 	return rmsPressurePa / MicroPascal * DBToAmplitude(sensitivity)
-}
-
-// Clamp limits x to the inclusive range [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
 }
 
 // ApproxEqual reports whether a and b agree to within tol of the larger

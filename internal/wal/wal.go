@@ -79,18 +79,6 @@ const (
 	FsyncNever
 )
 
-// String names the policy for flags and reports.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncNever:
-		return "never"
-	default:
-		return "interval"
-	}
-}
-
 // ParseFsyncPolicy parses the -wal-fsync flag values.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {

@@ -374,9 +374,6 @@ func TestFsyncPolicies(t *testing.T) {
 			t.Errorf("ParseFsyncPolicy(%q) accepted", tc.in)
 		}
 	}
-	if FsyncAlways.String() != "always" || FsyncInterval.String() != "interval" || FsyncNever.String() != "never" {
-		t.Error("FsyncPolicy.String drifted from flag values")
-	}
 }
 
 // TestFsyncIntervalFlushes: the background syncer picks up dirty data.
