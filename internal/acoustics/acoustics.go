@@ -1,7 +1,21 @@
-// Package acoustics models the propagation medium the PAB simulator's
-// tanks are filled with: speed of sound and frequency-dependent
-// absorption.
+// Package acoustics models underwater sound propagation. The simulator's
+// tanks use the speed of sound and frequency-dependent absorption. The
+// rest is groundwork for ocean-scale channels that no binary runs yet:
+// geometric spreading, the sonar-equation link budget, the Wenz
+// ambient-noise spectrum, and sound-speed profiles with a ray tracer
+// (profile.go).
+//
+// Levels follow underwater convention: dB re 1 µPa at 1 m for source
+// levels, dB re 1 µPa for received levels and noise spectral densities
+// (per Hz).
 package acoustics
+
+import (
+	"fmt"
+	"math"
+
+	"pab/internal/units"
+)
 
 // Water describes the propagation medium.
 type Water struct {
@@ -48,4 +62,146 @@ func (w Water) AbsorptionDBPerKm(f float64) float64 {
 		alpha = 2.75e-4*f2 + 0.003
 	}
 	return alpha
+}
+
+// SpreadingModel selects the geometric spreading law.
+type SpreadingModel int
+
+// Spreading laws. Spherical (20·log r) applies in open water and compact
+// tanks; Cylindrical (10·log r) applies in shallow waveguides; Practical
+// (15·log r) is the common intermediate for elongated enclosures such as
+// the paper's Pool B corridor.
+const (
+	Spherical SpreadingModel = iota
+	Cylindrical
+	Practical
+)
+
+// String returns the spreading model's name.
+func (m SpreadingModel) String() string {
+	switch m {
+	case Spherical:
+		return "spherical"
+	case Cylindrical:
+		return "cylindrical"
+	case Practical:
+		return "practical"
+	default:
+		return "unknown"
+	}
+}
+
+// exponent returns k in the k·log10(r) spreading loss term.
+func (m SpreadingModel) exponent() float64 {
+	switch m {
+	case Cylindrical:
+		return 10
+	case Practical:
+		return 15
+	default:
+		return 20
+	}
+}
+
+// TransmissionLoss returns the one-way transmission loss in dB at range
+// rangeM (m) and frequency freqHz: TL = k·log10(r) + α·r. Ranges below
+// 1 m return 0 (the source-level reference distance).
+func (w Water) TransmissionLoss(rangeM, freqHz float64, m SpreadingModel) units.DB {
+	if rangeM <= 1 {
+		return 0
+	}
+	spread := m.exponent() * math.Log10(rangeM)
+	absorb := w.AbsorptionDBPerKm(freqHz) * rangeM / 1000
+	return units.DB(spread + absorb)
+}
+
+// PressureAttenuation returns the linear pressure (amplitude) attenuation
+// factor corresponding to the transmission loss at range rangeM and
+// frequency freqHz.
+func (w Water) PressureAttenuation(rangeM, freqHz float64, m SpreadingModel) float64 {
+	return units.DBToAmplitude(-w.TransmissionLoss(rangeM, freqHz, m))
+}
+
+// SourceLevel converts a projector's radiated acoustic power (W) and
+// directivity index (dB) into a source level in dB re 1 µPa @ 1 m using
+// SL = 170.8 + 10·log10(P) + DI.
+func SourceLevel(acousticPowerW float64, directivityIndex units.DB) units.DB {
+	if acousticPowerW <= 0 {
+		return units.DB(math.Inf(-1))
+	}
+	return units.DB(170.8+10*math.Log10(acousticPowerW)) + directivityIndex
+}
+
+// ReceivedLevel solves the passive sonar equation RL = SL − TL for a
+// one-way path.
+func (w Water) ReceivedLevel(sl units.DB, rangeM, freqHz float64, m SpreadingModel) units.DB {
+	return sl - w.TransmissionLoss(rangeM, freqHz, m)
+}
+
+// NoiseConditions parameterises the Wenz ambient-noise model.
+type NoiseConditions struct {
+	ShippingActivity float64 // 0 (none) to 1 (heavy)
+	WindSpeedMS      float64 // m/s at the surface
+}
+
+// QuietTank returns the noise conditions of an indoor tank: no shipping,
+// no wind, just thermal noise plus a facility floor.
+func QuietTank() NoiseConditions {
+	return NoiseConditions{}
+}
+
+// CoastalNoise returns moderate shipping and a light breeze.
+func CoastalNoise() NoiseConditions {
+	return NoiseConditions{ShippingActivity: 0.5, WindSpeedMS: 5}
+}
+
+// SpectralDensity returns the ambient noise power spectral density at
+// frequency f in dB re 1 µPa²/Hz, using the standard four-component Wenz
+// approximation (turbulence, shipping, surface agitation, thermal).
+func (nc NoiseConditions) SpectralDensity(f float64) units.DB {
+	if f <= 0 {
+		return units.DB(math.Inf(-1))
+	}
+	fk := f / 1000 // kHz
+	logf := math.Log10(fk)
+	// Component levels (Coates 1990 formulation), in dB re 1 µPa²/Hz.
+	turb := 17 - 30*math.Log10(math.Max(fk, 1e-3))
+	ship := 40 + 20*(nc.ShippingActivity-0.5) + 26*logf - 60*math.Log10(fk+0.03)
+	wind := 50 + 7.5*math.Sqrt(math.Max(nc.WindSpeedMS, 0)) + 20*logf - 40*math.Log10(fk+0.4)
+	thermal := -15 + 20*logf
+	total := units.DBToPower(units.DB(turb)) +
+		units.DBToPower(units.DB(ship)) +
+		units.DBToPower(units.DB(wind)) +
+		units.DBToPower(units.DB(thermal))
+	return units.PowerToDB(total)
+}
+
+// BandNoiseLevel integrates the noise spectral density over [f1Hz, f2Hz]
+// and returns the in-band noise level in dB re 1 µPa. The integration uses
+// the trapezoid rule over a log-spaced grid.
+func (nc NoiseConditions) BandNoiseLevel(f1Hz, f2Hz float64) (units.DB, error) {
+	if !(0 < f1Hz && f1Hz < f2Hz) {
+		return 0, fmt.Errorf("acoustics: invalid band [%g, %g]", f1Hz, f2Hz)
+	}
+	const steps = 64
+	logF1 := math.Log(f1Hz)
+	logStep := (math.Log(f2Hz) - logF1) / steps
+	total := 0.0
+	prevF := f1Hz
+	prevP := units.DBToPower(nc.SpectralDensity(f1Hz))
+	for i := 1; i <= steps; i++ {
+		f := math.Exp(logF1 + logStep*float64(i))
+		p := units.DBToPower(nc.SpectralDensity(f))
+		total += (prevP + p) / 2 * (f - prevF)
+		prevF, prevP = f, p
+	}
+	return units.PowerToDB(total), nil
+}
+
+// Wavelength returns the acoustic wavelength in metres at frequency f.
+func (w Water) Wavelength(f float64) float64 {
+	if f <= 0 {
+		return math.Inf(1)
+	}
+	return w.SoundSpeed() / f
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pab/internal/acoustics"
 	"pab/internal/dsp"
 )
 
@@ -266,6 +267,26 @@ func TestAddWhiteNoise(t *testing.T) {
 		if v != 0 {
 			t.Error("zero RMS should add nothing")
 		}
+	}
+}
+
+func TestAmbientNoiseRMS(t *testing.T) {
+	rms, err := AmbientNoiseRMS(acoustics.CoastalNoise(), 14e3, 16e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rms <= 0 {
+		t.Error("ambient noise RMS should be positive")
+	}
+	quietRMS, err := AmbientNoiseRMS(acoustics.QuietTank(), 14e3, 16e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quietRMS >= rms {
+		t.Error("quiet tank should be quieter than coastal water")
+	}
+	if _, err := AmbientNoiseRMS(acoustics.QuietTank(), 16e3, 14e3); err == nil {
+		t.Error("inverted band should error")
 	}
 }
 

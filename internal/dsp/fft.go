@@ -15,14 +15,15 @@
 // copy of its input. On the synthesis side no FFT runs either: the
 // node's complex field comes from the carrier's quadrature rail
 // (Oscillator.NextSincos, AnalyticSine), not from a 2^17-point analytic
-// signal. The FFTs serve carrier search (FindPeaks). The radix-2 kernel
-// is scheduled for the cache (block-by-block early stages, fused stage
-// pairs, twiddles evaluated once per call) while computing every
-// butterfly and twiddle exactly as the textbook loop does, so its output
-// is bit-identical to it.
+// signal. The FFTs serve carrier search (FindPeaks) and spectrograms.
+// The radix-2 kernel is scheduled for the cache (block-by-block early
+// stages, fused stage pairs, twiddles evaluated once per call) while
+// computing every butterfly and twiddle exactly as the textbook loop
+// does, so its output is bit-identical to it.
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -347,6 +348,19 @@ func BinFrequency(k, n int, fs float64) float64 {
 	return float64(k) * fs / float64(n)
 }
 
+// FrequencyBin returns the FFT bin index closest to frequency f for an
+// N-point transform at sample rate fs.
+func FrequencyBin(f float64, n int, fs float64) int {
+	k := int(math.Round(f * float64(n) / fs))
+	if k < 0 {
+		k = 0
+	}
+	if k > n/2 {
+		k = n / 2
+	}
+	return k
+}
+
 // Peak holds a detected spectral peak.
 type Peak struct {
 	Bin       int
@@ -416,10 +430,72 @@ func FindPeaks(x []float64, fs float64, maxPeaks int, minSeparation, minPower fl
 	return peaks
 }
 
+// Goertzel computes the DFT magnitude of x at a single frequency f (Hz,
+// sample rate fs) using the Goertzel recurrence. It is cheaper than a full
+// FFT when only one bin is needed (e.g. carrier power probes).
+func Goertzel(x []float64, f, fs float64) float64 {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	k := f / fs * float64(n)
+	w := 2 * math.Pi * k / float64(n)
+	coeff := 2 * math.Cos(w)
+	var s0, s1, s2 float64
+	for _, v := range x {
+		s0 = v + coeff*s1 - s2
+		s2 = s1
+		s1 = s0
+	}
+	power := s1*s1 + s2*s2 - coeff*s1*s2
+	if power < 0 {
+		power = 0
+	}
+	return math.Sqrt(power)
+}
+
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
 func NextPow2(n int) int {
 	if n <= 1 {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
+}
+
+// Spectrogram computes the magnitude STFT of x: frames of winLen samples
+// (Hann-windowed) every hop samples, each transformed and reduced to
+// bins 0..winLen/2. Rows are time frames, columns frequency bins — the
+// offline inspection view the paper's Audacity workflow provided.
+func Spectrogram(x []float64, winLen, hop int) ([][]float64, error) {
+	if winLen < 4 || winLen&(winLen-1) != 0 {
+		return nil, fmt.Errorf("dsp: spectrogram window must be a power of two ≥ 4, got %d", winLen)
+	}
+	if hop < 1 {
+		return nil, fmt.Errorf("dsp: hop must be ≥ 1, got %d", hop)
+	}
+	if len(x) < winLen {
+		return nil, fmt.Errorf("dsp: input (%d) shorter than window (%d)", len(x), winLen)
+	}
+	win := Hann.Coefficients(winLen)
+	nFrames := (len(x)-winLen)/hop + 1
+	nBins := winLen/2 + 1
+	out := make([][]float64, nFrames)
+	// One flat backing array for all rows: a per-frame make turned the
+	// frame loop into nFrames allocations and scattered the rows across
+	// the heap.
+	backing := make([]float64, nFrames*nBins)
+	buf := make([]complex128, winLen)
+	for f := 0; f < nFrames; f++ {
+		start := f * hop
+		for i := 0; i < winLen; i++ {
+			buf[i] = complex(x[start+i]*win[i], 0)
+		}
+		fftRadix2(buf, false)
+		row := backing[f*nBins : (f+1)*nBins : (f+1)*nBins]
+		for k := range row {
+			row[k] = cmplx.Abs(buf[k])
+		}
+		out[f] = row
+	}
+	return out, nil
 }

@@ -225,6 +225,17 @@ func TestFindPeaksSeparation(t *testing.T) {
 	}
 }
 
+func TestGoertzelMatchesFFTBin(t *testing.T) {
+	fs := 96000.0
+	n := 4096
+	x := Sine(2.0, 12000, fs, 0.7, n)
+	want := cmplx.Abs(FFTReal(x)[FrequencyBin(12000, n, fs)])
+	got := Goertzel(x, 12000, fs)
+	if math.Abs(got-want)/want > 1e-6 {
+		t.Errorf("Goertzel = %g, FFT bin = %g", got, want)
+	}
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1023, 1024}, {1024, 1024}, {1025, 2048},
@@ -233,6 +244,15 @@ func TestNextPow2(t *testing.T) {
 		if got := NextPow2(tc.in); got != tc.want {
 			t.Errorf("NextPow2(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+func TestFrequencyBinClamps(t *testing.T) {
+	if FrequencyBin(-5, 64, 1000) != 0 {
+		t.Error("negative frequency should clamp to bin 0")
+	}
+	if FrequencyBin(1e9, 64, 1000) != 32 {
+		t.Error("above-Nyquist frequency should clamp to N/2")
 	}
 }
 
@@ -246,7 +266,45 @@ func TestEmptyInputs(t *testing.T) {
 	if FFTReal(nil) != nil {
 		t.Error("FFTReal(nil) should be nil")
 	}
+	if Goertzel(nil, 100, 1000) != 0 {
+		t.Error("Goertzel(nil) should be 0")
+	}
 	if FindPeaks(nil, 1000, 3, 10, 0) != nil {
 		t.Error("FindPeaks(nil) should be nil")
+	}
+}
+
+func TestSpectrogramLocatesToneBursts(t *testing.T) {
+	fs := 96000.0
+	n := 16384
+	x := make([]float64, n)
+	// 15 kHz in the first half, 18 kHz in the second.
+	copy(x[:n/2], Sine(1, 15000, fs, 0, n/2))
+	copy(x[n/2:], Sine(1, 18000, fs, 0, n/2))
+	spec, err := Spectrogram(x, 1024, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin15 := FrequencyBin(15000, 1024, fs)
+	bin18 := FrequencyBin(18000, 1024, fs)
+	early := spec[2]
+	late := spec[len(spec)-3]
+	if early[bin15] < 10*early[bin18] {
+		t.Errorf("early frame: 15 kHz %g should dominate 18 kHz %g", early[bin15], early[bin18])
+	}
+	if late[bin18] < 10*late[bin15] {
+		t.Errorf("late frame: 18 kHz %g should dominate 15 kHz %g", late[bin18], late[bin15])
+	}
+}
+
+func TestSpectrogramValidation(t *testing.T) {
+	if _, err := Spectrogram(make([]float64, 100), 100, 10); err == nil {
+		t.Error("non-power-of-two window should error")
+	}
+	if _, err := Spectrogram(make([]float64, 100), 64, 0); err == nil {
+		t.Error("zero hop should error")
+	}
+	if _, err := Spectrogram(make([]float64, 10), 64, 8); err == nil {
+		t.Error("short input should error")
 	}
 }

@@ -6,6 +6,43 @@ import (
 	"testing"
 )
 
+func TestWindowEndpoints(t *testing.T) {
+	for _, w := range []Window{Hann, Blackman} {
+		c := w.Coefficients(64)
+		if math.Abs(c[0]) > 1e-9 || math.Abs(c[63]) > 1e-9 {
+			t.Errorf("%v window should be ~0 at endpoints, got %g, %g", w, c[0], c[63])
+		}
+	}
+	c := Rectangular.Coefficients(10)
+	for _, v := range c {
+		if v != 1 {
+			t.Errorf("rectangular window should be all ones")
+		}
+	}
+}
+
+func TestWindowPeakAtCentre(t *testing.T) {
+	for _, w := range []Window{Hann, Hamming, Blackman} {
+		c := w.Coefficients(65)
+		idx, _ := ArgMax(c)
+		if idx != 32 {
+			t.Errorf("%v window peak at %d, want 32", w, idx)
+		}
+		if math.Abs(c[32]-1) > 1e-9 {
+			t.Errorf("%v window peak %g, want 1", w, c[32])
+		}
+	}
+}
+
+func TestWindowSingleCoefficient(t *testing.T) {
+	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
+		c := w.Coefficients(1)
+		if len(c) != 1 || c[0] != 1 {
+			t.Errorf("%v.Coefficients(1) = %v, want [1]", w, c)
+		}
+	}
+}
+
 // response is the cascade's complex frequency response at freq Hz for
 // sample rate fs: the product of each biquad's transfer function at
 // z = e^{jω}.
@@ -19,15 +56,6 @@ func response(f *IIR, freq, fs float64) complex128 {
 		h *= num / den
 	}
 	return h
-}
-
-// toneMagnitude is |DFT of x at f Hz| for sample rate fs.
-func toneMagnitude(x []float64, f, fs float64) float64 {
-	var acc complex128
-	for i, v := range x {
-		acc += complex(v, 0) * cmplx.Exp(complex(0, -2*math.Pi*f*float64(i)/fs))
-	}
-	return cmplx.Abs(acc)
 }
 
 func TestButterworthLowpassMagnitude(t *testing.T) {
@@ -70,8 +98,8 @@ func TestButterworthFilterTimeDomain(t *testing.T) {
 	settled := out[n/2:]
 	// The 20 kHz component must be crushed; the 500 Hz survives (the
 	// causal filter phase-shifts it, so compare tone powers, not samples).
-	p500 := toneMagnitude(settled, 500, fs) / float64(len(settled))
-	p20k := toneMagnitude(settled, 20000, fs) / float64(len(settled))
+	p500 := Goertzel(settled, 500, fs) / float64(len(settled))
+	p20k := Goertzel(settled, 20000, fs) / float64(len(settled))
 	if p20k > 0.01*p500 {
 		t.Errorf("20 kHz leakage: %g vs 500 Hz %g", p20k, p500)
 	}
