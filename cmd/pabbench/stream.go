@@ -1,11 +1,8 @@
 package main
 
-// The -stream workload measures the streaming receiver as a service:
-// N concurrent synthetic streams through a streamd.Hub, reporting
-// streams/sec, per-stream resident bytes, and decode latency
-// percentiles. The sweep runs at N and again at 2N so the report can
-// show (and -stream-check can gate) that per-stream memory stays flat
-// as the stream count doubles — the bounded-window guarantee.
+// The sweep runs at N and again at 2N so the report can show (and
+// -stream-check can gate) that per-stream memory stays flat as the
+// stream count doubles — the bounded-window guarantee.
 
 import (
 	"context"
@@ -17,56 +14,11 @@ import (
 	"sync"
 	"time"
 
-	"pab/internal/cli"
 	"pab/internal/frame"
 	"pab/internal/prof"
 	"pab/internal/stream"
 	"pab/internal/stream/streamd"
 )
-
-// realStreamMain is the -stream entry point: sweep, report, and (with
-// a baseline) gate.
-func realStreamMain(out string, streams int, check string, maxRegress float64) int {
-	rep, err := runStream(streams)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pabbench: stream: %v\n", err)
-		return cli.ExitRuntime
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pabbench: %v\n", err)
-		return cli.ExitRuntime
-	}
-	b = append(b, '\n')
-	if out == "" {
-		os.Stdout.Write(b)
-	} else if err := os.WriteFile(out, b, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "pabbench: %v\n", err)
-		return cli.ExitRuntime
-	} else {
-		fmt.Fprintf(os.Stderr, "pabbench: wrote %s\n", out)
-	}
-
-	var base *StreamReport
-	if check != "" {
-		base, err = readStreamReport(check)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pabbench: baseline: %v\n", err)
-			return cli.ExitRuntime
-		}
-	}
-	problems := rep.CheckStream(base, maxRegress)
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "pabbench: REGRESSION: %s\n", p)
-		}
-		return cli.ExitRuntime
-	}
-	if check != "" {
-		fmt.Printf("ok vs %s (budget %.1fx, flatness %.2fx)\n", check, maxRegress, rep.FlatnessX)
-	}
-	return cli.ExitOK
-}
 
 func readStreamReport(path string) (*StreamReport, error) {
 	b, err := os.ReadFile(path)

@@ -21,7 +21,7 @@
 // samples, no stage's p50 may regress more than -max-regress×
 // (durations under -floor-ms are floored first so sub-noise stages
 // cannot trip the gate), and no stage's alloc_bytes_per_op may regress
-// more than -max-alloc-regress× (values under 4 KiB are floored so
+// more than -max-alloc-regress× (values under 256 B are floored so
 // allocator noise cannot trip it; 0 disables the gate). Violations go
 // to stderr and the exit code is 1.
 package main

@@ -1,6 +1,6 @@
 // Package channel simulates acoustic propagation inside rectangular water
-// tanks using the image method (Allen–Berkley), plus ambient and white
-// noise injection. It is the stand-in for the MIT Sea Grant pools the
+// tanks using the image method (Allen–Berkley), plus white noise
+// injection. It is the stand-in for the MIT Sea Grant pools the
 // paper evaluated in: Pool A (3 m × 4 m × 1.3 m) and Pool B, the long
 // 1.2 m × 10 m × 1 m corridor whose waveguide focusing explains the
 // longer power-up range in Fig 9.
@@ -306,14 +306,4 @@ func AddWhiteNoise(x []float64, rms float64, rng *rand.Rand) {
 	for i := range x {
 		x[i] += rng.NormFloat64() * rms
 	}
-}
-
-// AmbientNoiseRMS returns the RMS pressure (Pa) of ambient noise within
-// the receiver's processing band [f1Hz, f2Hz] for the given conditions.
-func AmbientNoiseRMS(nc acoustics.NoiseConditions, f1Hz, f2Hz float64) (float64, error) {
-	level, err := nc.BandNoiseLevel(f1Hz, f2Hz)
-	if err != nil {
-		return 0, err
-	}
-	return units.PressureFromSPL(level), nil
 }

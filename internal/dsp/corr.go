@@ -64,9 +64,8 @@ type ScanScratch struct {
 
 // Scan scores the normalised correlation of x with the template at
 // every lag i in [0, len(x)−Len()] and appends each lag whose |score|
-// reaches threshold to dst, in ascending lag order. It returns dst and
-// the largest |score| of any lag (−Inf when x is shorter than the
-// template). A window with zero variance scores 0.
+// reaches threshold to dst, in ascending lag order, and returns dst. A
+// window with zero variance scores 0.
 //
 // The lags are scored a block at a time. The prefix sums cover only the
 // block's windows and slide on from block to block with the same
@@ -75,11 +74,10 @@ type ScanScratch struct {
 // kept lags are replaced by compact(kept, scored), where lags below
 // scored have been scored: a caller that can tell some kept lags will
 // never matter drops them there, so the kept list stays short.
-func (c *StepCorrelator) Scan(s *ScanScratch, dst []LagScore, x []float64, threshold float64, compact func(kept []LagScore, scored int) []LagScore) ([]LagScore, float64) {
-	best := math.Inf(-1)
+func (c *StepCorrelator) Scan(s *ScanScratch, dst []LagScore, x []float64, threshold float64, compact func(kept []LagScore, scored int) []LagScore) []LagScore {
 	m := c.Len()
 	if len(x) < m {
-		return dst, best
+		return dst
 	}
 	// Removing the input mean first keeps the prefix sums small, so
 	// their differences lose no precision on long recordings.
@@ -126,11 +124,7 @@ func (c *StepCorrelator) Scan(s *ScanScratch, dst []LagScore, x []float64, thres
 			if den := math.Sqrt(xVar * c.energy); xVar > tol*sumSq[i+m] && den > 0 {
 				v = num / den
 			}
-			a := math.Abs(v)
-			if a > best {
-				best = a
-			}
-			if a >= threshold {
+			if math.Abs(v) >= threshold {
 				dst = append(dst, LagScore{Lag: b + i, Score: v})
 			}
 		}
@@ -142,7 +136,7 @@ func (c *StepCorrelator) Scan(s *ScanScratch, dst []LagScore, x []float64, thres
 		copy(sumSq, sumSq[lags:lags+m])
 		filled = m
 	}
-	return dst, best
+	return dst
 }
 
 // epsilon is the float64 machine epsilon.

@@ -17,7 +17,7 @@ func correlate(c *StepCorrelator, x []float64) []float64 {
 
 // correlateIn is correlate scanning in s.
 func correlateIn(s *ScanScratch, c *StepCorrelator, x []float64) []float64 {
-	lags, _ := c.Scan(s, nil, x, 0, nil)
+	lags := c.Scan(s, nil, x, 0, nil)
 	if len(lags) == 0 {
 		return nil
 	}
@@ -302,11 +302,11 @@ func TestScanSharedScratchMatchesFresh(t *testing.T) {
 		x []float64
 	}{{a, long}, {b, short}, {a, short}, {b, long}} {
 		for _, threshold := range []float64{0, 0.2} {
-			want, wantBest := step.c.Scan(new(ScanScratch), nil, step.x, threshold, nil)
-			got, gotBest := step.c.Scan(&shared, make([]LagScore, 1, 4), step.x, threshold, nil)
+			want := step.c.Scan(new(ScanScratch), nil, step.x, threshold, nil)
+			got := step.c.Scan(&shared, make([]LagScore, 1, 4), step.x, threshold, nil)
 			got = got[1:]
-			if len(got) != len(want) || math.Float64bits(gotBest) != math.Float64bits(wantBest) {
-				t.Fatalf("threshold %g: %d lags, best %v; fresh scratch %d, %v", threshold, len(got), gotBest, len(want), wantBest)
+			if len(got) != len(want) {
+				t.Fatalf("threshold %g: %d lags; fresh scratch %d", threshold, len(got), len(want))
 			}
 			for i := range want {
 				if got[i].Lag != want[i].Lag || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
@@ -327,9 +327,9 @@ func TestScanCompactsAfterEveryBlock(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	want, wantBest := c.Scan(new(ScanScratch), nil, x, 0.2, nil)
+	want := c.Scan(new(ScanScratch), nil, x, 0.2, nil)
 	var calls []int
-	got, best := c.Scan(new(ScanScratch), nil, x, 0.2, func(kept []LagScore, scored int) []LagScore {
+	got := c.Scan(new(ScanScratch), nil, x, 0.2, func(kept []LagScore, scored int) []LagScore {
 		calls = append(calls, scored)
 		for _, l := range kept {
 			if l.Lag >= scored {
@@ -341,8 +341,8 @@ func TestScanCompactsAfterEveryBlock(t *testing.T) {
 	if len(calls) != 3 || calls[0] != scanBlock || calls[1] != 2*scanBlock || calls[2] != 2*scanBlock+100 {
 		t.Fatalf("compact saw scored counts %v, want %d, %d, %d", calls, scanBlock, 2*scanBlock, 2*scanBlock+100)
 	}
-	if math.Float64bits(best) != math.Float64bits(wantBest) || len(got) > len(want) {
-		t.Fatalf("best %v and %d lags, want %v and at most %d", best, len(got), wantBest, len(want))
+	if len(got) > len(want) {
+		t.Fatalf("%d lags, want at most %d", len(got), len(want))
 	}
 	// What compact kept is the plain scan's lags less those it dropped.
 	k := 0

@@ -2,53 +2,15 @@ package dsp
 
 import (
 	"math"
-	"math/bits"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-// The tests in this file compare the FFT kernel
-// and the IIR filters bit for bit (math.Float64bits) with verbatim
-// copies of the code they replaced: the textbook radix-2 loop, which
-// recomputed each stage's twiddle recurrence in every block, and the
-// section-by-section cascade. Any reordering of a butterfly, of the
-// twiddle arithmetic or of a filter step shows up here as a changed bit.
-
-// refFFTRadix2 is the replaced kernel, verbatim.
-func refFFTRadix2(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-}
+// The tests in this file compare the IIR filters and the correlator's
+// scan bit for bit (math.Float64bits) with verbatim copies of the code
+// they replaced: the section-by-section cascade and the
+// recording-length correlator. Any reordering of a filter step or of
+// the correlation arithmetic shows up here as a changed bit.
 
 // oracleSignal returns n samples of Gaussian noise with runs of exact
 // zeros of both signs, so signed-zero arithmetic is exercised too.
@@ -65,59 +27,6 @@ func oracleSignal(rng *rand.Rand, n int) []float64 {
 		}
 	}
 	return x
-}
-
-func sameComplexBits(a, b complex128) bool {
-	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
-}
-
-// firstComplexMismatch returns the first index where got and want differ
-// in any bit, or −1.
-func firstComplexMismatch(got, want []complex128) int {
-	if len(got) != len(want) {
-		return 0
-	}
-	for i := range got {
-		if !sameComplexBits(got[i], want[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestFFTKernelMatchesReference runs every power-of-two size from 2 to
-// 2^18, an even and an odd number of stages on each side of the
-// in-block/wide-stage split, forward and inverse, on complex noise,
-// on real input padded with zeros and on an all-zero input.
-func TestFFTKernelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for logN := 1; logN <= 18; logN++ {
-		n := 1 << logN
-		re, im := oracleSignal(rng, n), oracleSignal(rng, n)
-		inputs := map[string][]complex128{
-			"complex":    make([]complex128, n),
-			"real+zeros": make([]complex128, n),
-			"zero":       make([]complex128, n),
-		}
-		for i := range re {
-			inputs["complex"][i] = complex(re[i], im[i])
-			if i < n*3/4 {
-				inputs["real+zeros"][i] = complex(re[i], 0)
-			}
-		}
-		for name, in := range inputs {
-			for _, inverse := range []bool{false, true} {
-				got := append([]complex128(nil), in...)
-				want := append([]complex128(nil), in...)
-				fftRadix2(got, inverse)
-				refFFTRadix2(want, inverse)
-				if i := firstComplexMismatch(got, want); i >= 0 {
-					t.Fatalf("n=2^%d %s inverse=%v: bin %d is %v, reference %v", logN, name, inverse, i, got[i], want[i])
-				}
-			}
-		}
-	}
 }
 
 // refFilter and refFiltFilt are the replaced IIR.Filter and
@@ -251,8 +160,7 @@ func refCorrelateWith(c *StepCorrelator, p *refPrefixSums, dst, x []float64) []f
 
 // TestScanMatchesRecordingLengthCorrelator compares every scan with the
 // replaced correlator bit for bit: the kept lags are exactly those whose
-// old score reached the threshold, with the old score, and the best
-// |score| is the old maximum. The lag counts straddle one and two
+// old score reached the threshold, with the old score. The lag counts straddle one and two
 // blocks; the 18-step template at width 96 (193 samples per bit) is
 // longer than a block, so a block's window is mostly carried from the
 // previous one; constant runs score 0 through the tolerance branch.
@@ -291,15 +199,8 @@ func TestScanMatchesRecordingLengthCorrelator(t *testing.T) {
 			for name, gen := range inputs {
 				x := gen(lags + c.Len() - 1)
 				want := refCorrelateWith(c, &ref, nil, x)
-				wantBest := math.Inf(-1)
-				for _, v := range want {
-					wantBest = math.Max(wantBest, math.Abs(v))
-				}
 				for _, threshold := range []float64{0, 0.1, 0.3} {
-					got, best := c.Scan(&scratch, nil, x, threshold, nil)
-					if math.Float64bits(best) != math.Float64bits(wantBest) {
-						t.Fatalf("%d-sample template, %d lags, %s: best %v, want %v", c.Len(), lags, name, best, wantBest)
-					}
+					got := c.Scan(&scratch, nil, x, threshold, nil)
 					k := 0
 					for i, v := range want {
 						if math.Abs(v) < threshold {
@@ -321,7 +222,7 @@ func TestScanMatchesRecordingLengthCorrelator(t *testing.T) {
 			}
 		}
 	}
-	if got, best := correlators[0].Scan(&scratch, nil, make([]float64, 19), 0, nil); got != nil || !math.IsInf(best, -1) {
-		t.Fatalf("input shorter than the template: %v, best %v; want none, -Inf", got, best)
+	if got := correlators[0].Scan(&scratch, nil, make([]float64, 19), 0, nil); got != nil {
+		t.Fatalf("input shorter than the template: %v; want none", got)
 	}
 }

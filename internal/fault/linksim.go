@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"math"
 
 	"pab/internal/frame"
@@ -20,52 +19,26 @@ type OperatingPoint struct {
 	PWMUnitS float64
 }
 
-// DefaultLadder returns the standard operating points, index 0 = most
-// robust, last = fastest.
-func DefaultLadder() []OperatingPoint {
-	return []OperatingPoint{
-		{PayloadBytes: 4, PWMUnitS: 0.004},
-		{PayloadBytes: 8, PWMUnitS: 0.003},
-		{PayloadBytes: 16, PWMUnitS: 0.002},
-		{PayloadBytes: 32, PWMUnitS: 0.0015},
-		{PayloadBytes: 64, PWMUnitS: 0.001},
-	}
+// ladder is the operating-point ladder, index 0 = most robust, last =
+// fastest. Every node starts on the fastest rung.
+var ladder = [...]OperatingPoint{
+	{PayloadBytes: 4, PWMUnitS: 0.004},
+	{PayloadBytes: 8, PWMUnitS: 0.003},
+	{PayloadBytes: 16, PWMUnitS: 0.002},
+	{PayloadBytes: 32, PWMUnitS: 0.0015},
+	{PayloadBytes: 64, PWMUnitS: 0.001},
 }
 
-// LinkSimConfig tunes the statistical link simulator.
-type LinkSimConfig struct {
-	// Ladder is the operating-point ladder (default DefaultLadder).
-	Ladder []OperatingPoint
-	// StartLevel is the initial rung for every node (default the
-	// fastest, i.e. len(Ladder)-1).
-	StartLevel int
-	// UplinkBitrateBps is the fixed backscatter bitrate (default 500,
-	// the sim's nominal piezo link rate).
-	UplinkBitrateBps float64
-	// SNR0 is the nominal per-bit uplink SNR (linear) with no faults
-	// active (default 12 — essentially error-free).
-	SNR0 float64
-	// TurnaroundS is the downlink→uplink switch time (default 0.02).
-	TurnaroundS float64
-	// Adaptive enables the RateControl ladder; when false Downshift and
-	// Upshift refuse, pinning every node at StartLevel (the blind
-	// fixed-rate strategy).
-	Adaptive bool
-}
-
-// DefaultLinkSimConfig returns the defaults above with the given
-// adaptivity.
-func DefaultLinkSimConfig(adaptive bool) LinkSimConfig {
-	ladder := DefaultLadder()
-	return LinkSimConfig{
-		Ladder:           ladder,
-		StartLevel:       len(ladder) - 1,
-		UplinkBitrateBps: 500,
-		SNR0:             12,
-		TurnaroundS:      0.02,
-		Adaptive:         adaptive,
-	}
-}
+const (
+	// uplinkBitrateBps is the fixed backscatter bitrate, the sim's
+	// nominal piezo link rate.
+	uplinkBitrateBps = 500
+	// snr0 is the nominal per-bit uplink SNR (linear) with no faults
+	// active: essentially error-free.
+	snr0 = 12
+	// turnaroundS is the downlink→uplink switch time.
+	turnaroundS = 0.02
+)
 
 // LinkSim is a statistical per-exchange link simulator driven entirely
 // by an Engine's fault timelines: it skips waveform synthesis and
@@ -73,41 +46,21 @@ func DefaultLinkSimConfig(adaptive bool) LinkSimConfig {
 // operating point and the faults active in the exchange's window. It is
 // what makes whole-network chaos runs cheap enough to sweep.
 type LinkSim struct {
-	eng   *Engine
-	cfg   LinkSimConfig
-	nodes map[byte]*nodeTransport
+	eng *Engine
+	// adaptive enables the RateControl ladder; when false Downshift and
+	// Upshift refuse, pinning every node on the fastest rung (the blind
+	// fixed-rate strategy).
+	adaptive bool
+	nodes    map[byte]*nodeTransport
 }
 
 // NewLinkSim builds transports for the given nodes on top of eng.
-func NewLinkSim(eng *Engine, nodes []byte, cfg LinkSimConfig) (*LinkSim, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("fault: nil engine")
-	}
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = DefaultLadder()
-	}
-	for i, op := range cfg.Ladder {
-		if op.PayloadBytes <= 0 || op.PayloadBytes > frame.MaxPayload || op.PWMUnitS <= 0 {
-			return nil, fmt.Errorf("fault: bad operating point %d: %+v", i, op)
-		}
-	}
-	if cfg.StartLevel < 0 || cfg.StartLevel >= len(cfg.Ladder) {
-		return nil, fmt.Errorf("fault: start level %d outside ladder [0, %d)", cfg.StartLevel, len(cfg.Ladder))
-	}
-	if cfg.UplinkBitrateBps <= 0 {
-		cfg.UplinkBitrateBps = 500
-	}
-	if cfg.SNR0 <= 0 {
-		cfg.SNR0 = 12
-	}
-	if cfg.TurnaroundS < 0 {
-		cfg.TurnaroundS = 0.02
-	}
-	ls := &LinkSim{eng: eng, cfg: cfg, nodes: make(map[byte]*nodeTransport, len(nodes))}
+func NewLinkSim(eng *Engine, nodes []byte, adaptive bool) *LinkSim {
+	ls := &LinkSim{eng: eng, adaptive: adaptive, nodes: make(map[byte]*nodeTransport, len(nodes))}
 	for _, addr := range nodes {
-		ls.nodes[addr] = &nodeTransport{ls: ls, addr: addr, level: cfg.StartLevel}
+		ls.nodes[addr] = &nodeTransport{ls: ls, addr: addr, level: len(ladder) - 1}
 	}
-	return ls, nil
+	return ls
 }
 
 // Transports returns every node transport keyed by address, ready for
@@ -118,18 +71,6 @@ func (ls *LinkSim) Transports() map[byte]mac.Transport {
 		out[addr] = n
 	}
 	return out
-}
-
-// fastestUnit returns the shortest PWM unit on the ladder (the
-// reference for downlink burst vulnerability).
-func (ls *LinkSim) fastestUnit() float64 {
-	u := ls.cfg.Ladder[0].PWMUnitS
-	for _, op := range ls.cfg.Ladder[1:] {
-		if op.PWMUnitS < u {
-			u = op.PWMUnitS
-		}
-	}
-	return u
 }
 
 // nodeTransport is one node's view of the simulated link. It implements
@@ -152,7 +93,7 @@ const syncThreshold = 0.5
 // but corrupted reply yields no reply with positive SNR (CRC fail).
 func (n *nodeTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 	e := n.ls.eng
-	op := n.ls.cfg.Ladder[n.level]
+	op := ladder[n.level]
 	t0 := e.Now()
 
 	// Downlink: ~10 PWM units of preamble plus the query bits at an
@@ -161,12 +102,12 @@ func (n *nodeTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 	// Uplink: 8 preamble bits plus the frame at the fixed backscatter
 	// rate.
 	ulBits := 8 + frame.DataFrameBitLength(op.PayloadBytes)
-	ulDur := float64(ulBits) / n.ls.cfg.UplinkBitrateBps
-	cycle := dlDur + n.ls.cfg.TurnaroundS + ulDur
+	ulDur := float64(ulBits) / uplinkBitrateBps
+	cycle := dlDur + turnaroundS + ulDur
 	// The reader listens out the full reply window whether or not a
 	// reply comes, so the cycle cost is paid on every outcome.
 	defer e.Advance(cycle)
-	ulStart := t0 + dlDur + n.ls.cfg.TurnaroundS
+	ulStart := t0 + dlDur + turnaroundS
 	ulEnd := ulStart + ulDur
 	ex := mac.Exchange{AirtimeSeconds: cycle}
 
@@ -175,10 +116,11 @@ func (n *nodeTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 		return ex, nil
 	}
 	// Impulse bursts during the downlink can break the node's PWM
-	// decode; a slower symbol unit buys proportional immunity.
+	// decode; a slower symbol unit than the fastest rung's buys
+	// proportional immunity.
 	pSurvive := 1.0
 	for range e.BurstsIn(t0, t0+dlDur) {
-		pKill := 0.3 * n.ls.fastestUnit() / op.PWMUnitS
+		pKill := 0.3 * ladder[len(ladder)-1].PWMUnitS / op.PWMUnitS
 		if pKill > 1 {
 			pKill = 1
 		}
@@ -192,7 +134,7 @@ func (n *nodeTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 	// backscatter traverses the faded path) and the noise-floor step.
 	gain := e.UplinkGain(ulStart)
 	scale := e.NoiseScale(ulStart)
-	snrBit := n.ls.cfg.SNR0 * gain * gain / (scale * scale)
+	snrBit := snr0 * gain * gain / (scale * scale)
 	if _, clipping := e.ClipLevel(ulStart); clipping {
 		snrBit *= 0.2 // saturation folds distortion into the band
 	}
@@ -243,7 +185,7 @@ func (n *nodeTransport) Exchange(q frame.Query) (mac.Exchange, error) {
 
 // Downshift moves toward the robust end of the ladder (mac.RateControl).
 func (n *nodeTransport) Downshift() bool {
-	if !n.ls.cfg.Adaptive || n.level == 0 {
+	if !n.ls.adaptive || n.level == 0 {
 		return false
 	}
 	n.level--
@@ -252,7 +194,7 @@ func (n *nodeTransport) Downshift() bool {
 
 // Upshift moves toward the fast end of the ladder (mac.RateControl).
 func (n *nodeTransport) Upshift() bool {
-	if !n.ls.cfg.Adaptive || n.level == len(n.ls.cfg.Ladder)-1 {
+	if !n.ls.adaptive || n.level == len(ladder)-1 {
 		return false
 	}
 	n.level++

@@ -139,10 +139,7 @@ func runBlind(p Profile, seed int64, cfg ScenarioConfig, nodes []byte) (Strategy
 	if err != nil {
 		return StrategyReport{}, nil, err
 	}
-	ls, err := NewLinkSim(eng, nodes, DefaultLinkSimConfig(false))
-	if err != nil {
-		return StrategyReport{}, nil, err
-	}
+	ls := NewLinkSim(eng, nodes, false)
 	net, err := mac.NewNetwork(ls.Transports(), cfg.MaxAttempts-1)
 	if err != nil {
 		return StrategyReport{}, nil, err
@@ -173,10 +170,7 @@ func runAdaptive(p Profile, seed int64, cfg ScenarioConfig, nodes []byte) (Strat
 	if err != nil {
 		return StrategyReport{}, nil, err
 	}
-	ls, err := NewLinkSim(eng, nodes, DefaultLinkSimConfig(true))
-	if err != nil {
-		return StrategyReport{}, nil, err
-	}
+	ls := NewLinkSim(eng, nodes, true)
 	scfg := mac.DefaultSessionConfig(seed)
 	if cfg.Session != nil {
 		scfg = *cfg.Session

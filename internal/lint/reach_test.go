@@ -34,44 +34,7 @@ var reachKeep = map[string]string{
 	"dsp.(*LMSEqualizer).Taps":     "the LMS equalizer stays whole for its first caller, an equalized retry",
 	"wal.(*Log).Sync":              "durability API: an explicit flush for callers that need one",
 	"sim.(*Store).Sync":            "durability API: an explicit flush for callers that need one",
-
-	"acoustics.Water.TransmissionLoss":          oceanScale,
-	"acoustics.Water.PressureAttenuation":       oceanScale,
-	"acoustics.SourceLevel":                     oceanScale,
-	"acoustics.Water.ReceivedLevel":             oceanScale,
-	"acoustics.SpreadingModel.String":           oceanScale,
-	"acoustics.SpreadingModel.exponent":         oceanScale,
-	"acoustics.QuietTank":                       oceanScale,
-	"acoustics.CoastalNoise":                    oceanScale,
-	"acoustics.NoiseConditions.SpectralDensity": oceanScale,
-	"acoustics.NoiseConditions.BandNoiseLevel":  oceanScale,
-	"acoustics.Water.Wavelength":                oceanScale,
-	"acoustics.CanonicalMunk":                   oceanScale,
-	"acoustics.MunkProfile.SpeedAt":             oceanScale,
-	"acoustics.LinearProfile.SpeedAt":           oceanScale,
-	"acoustics.TraceRay":                        oceanScale,
-	"acoustics.ChannelAxisDepth":                oceanScale,
-	"channel.AmbientNoiseRMS":                   oceanScale,
-	"units.PowerToDB":                           oceanScale,
-	"units.DBToPower":                           oceanScale,
-	"units.AmplitudeToDB":                       oceanScale,
-	"units.SPL":                                 oceanScale,
-	"units.PressureFromSPL":                     oceanScale,
-
-	"dsp.Window.String":       spectral,
-	"dsp.Window.Coefficients": spectral,
-	"dsp.Window.Apply":        spectral,
-	"dsp.Spectrogram":         spectral,
-	"dsp.Goertzel":            spectral,
-	"dsp.FrequencyBin":        spectral,
 }
-
-// The last two groups of reachKeep stay with their tests for now, though
-// no binary reaches them. ROADMAP item 6 keeps their deletion open.
-const (
-	oceanScale = "groundwork for the ocean-scale channels ROADMAP defers: sonar equation, Wenz noise, sound-speed profiles and ray tracer, with their dB and SPL conversions"
-	spectral   = "offline spectral analysis: window functions, spectrogram and Goertzel"
-)
 
 // testSupportDir is the directory under internal/ whose functions are
 // outside the inventory: test support that only test binaries link.

@@ -24,7 +24,7 @@ func scoresOf(c *dsp.StepCorrelator, x []float64) []float64 {
 // scoresIn is scoresOf scanning in s and writing into dst's backing
 // array, with lags as the scan's list.
 func scoresIn(s *dsp.ScanScratch, lags []dsp.LagScore, dst []float64, c *dsp.StepCorrelator, x []float64) []float64 {
-	lags, _ = c.Scan(s, lags[:0], x, 0, nil)
+	lags = c.Scan(s, lags[:0], x, 0, nil)
 	out := dsp.Grow(dst, len(lags))
 	for i, l := range lags {
 		if l.Lag != i {

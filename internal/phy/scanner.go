@@ -92,7 +92,7 @@ func (s *SyncScanner) Scan(block []float64) []ScanHit {
 	copy(buf, s.carry[:s.nCarry])
 	copy(buf[s.nCarry:], block)
 	if need >= s.corr.Len() {
-		s.above, _ = s.corr.Scan(&s.scan, s.above[:0], buf, s.threshold, nil)
+		s.above = s.corr.Scan(&s.scan, s.above[:0], buf, s.threshold, nil)
 		base := s.next - int64(s.nCarry)
 		hits := s.hits
 		for _, l := range s.above {

@@ -102,7 +102,7 @@ func (d *Detector) Candidates(wave []float64, threshold float64, maxK, minSepara
 	// lags reach the threshold, so whenever the kept list has doubled
 	// since it was last pruned, the lags no pick can reach are dropped.
 	pruneAt := 0
-	above, _ := cc.Scan(&s.scan, s.above[:0], wave, threshold, func(kept []dsp.LagScore, scored int) []dsp.LagScore {
+	above := cc.Scan(&s.scan, s.above[:0], wave, threshold, func(kept []dsp.LagScore, scored int) []dsp.LagScore {
 		if len(kept) < pruneAt {
 			return kept
 		}

@@ -2,8 +2,8 @@
 // receiver chain, layered on the telemetry substrate. The raw-speed
 // campaign (ROADMAP) needs to know *which* stage of the decode chain —
 // record → downconvert → filter → sync → decode — burns the
-// milliseconds BENCH_pabd.json reports per physics job; whole-cycle
-// spans cannot say. This package provides:
+// milliseconds a physics job or a decode takes; whole-cycle spans
+// cannot say. This package provides:
 //
 //   - StageTimer: a per-stage timer the chain's hot functions adopt.
 //     One Stop records wall time, samples/sec throughput and (when

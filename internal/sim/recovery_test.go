@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,6 +126,76 @@ func TestReplayServesDoneFromCache(t *testing.T) {
 	}
 	if runs != 0 {
 		t.Fatalf("runner invoked %d times for completed work", runs)
+	}
+}
+
+// TestDurableSweepReplaysEveryResult runs a sweep of real chaos
+// scenarios on a worker pool over an interval-fsync WAL, shuts down
+// cleanly, and reopens: every result comes back from the log, byte for
+// byte, and every resubmission is a cache hit that runs nothing.
+func TestDurableSweepReplaysEveryResult(t *testing.T) {
+	const jobs = 30
+	dir := t.TempDir()
+	open := func(run Runner) (*Scheduler, *Store, *telemetry.Registry) {
+		t.Helper()
+		reg := telemetry.NewRegistry()
+		st, err := OpenStore(wal.Options{Dir: dir, Fsync: wal.FsyncInterval, Registry: reg})
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		s, err := New(Config{Workers: 4, QueueDepth: jobs, CacheEntries: jobs, Registry: reg, Store: st}, run)
+		if err != nil {
+			st.Close()
+			t.Fatalf("New: %v", err)
+		}
+		return s, st, reg
+	}
+
+	s1, st1, _ := open(ScenarioRunner)
+	var ids []string
+	for seed := int64(1); seed <= jobs; seed++ {
+		v, err := s1.Submit(chaosSpec(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	results := make(map[string]string, jobs)
+	for _, id := range ids {
+		if v := waitTerminal(t, s1, id); v.State != JobDone {
+			t.Fatalf("job %s ended %s (%s), want done", id[:12], v.State, v.Error)
+		}
+		_, result, ok := s1.Result(id)
+		if !ok {
+			t.Fatalf("job %s: no result", id[:12])
+		}
+		results[id] = string(result)
+	}
+	shutdownClean(t, s1, st1)
+
+	var runs atomic.Int32
+	s2, st2, reg := open(func(context.Context, scenario.Spec) (json.RawMessage, error) {
+		runs.Add(1)
+		return json.RawMessage(`{"rerun":true}`), nil
+	})
+	defer shutdownClean(t, s2, st2)
+	if n := reg.Counter(telemetry.MSimWalReplayedResultsTotal).Value(); n != jobs {
+		t.Fatalf("replayed results = %d, want %d", n, jobs)
+	}
+	for seed := int64(1); seed <= jobs; seed++ {
+		v, err := s2.Submit(chaosSpec(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Cached || v.State != JobDone {
+			t.Fatalf("seed %d after restart: cached=%v state=%s, want a cache hit", seed, v.Cached, v.State)
+		}
+		if _, result, ok := s2.Result(v.ID); !ok || string(result) != results[v.ID] {
+			t.Fatalf("seed %d: replayed result %q, ok=%v; want the first run's %q", seed, result, ok, results[v.ID])
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("runner invoked %d times for replayed work", n)
 	}
 }
 

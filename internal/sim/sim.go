@@ -157,9 +157,6 @@ type Config struct {
 	// triggers a compaction snapshot; 0 selects 8 MiB. Only meaningful
 	// with Store.
 	CompactBytes int64
-	// RetrySeed seeds retry-backoff jitter; 0 selects 1 (deterministic
-	// by default, like every other seed in the tree).
-	RetrySeed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -184,9 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactBytes <= 0 {
 		c.CompactBytes = 8 << 20
-	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = 1
 	}
 	return c
 }
@@ -257,7 +251,7 @@ func New(cfg Config, run Runner) (*Scheduler, error) {
 		batches:    newBatchStore(128),
 		store:      cfg.Store,
 		retry:      cfg.Retry,
-		rng:        rand.New(rand.NewSource(cfg.RetrySeed)),
+		rng:        rand.New(rand.NewSource(1)), // deterministic, like every other seed in the tree
 		compactAt:  cfg.CompactBytes,
 		baseCtx:    ctx,
 		baseCancel: cancel,

@@ -18,44 +18,9 @@ const MicroPascal = 1e-6
 // conversion function used, not by the type.
 type DB float64
 
-// PowerToDB converts a linear power ratio to decibels.
-// Non-positive ratios map to -Inf.
-func PowerToDB(ratio float64) DB {
-	if ratio <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(ratio))
-}
-
-// DBToPower converts decibels to a linear power ratio.
-func DBToPower(db DB) float64 {
-	return math.Pow(10, float64(db)/10)
-}
-
-// AmplitudeToDB converts a linear amplitude ratio to decibels.
-// Non-positive ratios map to -Inf.
-func AmplitudeToDB(ratio float64) DB {
-	if ratio <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(20 * math.Log10(ratio))
-}
-
 // DBToAmplitude converts decibels to a linear amplitude ratio.
 func DBToAmplitude(db DB) float64 {
 	return math.Pow(10, float64(db)/20)
-}
-
-// SPL returns the sound pressure level, in dB re 1 µPa, of an RMS pressure
-// given in pascal.
-func SPL(rmsPressurePa float64) DB {
-	return AmplitudeToDB(rmsPressurePa / MicroPascal)
-}
-
-// PressureFromSPL returns the RMS pressure in pascal corresponding to a
-// sound pressure level in dB re 1 µPa.
-func PressureFromSPL(spl DB) float64 {
-	return DBToAmplitude(spl) * MicroPascal
 }
 
 // HydrophoneVoltage returns the output voltage of a hydrophone with the
