@@ -163,11 +163,13 @@ func (l *Link) incidentAmplitude(driveV float64) float64 {
 // powered. This phase runs at envelope resolution (the capacitor's
 // τ ≈ seconds dwarfs the acoustic period).
 func (l *Link) PowerUp(maxSeconds float64) bool {
-	amp := l.incidentAmplitude(l.cfg.DriveV)
+	// The drive, carrier and water stay fixed, so the front end's
+	// delivered power is evaluated once for the whole loop.
+	p := l.node.FrontEnd().DeliveredPower(l.incidentAmplitude(l.cfg.DriveV), l.cfg.CarrierHz, l.rhoC)
 	const dt = 0.01
 	steps := int(maxSeconds / dt)
 	for i := 0; i < steps; i++ {
-		if l.node.HarvestStep(amp, l.cfg.CarrierHz, l.rhoC, dt) != node.Off {
+		if l.node.HarvestDelivered(p, dt) != node.Off {
 			return true
 		}
 	}

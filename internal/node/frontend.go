@@ -79,8 +79,12 @@ func (rp *RectoPiezo) DeliveredPower(pressureAmp, f, rhoC float64) float64 {
 // output for an incident pressure amplitude (Pa) at frequency f in water
 // with characteristic impedance rhoC. This is the quantity Fig 3 sweeps.
 func (rp *RectoPiezo) RectifiedVoltage(pressureAmp, f, rhoC float64) float64 {
-	vin := rp.Rect.InputPeakFromPower(rp.DeliveredPower(pressureAmp, f, rhoC))
-	return rp.Rect.OpenCircuitVoltage(vin)
+	return rp.rectifiedVoltage(rp.DeliveredPower(pressureAmp, f, rhoC))
+}
+
+// rectifiedVoltage is RectifiedVoltage for a delivered AC power p (W).
+func (rp *RectoPiezo) rectifiedVoltage(p float64) float64 {
+	return rp.Rect.OpenCircuitVoltage(rp.Rect.InputPeakFromPower(p))
 }
 
 // SustainablePower returns the DC power (W) the harvesting chain can
@@ -88,7 +92,12 @@ func (rp *RectoPiezo) RectifiedVoltage(pressureAmp, f, rhoC float64) float64 {
 // the rectifier's conversion efficiency. Energy conservation bounds the
 // node's average draw to this figure.
 func (rp *RectoPiezo) SustainablePower(pressureAmp, f, rhoC float64) float64 {
-	return rp.Rect.Efficiency * rp.DeliveredPower(pressureAmp, f, rhoC)
+	return rp.sustainablePower(rp.DeliveredPower(pressureAmp, f, rhoC))
+}
+
+// sustainablePower is SustainablePower for a delivered AC power p (W).
+func (rp *RectoPiezo) sustainablePower(p float64) float64 {
+	return rp.Rect.Efficiency * p
 }
 
 // LoadedQ returns the quality factor of the complete harvesting

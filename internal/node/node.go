@@ -138,14 +138,22 @@ func (n *Node) BatteryRemaining() float64 { return n.batteryJ }
 // characteristic impedance rhoC. It handles cold-start, the power-on
 // threshold, and brown-out, and returns the new power state.
 func (n *Node) HarvestStep(pressureAmp, f, rhoC, dt float64) PowerState {
+	return n.HarvestDelivered(n.FrontEnd().DeliveredPower(pressureAmp, f, rhoC), dt)
+}
+
+// HarvestDelivered is HarvestStep for an operating point whose
+// delivered AC power p (W, RectoPiezo.DeliveredPower of the active
+// front end) the caller has already evaluated — once for a run of
+// steps at a fixed amplitude, carrier and water.
+func (n *Node) HarvestDelivered(p, dt float64) PowerState {
 	fe := n.FrontEnd()
-	voc := fe.RectifiedVoltage(pressureAmp, f, rhoC)
+	voc := fe.rectifiedVoltage(p)
 	rout := fe.Rect.OutputResistance()
 	v := n.cfg.Cap.Voltage()
 	iLoad := n.cfg.MCU.Current(n.state, n.bitrate, v)
 	// Energy conservation: the rectifier cannot push more charge than
 	// the harvested power supports.
-	pSustain := fe.SustainablePower(pressureAmp, f, rhoC)
+	pSustain := fe.sustainablePower(p)
 	maxCharge := pSustain / math.Max(v, 0.5)
 	n.cfg.Cap.StepPowerLimited(voc, rout, iLoad, maxCharge, dt)
 

@@ -165,8 +165,8 @@ func BuildTrace(spans []telemetry.SpanRecord) TraceFile {
 	events := make([]TraceEvent, 0, len(spans))
 	for i, s := range spans {
 		args := make(map[string]any, len(s.Attrs)+4)
-		for k, v := range s.Attrs {
-			args[k] = v
+		for _, a := range s.Attrs {
+			args[a.Key] = a.Value
 		}
 		if s.Samples != 0 {
 			args["samples"] = s.Samples

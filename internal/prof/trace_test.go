@@ -14,7 +14,7 @@ func TestBuildTraceValidTraceEventJSON(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	root := reg.StartSpan("sim_job").Attr("id", "abc")
 	reg.RecordSpan(telemetry.SpanRecord{Name: "sim_queue_wait", ParentID: root.ID(),
-		Start: time.Now().Add(-10 * time.Millisecond), DurationSeconds: 0.01, Attrs: map[string]any{"id": "abc"}})
+		Start: time.Now().Add(-10 * time.Millisecond), DurationSeconds: 0.01, Attrs: telemetry.Attrs{{Key: "id", Value: "abc"}}})
 	StartIn(reg, StageDecode).Stop(64)
 	root.End()
 

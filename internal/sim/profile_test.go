@@ -43,7 +43,11 @@ func TestJobSpansSplitQueueWaitAndService(t *testing.T) {
 		switch sp.Name {
 		case "sim_job":
 			jobs[sp.ID] = true
-			if sp.Attrs["id"] == nil || sp.Attrs["kind"] == nil {
+			set := map[string]bool{}
+			for _, a := range sp.Attrs {
+				set[a.Key] = a.Value != nil
+			}
+			if !set["id"] || !set["kind"] {
 				t.Fatalf("sim_job span missing id/kind attrs: %+v", sp)
 			}
 		}

@@ -732,7 +732,7 @@ func (s *Scheduler) nextJob() (j *job, ctx context.Context, cancel context.Cance
 	s.reg.RecordSpan(telemetry.SpanRecord{
 		Name: "sim_queue_wait", ParentID: sp.ID(), Start: j.view.SubmittedAt,
 		DurationSeconds: now.Sub(j.view.SubmittedAt).Seconds(),
-		Attrs:           map[string]any{"id": j.view.ID},
+		Attrs:           telemetry.Attrs{{Key: "id", Value: j.view.ID}},
 	})
 	return j, ctx, cancel, sp, true
 }

@@ -52,8 +52,9 @@ type Config struct {
 	// able to hold whole (default frame.MaxPayload). Smaller values
 	// shrink the window and per-stream memory.
 	MaxPayloadBytes int
-	// CarrierDetectSamples is how much lead-in the carrier detector
-	// accumulates before the first FFT peak search (default 8192).
+	// CarrierDetectSamples is the length of each stretch of lead-in the
+	// FFT peak search runs over (default 8192, a power of two, so the
+	// search is one radix-2 transform).
 	CarrierDetectSamples int
 }
 
@@ -196,7 +197,7 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 			return nil, err
 		}
 	} else {
-		d.pending = getBuf(scratch, 4*cfg.CarrierDetectSamples+cfg.BlockSize)[:0]
+		d.pending = getBuf(scratch, cfg.CarrierDetectSamples+cfg.BlockSize)[:0]
 	}
 	return d, nil
 }
@@ -263,7 +264,8 @@ func (d *Decoder) Flush() ([]Frame, error) {
 	telemetry.Inc(telemetry.MStreamFlushesTotal)
 	var out []Frame
 	if !d.locked {
-		if len(d.pending) == 0 || !d.tryLock() {
+		// The stream ended inside a stretch: search what it holds.
+		if len(d.pending) == 0 || !d.tryLock(d.pending) {
 			return out, nil
 		}
 		out = d.replay(out)
@@ -310,29 +312,28 @@ func (d *Decoder) pump(piece []float64, out []Frame) []Frame {
 	return d.ingestAndDrain(piece, out)
 }
 
-// absorb buffers pre-lock samples and attempts carrier acquisition
-// once enough lead-in has accumulated.
+// absorb buffers pre-lock samples and runs the carrier search on each
+// CarrierDetectSamples-long stretch of the stream as it completes:
+// samples [0, N), then [N, 2N) if that finds no carrier, and so on.
+// The stretches sit at fixed stream positions, so the carrier a stream
+// locks to does not depend on how its writer chunks the stream.
 func (d *Decoder) absorb(piece []float64, out []Frame) []Frame {
 	d.pending = append(d.pending, piece...)
-	if len(d.pending) < d.cfg.CarrierDetectSamples {
-		return out
-	}
-	if !d.tryLock() {
-		// No dominant carrier yet: bound the buffer, keeping the most
-		// recent samples (nothing before a lock is decodable anyway).
-		if limit := 4 * d.cfg.CarrierDetectSamples; len(d.pending) > limit {
-			drop := len(d.pending) - 2*d.cfg.CarrierDetectSamples
-			copy(d.pending, d.pending[drop:])
-			d.pending = d.pending[:len(d.pending)-drop]
+	n := d.cfg.CarrierDetectSamples
+	for len(d.pending) >= n {
+		if d.tryLock(d.pending[:n]) {
+			return d.replay(out)
 		}
-		return out
+		// No dominant carrier in this stretch: drop it (nothing before
+		// a lock is decodable anyway), so pending[0] starts the next.
+		d.pending = d.pending[:copy(d.pending, d.pending[n:])]
 	}
-	return d.replay(out)
+	return out
 }
 
-// tryLock runs the FFT carrier search over the buffered lead-in.
-func (d *Decoder) tryLock() bool {
-	peaks := dsp.FindPeaks(d.pending, d.cfg.SampleRate, 1, 1000, 0)
+// tryLock runs the FFT carrier search over lead-in samples x.
+func (d *Decoder) tryLock(x []float64) bool {
+	peaks := dsp.FindPeaks(x, d.cfg.SampleRate, 1, 1000, 0)
 	if len(peaks) == 0 {
 		return false
 	}

@@ -281,6 +281,50 @@ func TestDecoderCarrierAutoDetect(t *testing.T) {
 	}
 }
 
+// TestCarrierLockIgnoresChunking writes one 96 kHz recording with an
+// off-grid carrier in 960-, 1,024-, 1,920- and 4,096-sample chunks: the
+// carrier search runs on the same stretch of stream each time, so every
+// chunking locks to the same carrier and decodes the same frames, bits
+// and positions. (The SNR and CFO estimates depend on where in the
+// window each chunking's decode attempt falls, so they are not
+// compared.)
+func TestCarrierLockIgnoresChunking(t *testing.T) {
+	sc := SynthConfig{SampleRate: 96000, CarrierHz: 14990, BitrateBps: 1000, LeadSamples: 10000, TailSamples: 4000}
+	rec, err := SynthesizeRecording(sc, frame.DataFrame{Source: 0x21, Seq: 5, Payload: []byte("chunks")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		carrier float64
+		frames  []Frame
+	}
+	var first run
+	for i, chunk := range []int{960, 1024, 1920, 4096} {
+		d, err := NewDecoder(Config{SampleRate: sc.SampleRate, BitrateBps: sc.BitrateBps, MaxPayloadBytes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := run{frames: feedAll(t, d, rec, chunk)}
+		got.carrier = d.Stats().CarrierHz
+		d.Close()
+		if len(got.frames) != 1 || string(got.frames[0].Frame.Payload) != "chunks" {
+			t.Fatalf("%d-sample chunks: frames %+v", chunk, got.frames)
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		if got.carrier != first.carrier {
+			t.Fatalf("%d-sample chunks lock at %g Hz, 960-sample chunks at %g Hz", chunk, got.carrier, first.carrier)
+		}
+		a, b := got.frames[0], first.frames[0]
+		if !reflect.DeepEqual(a.Frame, b.Frame) || !reflect.DeepEqual(a.Bits, b.Bits) ||
+			a.Start != b.Start || a.End != b.End || a.Sync.Index != b.Sync.Index {
+			t.Fatalf("%d-sample chunks decode %+v, 960-sample chunks %+v", chunk, a, b)
+		}
+	}
+}
+
 func TestDecoderWindowStaysBounded(t *testing.T) {
 	cfg := decoderCfg(512)
 	d, err := NewDecoder(cfg)

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -21,8 +24,54 @@ type Span struct {
 	start  time.Time
 
 	mu    sync.Mutex
-	attrs map[string]any
+	attrs Attrs
 	ended bool
+}
+
+// Attr is one key–value attribute of a span.
+type Attr struct {
+	Key   string
+	Value any
+}
+
+// Attrs are a span's attributes in the order they were attached. A
+// filed span pins one 32-byte Attr per attribute, plus its boxed value.
+// They encode as the JSON object a map[string]any would: keys sorted,
+// and a repeated key keeps its last value.
+type Attrs []Attr
+
+// MarshalJSON encodes the attributes through the map they stand for,
+// so the bytes are the map's: keys sorted, and of a repeated key the
+// last value wins. It runs only when a snapshot is encoded.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	var m map[string]any // nil Attrs encode as null
+	if a != nil {
+		m = make(map[string]any, len(a))
+	}
+	for _, x := range a {
+		m[x.Key] = x.Value
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes a JSON object into attributes sorted by key,
+// with values as json.Unmarshal decodes them into an interface.
+func (a *Attrs) UnmarshalJSON(data []byte) error {
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*a = nil
+		return nil
+	}
+	out := make(Attrs, 0, len(m))
+	for k, v := range m {
+		out = append(out, Attr{Key: k, Value: v})
+	}
+	slices.SortFunc(out, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
+	*a = out
+	return nil
 }
 
 // StartSpan opens a root span on the registry. Returns nil (a no-op
@@ -50,16 +99,16 @@ func (s *Span) Child(name string) *Span {
 }
 
 // Attr attaches a key/value attribute (JSON-encodable values) and
-// returns the span for chaining. No-op on nil.
+// returns the span for chaining. No-op on nil and on an ended span,
+// whose record is already filed.
 func (s *Span) Attr(key string, value any) *Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any)
+	if !s.ended {
+		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	}
-	s.attrs[key] = value
 	s.mu.Unlock()
 	return s
 }
@@ -87,17 +136,17 @@ func (s *Span) End() time.Duration {
 		DurationSeconds: d.Seconds(),
 		Attrs:           attrs,
 	})
-	// Span names are caller-chosen stage identifiers, not metrics
-	// registry keys; the derived histogram name is the one sanctioned
-	// dynamic metric in the process.
-	//pablint:ignore telemetryhygiene span duration histograms derive their name from the span stage name
-	r.Observe(Name("span_"+s.name+"_seconds"), d.Seconds())
+	if r.enabled.Load() {
+		r.spanHistogram(s.name).Observe(d.Seconds())
+	}
 	return d
 }
 
 // finish atomically claims the span's single End: the first caller
-// gets the attrs snapshot and first == true; later calls see false.
-func (s *Span) finish() (map[string]any, bool) {
+// gets the attributes and first == true; later calls see false. The
+// filed record shares the attributes' backing array, which no later
+// Attr writes.
+func (s *Span) finish() (Attrs, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ended {

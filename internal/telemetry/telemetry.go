@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -201,9 +202,9 @@ type SpanRecord struct {
 	// Samples and AllocBytes are a pipeline stage's input samples and
 	// heap-allocation delta, filed by prof.StageTimer (0 elsewhere,
 	// and AllocBytes unless allocation tracking is on).
-	Samples    int64          `json:"samples,omitempty"`
-	AllocBytes int64          `json:"alloc_bytes,omitempty"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
+	Samples    int64 `json:"samples,omitempty"`
+	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	Attrs      Attrs `json:"attrs,omitempty"`
 }
 
 // Snapshot is a consistent point-in-time export of a Registry.
@@ -233,10 +234,14 @@ const (
 type Registry struct {
 	enabled atomic.Bool
 
-	mu       sync.RWMutex
-	counters map[Name]*Counter
-	gauges   map[Name]*Gauge
-	hists    map[Name]*Histogram
+	// mu serialises only the creation of a new name: a lookup of an
+	// existing metric reads these copy-on-write maps without a lock.
+	// spanHists maps a span name to its span_<name>_seconds histogram.
+	mu        sync.Mutex
+	counters  cowMap[Name, Counter]
+	gauges    cowMap[Name, Gauge]
+	hists     cowMap[Name, Histogram]
+	spanHists cowMap[string, Histogram]
 
 	spanSeq atomic.Uint64
 	spanMu  sync.Mutex
@@ -256,14 +261,54 @@ type Registry struct {
 	expvarOnce sync.Once
 }
 
+// cowMap is a copy-on-write map: a lookup is one atomic load and a map
+// read, and getOrPut stores a copy of the whole map. Writers hold
+// Registry.mu; they are rare, one per name for the life of the
+// registry.
+type cowMap[K comparable, V any] struct {
+	p atomic.Pointer[map[K]*V]
+}
+
+// all returns the current map (nil before the first getOrPut). It must not
+// be modified.
+func (c *cowMap[K, V]) all() map[K]*V {
+	if m := c.p.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// getOrPut returns the value at k, storing mk() there first if there
+// is none. The caller holds Registry.mu.
+func (c *cowMap[K, V]) getOrPut(k K, mk func() *V) *V {
+	old := c.all()
+	if v := old[k]; v != nil {
+		return v
+	}
+	v := mk()
+	m := make(map[K]*V, len(old)+1)
+	maps.Copy(m, old)
+	m[k] = v
+	c.p.Store(&m)
+	return v
+}
+
+// lookup returns the value at k in c, creating it with mk under r.mu
+// when there is none.
+func lookup[K comparable, V any](r *Registry, c *cowMap[K, V], k K, mk func() *V) *V {
+	if v := c.all()[k]; v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return c.getOrPut(k, mk)
+}
+
 // NewRegistry returns an enabled, empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{
-		counters: make(map[Name]*Counter),
-		gauges:   make(map[Name]*Gauge),
-		hists:    make(map[Name]*Histogram),
-		spans:    make([]SpanRecord, maxSpanRecords),
-		reports:  make([]DecodeReport, maxDecodeReports),
+		spans:   make([]SpanRecord, maxSpanRecords),
+		reports: make([]DecodeReport, maxDecodeReports),
 	}
 	r.enabled.Store(true)
 	return r
@@ -279,36 +324,12 @@ func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name Name) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, &r.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name Name) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, &r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -316,25 +337,33 @@ func (r *Registry) Gauge(name Name) *Gauge {
 // histogram regardless of bounds; nil/empty bounds select
 // DefDurationBuckets).
 func (r *Registry) Histogram(name Name, bounds []float64) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
+	return lookup(r, &r.hists, name, func() *Histogram { return newHistogram(bounds) })
+}
+
+// newHistogram builds an empty histogram over a sorted copy of bounds
+// (DefDurationBuckets when empty).
+func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefDurationBuckets
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
+	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+}
+
+// spanHistogram returns the span_<name>_seconds histogram that Span.End
+// feeds for a span name. The metric name is derived once per span name
+// and registry, not on every End.
+func (r *Registry) spanHistogram(span string) *Histogram {
+	return lookup(r, &r.spanHists, span, func() *Histogram {
+		// Span names are caller-chosen stage identifiers, not metrics
+		// registry keys; the derived histogram name is the one
+		// sanctioned dynamic metric in the process.
+		//pablint:ignore telemetryhygiene span duration histograms derive their name from the span stage name
+		name := Name("span_" + span + "_seconds")
+		return r.hists.getOrPut(name, func() *Histogram { return newHistogram(nil) })
+	})
 }
 
 // Inc bumps the named counter by one (no-op when disabled).
@@ -411,9 +440,10 @@ func (r *Registry) Handle(pattern string, h http.Handler) {
 // experiment runs.
 func (r *Registry) Reset() {
 	r.mu.Lock()
-	r.counters = make(map[Name]*Counter)
-	r.gauges = make(map[Name]*Gauge)
-	r.hists = make(map[Name]*Histogram)
+	r.counters.p.Store(nil)
+	r.gauges.p.Store(nil)
+	r.hists.p.Store(nil)
+	r.spanHists.p.Store(nil)
 	r.mu.Unlock()
 	r.spanMu.Lock()
 	r.spanPos, r.spanLen = 0, 0
@@ -431,14 +461,13 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	r.mu.RLock()
-	for name, c := range r.counters {
+	for name, c := range r.counters.all() {
 		snap.Counters[string(name)] = c.Value()
 	}
-	for name, g := range r.gauges {
+	for name, g := range r.gauges.all() {
 		snap.Gauges[string(name)] = g.Value()
 	}
-	for name, h := range r.hists {
+	for name, h := range r.hists.all() {
 		hs := HistogramSnapshot{Sum: h.Sum(), Count: h.Count()}
 		cum := int64(0)
 		for i, ub := range h.bounds {
@@ -449,7 +478,6 @@ func (r *Registry) Snapshot() Snapshot {
 		hs.Buckets = append(hs.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
 		snap.Histograms[string(name)] = hs
 	}
-	r.mu.RUnlock()
 
 	r.spanMu.Lock()
 	snap.Spans = ringCopy(r.spans, r.spanPos, r.spanLen)

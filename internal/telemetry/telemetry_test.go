@@ -122,7 +122,7 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	if spans[1].ParentID != 0 {
 		t.Fatal("root should have no parent")
 	}
-	if got := spans[0].Attrs["carrier_hz"]; got != 15000.0 {
+	if got := spans[0].Attrs; len(got) != 1 || got[0] != (Attr{Key: "carrier_hz", Value: 15000.0}) {
 		t.Fatalf("attr = %v, want 15000", got)
 	}
 	// End also feeds the duration histogram.
