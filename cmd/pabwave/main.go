@@ -88,7 +88,7 @@ func generate(kind string, bitrate float64) ([]float64, float64, error) {
 	switch kind {
 	case "query":
 		q := frame.Query{Dest: 0x01, Command: frame.CmdReadSensor, Param: byte(frame.SensorPH)}
-		x, _, err := proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, 0.1)
+		x, _, err := proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, 0.1, 0)
 		return x, cfg.SampleRate, err
 	case "exchange":
 		link, err := core.NewLink(cfg, n, proj)

@@ -238,32 +238,64 @@ func (ir *ImpulseResponse) Gain(f float64) complex128 {
 	return h
 }
 
+// Spread returns how many samples a render's output runs past its
+// input: the last tap's delay rounded up to whole samples, plus the two
+// samples its interpolation and rounding can reach.
+func (ir *ImpulseResponse) Spread() int {
+	return int(math.Ceil(ir.MaxDelay()*ir.SampleRate)) + 2
+}
+
 // Apply convolves x with the sparse tap set, using linear interpolation
-// for fractional sample delays. The output has length len(x) plus the
-// channel spread.
+// for fractional sample delays. The output is a new slice of length
+// len(x) plus the channel spread (Spread).
 //
 // Each output sums its terms in one fixed order, taps in order and,
 // within a tap, the later-input g1 term before the g0 term: the order a
 // tap-by-tap scatter over the input produces. It is computed output
-// block by output block, so a block stays in L1 across the taps and no
-// store waits on the load of the one before it.
+// block by output block, four taps per pass over a block (render).
 func (ir *ImpulseResponse) Apply(x []float64) []float64 {
 	if len(x) == 0 || len(ir.Taps) == 0 {
 		return nil
 	}
-	spread := int(math.Ceil(ir.MaxDelay()*ir.SampleRate)) + 2
-	out := make([]float64, len(x)+spread)
+	out := make([]float64, len(x)+ir.Spread())
+	var runs [stackRuns]zeroRun
+	zeros := zeroRuns(x, runs[:])
 	for lo := 0; lo < len(out); lo += applyBlock {
-		hi := min(lo+applyBlock, len(out))
-		for _, tap := range ir.Taps {
-			i0, g0, g1 := tap.split(ir.SampleRate)
-			addTap(out, x, lo, hi, i0, g0, g1)
-		}
+		ir.render(out[lo:min(lo+applyBlock, len(out))], x, lo, zeros)
 	}
 	return out
 }
 
-// applyBlock is how many outputs Apply sums across all taps at a time.
+// ApplyInPlace is Apply written over its input: when x has capacity for
+// Spread() more samples, it returns x[:len(x)+Spread()] holding the
+// output, bit for bit Apply's, and allocates nothing; otherwise it
+// returns Apply(x) and leaves x as it was. The blocks run from last to
+// first through a block on the stack, so each block's inputs, which
+// precede or share its outputs, are read before they are overwritten.
+func (ir *ImpulseResponse) ApplyInPlace(x []float64) []float64 {
+	n := len(x)
+	if n == 0 || len(ir.Taps) == 0 {
+		return nil
+	}
+	m := n + ir.Spread()
+	if cap(x) < m {
+		return ir.Apply(x)
+	}
+	var runs [stackRuns]zeroRun
+	zeros := zeroRuns(x, runs[:])
+	out := x[:m]
+	var buf [applyBlock]float64
+	for lo := (m - 1) / applyBlock * applyBlock; lo >= 0; lo -= applyBlock {
+		blk := buf[:min(applyBlock, m-lo)]
+		clear(blk)
+		ir.render(blk, x, lo, zeros)
+		copy(out[lo:], blk)
+	}
+	return out
+}
+
+// applyBlock is how many outputs a render sums across all taps at a
+// time.
 const applyBlock = 1024
 
 // split returns the tap's delay as a whole sample count i0 and the
@@ -276,25 +308,168 @@ func (tap Tap) split(fs float64) (i0 int, g0, g1 float64) {
 	return i0, tap.Gain * (1 - frac), tap.Gain * frac
 }
 
-// addTap adds one tap's terms to the outputs out[lo:hi]: to out[j],
-// g1·x[j−i0−1] and then g0·x[j−i0], each where its input index lies in
-// x.
-func addTap(out, x []float64, lo, hi, i0 int, g0, g1 float64) {
-	n := len(x)
-	if lo <= i0 && i0 < hi {
-		out[i0] += g0 * x[0]
-	}
-	if a, b := max(lo, i0+1), min(hi, i0+n); a < b {
-		o := out[a:b]
-		x1 := x[a-i0-1:][:len(o)]
-		x0 := x[a-i0:][:len(o)]
-		for k := range o {
-			o[k] = o[k] + g1*x1[k] + g0*x0[k]
+// render adds to out, which holds the outputs lo, lo+1, … and is +0 on
+// entry, every tap's terms of x, one group of four consecutive taps per
+// pass (the last group may hold fewer). Inputs outside x count as
+// zeros, and a group skips the outputs whose inputs all lie in one of
+// x's zero runs. Neither changes a bit: an output's sum starts at +0,
+// and a sum that starts at +0 never becomes −0 under round-to-nearest,
+// so adding a term g·(±0), itself ±0 for a finite gain g, leaves it as
+// it was.
+func (ir *ImpulseResponse) render(out, x []float64, lo int, zeros []zeroRun) {
+	n, hi := len(x), lo+len(out)
+	for t := 0; t < len(ir.Taps); t += 4 {
+		var g tapGroup
+		g.split(ir.Taps[t:min(t+4, len(ir.Taps))], ir.SampleRate)
+		first, last := g.first, g.last
+		// Output j reads x[j−last−1] … x[j−first], so the group reaches
+		// the outputs first … last+n, and a zero run [zlo, zhi) silences
+		// it on [zlo+last+1, zhi+first).
+		a, b := max(lo, first), min(hi, last+n+1)
+		k0 := sort.Search(len(zeros), func(k int) bool { return zeros[k].hi+first > a })
+		for k := k0; k < len(zeros) && a < b; k++ {
+			sa, sb := max(a, zeros[k].lo+last+1), min(b, zeros[k].hi+first)
+			if sa >= b {
+				break
+			}
+			if sa < sb {
+				g.add(out, x, lo, a, sa)
+				a = sb
+			}
 		}
+		g.add(out, x, lo, a, b)
 	}
-	if j := i0 + n; lo <= j && j < hi {
-		out[j] += g1 * x[n-1]
+}
+
+// tapGroup is up to four consecutive taps, split at the render's sample
+// rate, with the least and greatest of their whole-sample delays.
+type tapGroup struct {
+	m           int
+	i0          [4]int
+	g0, g1      [4]float64
+	first, last int
+}
+
+func (g *tapGroup) split(taps []Tap, fs float64) {
+	g.m = len(taps)
+	for k, tap := range taps {
+		g.i0[k], g.g0[k], g.g1[k] = tap.split(fs)
 	}
+	g.first, g.last = g.i0[0], g.i0[0]
+	for _, i0 := range g.i0[1:g.m] {
+		g.first, g.last = min(g.first, i0), max(g.last, i0)
+	}
+}
+
+// add adds the group's terms to the outputs a … b−1, held in out from
+// output lo on. Where every input lies in x, a full group adds its eight
+// terms to each output in one pass; near x's ends each term checks its
+// input index.
+func (g *tapGroup) add(out, x []float64, lo, a, b int) {
+	if a >= b {
+		return
+	}
+	ia := min(max(a, g.last+1), b)
+	ib := max(min(b, g.first+len(x)), ia)
+	g.addEdge(out, x, lo, a, ia)
+	g.addEdge(out, x, lo, ib, b)
+	if ia == ib {
+		return
+	}
+	o := out[ia-lo : ib-lo]
+	if g.m < 4 {
+		for t := range g.m {
+			g1, g0 := g.g1[t], g.g0[t]
+			x1 := x[ia-g.i0[t]-1:][:len(o)]
+			x0 := x[ia-g.i0[t]:][:len(o)]
+			for k := range o {
+				o[k] = o[k] + g1*x1[k] + g0*x0[k]
+			}
+		}
+		return
+	}
+	a1, a0 := g.g1[0], g.g0[0]
+	b1, b0 := g.g1[1], g.g0[1]
+	c1, c0 := g.g1[2], g.g0[2]
+	d1, d0 := g.g1[3], g.g0[3]
+	xa1, xa0 := x[ia-g.i0[0]-1:][:len(o)], x[ia-g.i0[0]:][:len(o)]
+	xb1, xb0 := x[ia-g.i0[1]-1:][:len(o)], x[ia-g.i0[1]:][:len(o)]
+	xc1, xc0 := x[ia-g.i0[2]-1:][:len(o)], x[ia-g.i0[2]:][:len(o)]
+	xd1, xd0 := x[ia-g.i0[3]-1:][:len(o)], x[ia-g.i0[3]:][:len(o)]
+	for k := range o {
+		o[k] = o[k] + a1*xa1[k] + a0*xa0[k] + b1*xb1[k] + b0*xb0[k] +
+			c1*xc1[k] + c0*xc0[k] + d1*xd1[k] + d0*xd0[k]
+	}
+}
+
+// addEdge adds the group's terms to the outputs a … b−1 one term at a
+// time, skipping each term whose input index lies outside x.
+func (g *tapGroup) addEdge(out, x []float64, lo, a, b int) {
+	for j := a; j < b; j++ {
+		s := out[j-lo]
+		for t := range g.m {
+			if i := j - g.i0[t] - 1; 0 <= i && i < len(x) {
+				s = s + g.g1[t]*x[i]
+			}
+			if i := j - g.i0[t]; 0 <= i && i < len(x) {
+				s = s + g.g0[t]*x[i]
+			}
+		}
+		out[j-lo] = s
+	}
+}
+
+// zeroRun is a run x[lo:hi] of exact zeros of either sign.
+type zeroRun struct{ lo, hi int }
+
+// minZeroRun is the shortest zero run a render looks for: a run must
+// outlast a group's delay span to silence any output, and a shorter one
+// saves less than its bookkeeping costs.
+const minZeroRun = 64
+
+// stackRuns is how many zero runs a render keeps on its stack; a keyed
+// downlink has one per query bit, 50 in all.
+const stackRuns = 64
+
+// zeroRuns returns x's zero runs of at least minZeroRun samples in
+// order: in buf when they fit, else in a slice of exactly their number.
+func zeroRuns(x []float64, buf []zeroRun) []zeroRun {
+	k := scanZeroRuns(x, buf)
+	if k <= len(buf) {
+		return buf[:k]
+	}
+	runs := make([]zeroRun, k)
+	scanZeroRuns(x, runs)
+	return runs
+}
+
+// scanZeroRuns counts x's zero runs of at least minZeroRun samples and
+// stores the first len(runs) of them in runs. Every such run covers a
+// multiple of minZeroRun/2, so only those samples are probed, and the
+// scan walks out from each zero it finds to the ends of its run.
+func scanZeroRuns(x []float64, runs []zeroRun) int {
+	const step = minZeroRun / 2
+	k, done := 0, 0
+	for p := step - 1; p < len(x); p += step {
+		if p < done || x[p] != 0 {
+			continue
+		}
+		i, j := p, p+1
+		for i > done && x[i-1] == 0 {
+			i--
+		}
+		for j < len(x) && x[j] == 0 {
+			j++
+		}
+		if j-i >= minZeroRun {
+			if k < len(runs) {
+				runs[k] = zeroRun{i, j}
+			}
+			k++
+		}
+		done = j
+	}
+	return k
 }
 
 // AddWhiteNoise adds zero-mean Gaussian noise of the given RMS (same

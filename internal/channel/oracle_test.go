@@ -1,8 +1,11 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -42,11 +45,19 @@ func firstBitMismatch(got, want []float64) int {
 	return -1
 }
 
-// TestApplyMatchesReference compares Apply bit for bit with the
-// scatter it replaced: on the link geometries of both pools and on
-// hand-made tap sets with zero, coincident and whole-sample delays, at
-// input lengths on and around the output block edges, on noise with
-// runs of exact zeros of both signs.
+// TestApplyMatchesReference compares Apply and ApplyInPlace bit for bit
+// with the scatter they replaced. The responses are the link geometries
+// of both pools, their first 1–9 taps (every remainder of the four-tap
+// groups) and hand-made tap sets with zero, coincident, unsorted and
+// whole-sample delays. The inputs run from one sample, shorter than
+// any tap span, to several output blocks, on and around the block
+// edges, in four shapes: noise with 8-sample runs of exact zeros of
+// both signs, which no render skips; a keyed carrier behind a silent
+// lead-in longer than every tap span, with 480-sample gaps of signed
+// zeros like the PWM downlink's; 70-sample runs, more than a render
+// keeps on its stack; and runs of zeros of random length.
+// ApplyInPlace runs with exactly the room it needs, with more, and with
+// none, where it must leave its input alone.
 func TestApplyMatchesReference(t *testing.T) {
 	const fs = 96000
 	var irs []*ImpulseResponse
@@ -73,34 +84,149 @@ func TestApplyMatchesReference(t *testing.T) {
 		{DelaySeconds: 2000.75 / fs, Gain: 0.3},
 	}})
 	rng := rand.New(rand.NewSource(20))
-	lengths := []int{1, 2, 3, 1022, 1023, 1024, 1025, 2047, 2048, 2049, 5000}
-	for k := 1; k <= 3; k++ {
-		lengths = append(lengths, k*applyBlock-spreadOf(irs[0])-1, k*applyBlock-spreadOf(irs[0]), k*applyBlock-spreadOf(irs[0])+1)
-	}
-	for _, n := range lengths {
-		if n < 1 {
-			continue
+	for k := 1; k <= 9; k++ {
+		irs = append(irs, &ImpulseResponse{SampleRate: fs, Taps: irs[2].Taps[:k]})
+		taps := make([]Tap, k)
+		for i := range taps {
+			taps[i] = Tap{DelaySeconds: float64(rng.Intn(2400)) / 4 / fs, Gain: rng.NormFloat64()}
 		}
-		x := make([]float64, n)
-		for i := range x {
+		sort.Slice(taps, func(i, j int) bool { return taps[i].DelaySeconds < taps[j].DelaySeconds })
+		irs = append(irs, &ImpulseResponse{SampleRate: fs, Taps: taps})
+	}
+	maxSpread := 0
+	for _, ir := range irs {
+		maxSpread = max(maxSpread, ir.Spread())
+	}
+	lengths := []int{1, 2, 3, 100, 1022, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 9000}
+	for k := 1; k <= 3; k++ {
+		s := irs[0].Spread()
+		lengths = append(lengths, k*applyBlock-s-1, k*applyBlock-s, k*applyBlock-s+1)
+	}
+	negZero := math.Copysign(0, -1)
+	shapes := []struct {
+		name string
+		zero func(i int) (float64, bool)
+	}{
+		{"8-sample runs", func(i int) (float64, bool) {
 			switch {
 			case i%53 < 5:
-				// +0
+				return 0, true
 			case i%53 < 8:
-				x[i] = math.Copysign(0, -1)
-			default:
-				x[i] = rng.NormFloat64()
+				return negZero, true
 			}
-		}
-		for j, ir := range irs {
-			got, want := ir.Apply(x), refApply(ir, x)
-			if i := firstBitMismatch(got, want); i >= 0 {
-				t.Fatalf("response %d, len %d: output %d is %v, reference %v", j, n, i, got[i], want[i])
+			return 0, false
+		}},
+		{"keyed", func(i int) (float64, bool) {
+			if lead := maxSpread + 500; i < lead {
+				return 0, true
+			} else if (i-lead)/480%3 == 1 {
+				return math.Copysign(0, math.Sin(float64(i))), true
+			}
+			return 0, false
+		}},
+		{"dense runs", func(i int) (float64, bool) {
+			if i%80 < 70 {
+				return math.Copysign(0, math.Sin(float64(i))), true
+			}
+			return 0, false
+		}},
+		{"random runs", nil},
+	}
+	for _, shape := range shapes {
+		for _, n := range lengths {
+			if n < 1 {
+				continue
+			}
+			x := make([]float64, n)
+			for i := 0; i < n; {
+				if shape.zero != nil {
+					if z, ok := shape.zero(i); ok {
+						x[i] = z
+					} else {
+						x[i] = rng.NormFloat64()
+					}
+					i++
+					continue
+				}
+				on, off := 1+rng.Intn(700), 1+rng.Intn(700)
+				for end := min(n, i+on); i < end; i++ {
+					x[i] = rng.NormFloat64()
+				}
+				for end := min(n, i+off); i < end; i++ {
+					x[i] = math.Copysign(0, rng.NormFloat64())
+				}
+			}
+			for j, ir := range irs {
+				c := fmt.Sprintf("%s, response %d (%d taps), len %d", shape.name, j, len(ir.Taps), n)
+				want := refApply(ir, x)
+				checkBits(t, c+": Apply", ir.Apply(x), want)
+				for _, room := range []int{ir.Spread(), ir.Spread() + 7} {
+					buf := append(make([]float64, 0, n+room), x...)
+					got := ir.ApplyInPlace(buf)
+					checkBits(t, fmt.Sprintf("%s: ApplyInPlace with room %d", c, room), got, want)
+					if &got[0] != &buf[0] {
+						t.Fatalf("%s: ApplyInPlace with room %d allocated", c, room)
+					}
+				}
+				in := append([]float64(nil), x...)[:n:n]
+				checkBits(t, c+": ApplyInPlace without room", ir.ApplyInPlace(in), want)
+				checkBits(t, c+": ApplyInPlace's input without room", in, x)
 			}
 		}
 	}
 }
 
-func spreadOf(ir *ImpulseResponse) int {
-	return int(math.Ceil(ir.MaxDelay()*ir.SampleRate)) + 2
+// checkBits fails the test at the first sample where got and want
+// differ in any bit.
+func checkBits(t *testing.T, c string, got, want []float64) {
+	t.Helper()
+	if i := firstBitMismatch(got, want); i >= 0 {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples, reference %d", c, len(got), len(want))
+		}
+		t.Fatalf("%s: output %d is %v, reference %v", c, i, got[i], want[i])
+	}
+}
+
+// TestZeroRunsMatchLinearScan requires the strided zero-run scan to find
+// exactly the runs of at least minZeroRun exact zeros that a linear scan
+// finds, in the caller's buffer when they fit and in a slice of their
+// exact number when they do not.
+func TestZeroRunsMatchLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		x := make([]float64, rng.Intn(30000))
+		for i := 0; i < len(x); {
+			on, off := rng.Intn(3*minZeroRun), rng.Intn(3*minZeroRun)
+			for end := min(len(x), i+on); i < end; i++ {
+				x[i] = rng.NormFloat64()
+			}
+			for end := min(len(x), i+off); i < end; i++ {
+				x[i] = math.Copysign(0, rng.NormFloat64())
+			}
+		}
+		var want []zeroRun
+		for i := 0; i < len(x); {
+			j := i
+			for j < len(x) && x[j] == 0 {
+				j++
+			}
+			if j-i >= minZeroRun {
+				want = append(want, zeroRun{i, j})
+			}
+			i = max(j, i+1)
+		}
+		var buf [stackRuns]zeroRun
+		got := zeroRuns(x, buf[:])
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: found %d runs, a linear scan %d", trial, len(got), len(want))
+		}
+		switch {
+		case len(want) == 0:
+		case len(want) <= stackRuns && &got[0] != &buf[0]:
+			t.Fatalf("trial %d: %d runs not in the caller's buffer", trial, len(got))
+		case len(want) > stackRuns && cap(got) != len(want):
+			t.Fatalf("trial %d: %d runs in a slice of capacity %d", trial, len(got), cap(got))
+		}
+	}
 }

@@ -211,7 +211,7 @@ func TestCarrierRailsMatchReplaced(t *testing.T) {
 		l := defaultPoweredLink(t, br)
 		c, cfg := fmt.Sprintf("%gbps", br), l.cfg
 		tail := l.queryTail()
-		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail)
+		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestCarrierRailsMatchReplaced(t *testing.T) {
 			on[i] = 1
 		}
 		for _, start := range []int{0, n / 8, n - 1} {
-			wave, quad := switchedCW(amp, cfg.CarrierHz, cfg.SampleRate, start, n)
+			wave, quad := switchedCW(amp, cfg.CarrierHz, cfg.SampleRate, start, n, 0)
 			if i := firstBitMismatch(wave, refTraceCarrier(amp, cfg.CarrierHz, cfg.SampleRate, start, n)); i >= 0 {
 				t.Fatalf("%v: CW from %d: sample %d differs from RunTrace's replaced loop", c, start, i)
 			}
@@ -254,7 +254,7 @@ func TestCarrierRailsMatchReplaced(t *testing.T) {
 		}
 	}
 	const fs, total, txStart = 96000.0, 1.6, 0.2
-	wave, _ := switchedCW(3.5, 15000, fs, int(txStart*fs), int(total*fs))
+	wave, _ := switchedCW(3.5, 15000, fs, int(txStart*fs), int(total*fs), 0)
 	if i := firstBitMismatch(wave, refTraceCarrier(3.5, 15000, fs, int(txStart*fs), int(total*fs))); i >= 0 {
 		t.Fatalf("Fig 2 CW: sample %d differs from RunTrace's replaced loop", i)
 	}
@@ -288,7 +288,7 @@ func TestNodeFieldMatchesAnalyticSignal(t *testing.T) {
 		}
 		cfg := l.cfg
 		tail := l.queryTail()
-		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail)
+		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,9 +250,10 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 
 	tail := l.queryTail()
 
-	// 1. Downlink waveform and its quadrature.
+	// 1. Downlink waveform and its quadrature, with room for the
+	// renders written over them.
 	spStage := sp.Child("modulate")
-	x, xq, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail)
+	x, xq, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail, l.renderRoom())
 	spStage.Attr("samples", len(x)).End()
 	if err != nil {
 		return nil, err
@@ -262,11 +263,11 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 
 	// 2. Complex field at the node. The channel is real and linear, so
 	// it carries the waveform and its quadrature to the field's two
-	// rails. Each recording-length buffer dies at its last use: the
-	// quadrature here, the field's rails at the reflection, the
-	// waveform at the direct path.
+	// rails. The quadrature rail is rendered over the quadrature; the
+	// in-phase rail needs a buffer of its own, since the waveform
+	// lives on for the direct path.
 	spStage = sp.Child("project")
-	qNode := l.irPN.Apply(xq)
+	qNode := l.irPN.ApplyInPlace(xq)
 	pNode := l.irPN.Apply(x)
 	spStage.End()
 
@@ -332,14 +333,15 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	// the reflected wave is real(Γ·field). Γ is the absorptive load's
 	// but during the reply, where the resonator's stored energy slews it
 	// between the two loads' over its ring time τ rather than
-	// instantaneously — the high-bitrate limiter of Fig 8. Each sample
-	// of the field is read before the reflection overwrites it.
+	// instantaneously — the high-bitrate limiter of Fig 8. The
+	// reflection overwrites the quadrature rail, each sample after it
+	// is read, and keeps its room for the scattered path.
 	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	reflGain := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	tau := l.node.FrontEnd().ResponseTimeConstant()
 	alpha := complex(1-math.Exp(-1/(tau*l.cfg.SampleRate)), 0)
 	gSmooth := absorbGain
-	reflected := pNode
+	reflected := qNode
 	for i, p := range pNode {
 		g := absorbGain
 		if k := i - start; k >= 0 && k < len(states) {
@@ -361,13 +363,15 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	}
 	spStage.End() // piezo
 
-	// 5. Hydrophone field: direct downlink + node reflections + noise.
+	// 5. Hydrophone field: direct downlink + node reflections + noise,
+	// the direct path rendered over the waveform and the scattered path
+	// over the reflection.
 	spStage = sp.Child("channel")
-	direct := l.irPH.Apply(x)
+	direct := l.irPH.ApplyInPlace(x)
 	if l.cfg.NodeRadialSpeedMS != 0 {
 		reflected = dopplerScale(reflected, l.cfg.NodeRadialSpeedMS, l.cfg.Tank.Water.SoundSpeed())
 	}
-	scattered := l.irNH.Apply(reflected)
+	scattered := l.irNH.ApplyInPlace(reflected)
 	if l.fault != nil {
 		//pablint:ignore floatcmp UplinkGain returns the exact constant 1 when no fade window covers t
 		if g := l.fault.UplinkGain(l.fault.Now()); g != 1 {
@@ -422,16 +426,19 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	return res, nil
 }
 
-// superpose returns direct + scattered over the longer of the two, bit
-// for bit the sum of a zeroed buffer, direct copied in and scattered
-// added: where only scattered reaches, +0 + s. When scattered is the
-// longer, the sum is written over it.
+// renderRoom is the capacity past the waveform that lets every render
+// of an exchange run in place: the direct path over the waveform, and
+// the node's field and then the scattered path over the quadrature.
+func (l *Link) renderRoom() int {
+	return max(l.irPH.Spread(), l.irPN.Spread()+l.irNH.Spread())
+}
+
+// superpose returns direct + scattered, written over the longer of the
+// two, bit for bit the sum of a zeroed buffer, direct copied in and
+// scattered added: where only scattered reaches, +0 + s.
 func superpose(direct, scattered []float64) []float64 {
 	if len(scattered) < len(direct) {
-		y := make([]float64, len(direct))
-		copy(y, direct)
-		dsp.Add(y, scattered)
-		return y
+		return dsp.Add(direct, scattered)
 	}
 	for i, d := range direct {
 		scattered[i] = d + scattered[i]
@@ -495,14 +502,15 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	}
 	halfPeriod := int(fs / (2 * toggleHz))
 	amp := l.proj.PressureAmplitude(l.cfg.DriveV, l.cfg.CarrierHz)
-	x, xq := switchedCW(amp, l.cfg.CarrierHz, fs, int(txStart*fs), int(total*fs))
-	// The node's complex field and its reflection, as in RunQuery.
-	qNode := l.irPN.Apply(xq)
+	x, xq := switchedCW(amp, l.cfg.CarrierHz, fs, int(txStart*fs), int(total*fs), l.renderRoom())
+	// The node's complex field, its reflection and the hydrophone field,
+	// rendered in place as in RunQuery.
+	qNode := l.irPN.ApplyInPlace(xq)
 	pNode := l.irPN.Apply(x)
 	absorb := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	refl := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	bsIdx := int(bsStart * fs)
-	reflected := pNode
+	reflected := qNode
 	for i, p := range pNode {
 		g := absorb
 		if i >= bsIdx && ((i-bsIdx)/halfPeriod)%2 == 0 {
@@ -510,7 +518,7 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 		}
 		reflected[i] = real(g * complex(p, qNode[i]))
 	}
-	y := superpose(l.irPH.Apply(x), l.irNH.Apply(reflected))
+	y := superpose(l.irPH.ApplyInPlace(x), l.irNH.ApplyInPlace(reflected))
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -541,9 +549,10 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 
 // switchedCW returns both rails of the analytic signal of a carrier of
 // amplitude amp at f Hz, silent before sample on and running to sample
-// n: amp·sin θ and −amp·cos θ, with θ counting from sample on.
-func switchedCW(amp, f, fs float64, on, n int) (wave, quad []float64) {
-	wave, quad = make([]float64, n), make([]float64, n)
+// n: amp·sin θ and −amp·cos θ, with θ counting from sample on. Each
+// rail has capacity for room more samples.
+func switchedCW(amp, f, fs float64, on, n, room int) (wave, quad []float64) {
+	wave, quad = make([]float64, n, n+room), make([]float64, n, n+room)
 	osc := dsp.NewOscillator(f, fs)
 	for i := on; i < n; i++ {
 		sin, cos := osc.NextSincos()

@@ -161,7 +161,8 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 	}
 	x1, x1q := tone(cfg.Carriers[0])
 	x2, x2q := tone(cfg.Carriers[1])
-	x := make([]float64, total)
+	// Their sum has room for the direct path, rendered over it.
+	x := make([]float64, total, total+irPH.Spread())
 	copy(x, x1)
 	dsp.Add(x, x2)
 
@@ -190,7 +191,7 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 
 	// Physical reflection: per node, per tone (backscatter is
 	// frequency-agnostic but with frequency-dependent depth).
-	y := irPH.Apply(x)
+	y := irPH.ApplyInPlace(x)
 	reflected := make([]float64, total) // reused across nodes; fully rewritten each pass
 	for k := 0; k < 2; k++ {
 		fe := nodes[k].FrontEnd()

@@ -140,16 +140,17 @@ func TestSuperposeMatchesZeroedSum(t *testing.T) {
 }
 
 // runQueryAllocBounds bound one warm RunQuery at 496.5, 993 and 2048
-// bit/s in the default geometry: the maximum measured on amd64 (66–69
-// allocations; 5.88, 4.71 and 4.11 MB) plus about a quarter.
+// bit/s in the default geometry: the maximum measured on amd64 (48–50
+// allocations; 3.31, 2.67 and 2.34 MB) plus about a quarter, less than
+// one more recording-length buffer (0.85, 0.67 and 0.58 MB).
 var runQueryAllocBounds = []struct {
 	bitrate float64
 	allocs  float64
 	bytes   uint64
 }{
-	{500, 85, 7_350_000},
-	{1000, 85, 5_900_000},
-	{2000, 85, 5_150_000},
+	{500, 62, 4_100_000},
+	{1000, 62, 3_300_000},
+	{2000, 62, 2_880_000},
 }
 
 // TestRunQueryAllocs bounds what one exchange allocates once its link

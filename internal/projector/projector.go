@@ -67,8 +67,10 @@ func (p *Projector) PressureAmplitude(driveV, f float64) float64 {
 // carrier, so the quadrature is the waveform's Hilbert transform away
 // from the keying edges, and any linear channel carries the pair to a
 // complex field whose product with a reflection coefficient is the
-// reflected narrowband wave.
-func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64) (wave, quad []float64, err error) {
+// reflected narrowband wave. Each rail has capacity for room more
+// samples, so a caller can render a channel over it in place
+// (channel.ImpulseResponse.ApplyInPlace).
+func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64, room int) (wave, quad []float64, err error) {
 	pwm, err := phy.NewPWM(unitSamples)
 	if err != nil {
 		return nil, nil, err
@@ -82,7 +84,7 @@ func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tai
 	amp := p.PressureAmplitude(driveV, f)
 	osc := dsp.NewOscillator(f, p.SampleRate)
 	n := lead + pwm.EncodedLength(bits) + tail
-	wave, quad = make([]float64, n), make([]float64, n)
+	wave, quad = make([]float64, n, n+room), make([]float64, n, n+room)
 	for range lead {
 		osc.Next()
 	}

@@ -62,7 +62,7 @@ func TestHigherVoltageMorePressure(t *testing.T) {
 func TestQueryWaveform(t *testing.T) {
 	p := testProjector(t)
 	q := frame.Query{Dest: 0x05, Command: frame.CmdPing}
-	w, _, err := p.Query(q, 100, 15000, 48, 0.05)
+	w, _, err := p.Query(q, 100, 15000, 48, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+)
+
+// scrapeAllocBudget and scrapeByteBudget bound one scrape of
+// fullRingFixture: the measured 287 allocations and 5,232 B on amd64
+// plus about a quarter. A scrape that still copied the span ring would
+// allocate about 480 KB.
+const (
+	scrapeAllocBudget = 360
+	scrapeByteBudget  = 6_600
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -198,5 +212,108 @@ func TestPublishExtraInSnapshot(t *testing.T) {
 	r.PublishExtra("answer", nil)
 	if snap := r.Snapshot(); len(snap.Extra) != 0 {
 		t.Fatalf("nil publish did not remove: %v", snap.Extra)
+	}
+}
+
+// fullRingFixture is promFixture with a full span ring, a full report
+// ring and an extra: everything a /metrics scrape must not copy or run.
+func fullRingFixture() *Registry {
+	r := promFixture()
+	for i := range maxSpanRecords + 100 {
+		r.StartSpan([]string{"modulate", "demod", "sync"}[i%3]).Attr("i", i).Attr("stage", "x").End()
+	}
+	for i := range maxDecodeReports + 10 {
+		r.RecordDecode(DecodeReport{BitrateBps: 1000, SlicerSNRdB: float64(i % 20), SyncPeak: 0.9})
+	}
+	r.PublishExtra("table", func() any { return map[string]int{"rows": 3} })
+	return r
+}
+
+// refPrometheusText is the exposition as WritePrometheusText wrote it
+// when it formatted a whole Snapshot, verbatim but for the writer.
+func refPrometheusText(snap Snapshot) string {
+	var w strings.Builder
+	var names []string
+	for n := range snap.Counters {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		p := promName(n)
+		fmt.Fprintf(&w, "# TYPE %s counter\n%s %d\n", p, p, snap.Counters[n])
+	}
+	names = names[:0]
+	for n := range snap.Gauges {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		p := promName(n)
+		fmt.Fprintf(&w, "# TYPE %s gauge\n%s %g\n", p, p, snap.Gauges[n])
+	}
+	names = names[:0]
+	for n := range snap.Histograms {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		p := promName(n)
+		hs := snap.Histograms[n]
+		fmt.Fprintf(&w, "# TYPE %s histogram\n", p)
+		for _, b := range hs.Buckets {
+			le := "+Inf"
+			if !math.IsInf(b.UpperBound, 1) {
+				le = fmt.Sprintf("%g", b.UpperBound)
+			}
+			fmt.Fprintf(&w, "%s_bucket{le=%q} %d\n", p, le, b.Count)
+		}
+		fmt.Fprintf(&w, "%s_sum %g\n%s_count %d\n", p, hs.Sum, p, hs.Count)
+	}
+	return w.String()
+}
+
+// TestPrometheusTextMatchesSnapshotText requires the scrape of a
+// registry with full rings and an extra to be byte for byte the text
+// formatted from its whole Snapshot, as the scrape was before it
+// stopped taking one.
+func TestPrometheusTextMatchesSnapshotText(t *testing.T) {
+	r := fullRingFixture()
+	var buf bytes.Buffer
+	if err := r.WritePrometheusText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := refPrometheusText(r.Snapshot()); buf.String() != want {
+		t.Errorf("scrape differs from the snapshot's text:\n--- got ---\n%s\n--- want ---\n%s", buf.String(), want)
+	}
+}
+
+// TestPrometheusScrapeAllocs bounds what one /metrics scrape of a
+// registry with full rings allocates, and requires that it run no
+// PublishExtra callback.
+func TestPrometheusScrapeAllocs(t *testing.T) {
+	r := fullRingFixture()
+	calls := 0
+	r.PublishExtra("calls", func() any { calls++; return calls })
+	scrape := func() {
+		if err := r.WritePrometheusText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape()
+	if calls != 0 {
+		t.Fatalf("a scrape ran a PublishExtra callback %d times", calls)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the bounds hold for the uninstrumented build")
+	}
+	allocs := testing.AllocsPerRun(20, scrape)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scrape()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%.0f allocs, %d bytes per scrape", allocs, bytes)
+	if allocs > scrapeAllocBudget || bytes > scrapeByteBudget {
+		t.Errorf("%.0f allocations and %d bytes per scrape, want ≤ %d and ≤ %d", allocs, bytes, scrapeAllocBudget, scrapeByteBudget)
 	}
 }

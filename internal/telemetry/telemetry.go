@@ -455,29 +455,8 @@ func (r *Registry) Reset() {
 
 // Snapshot returns a consistent copy of everything recorded so far.
 func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		TakenAt:    time.Now(),
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for name, c := range r.counters.all() {
-		snap.Counters[string(name)] = c.Value()
-	}
-	for name, g := range r.gauges.all() {
-		snap.Gauges[string(name)] = g.Value()
-	}
-	for name, h := range r.hists.all() {
-		hs := HistogramSnapshot{Sum: h.Sum(), Count: h.Count()}
-		cum := int64(0)
-		for i, ub := range h.bounds {
-			cum += h.counts[i].Load()
-			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: ub, Count: cum})
-		}
-		cum += h.counts[len(h.bounds)].Load()
-		hs.Buckets = append(hs.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
-		snap.Histograms[string(name)] = hs
-	}
+	snap := Snapshot{TakenAt: time.Now()}
+	r.snapshotMetrics(&snap)
 
 	r.spanMu.Lock()
 	snap.Spans = ringCopy(r.spans, r.spanPos, r.spanLen)
@@ -499,6 +478,32 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
+}
+
+// snapshotMetrics fills in snap's counters, gauges and histograms, all
+// that the Prometheus text prints.
+func (r *Registry) snapshotMetrics(snap *Snapshot) {
+	counters, gauges, hists := r.counters.all(), r.gauges.all(), r.hists.all()
+	snap.Counters = make(map[string]int64, len(counters))
+	for name, c := range counters {
+		snap.Counters[string(name)] = c.Value()
+	}
+	snap.Gauges = make(map[string]float64, len(gauges))
+	for name, g := range gauges {
+		snap.Gauges[string(name)] = g.Value()
+	}
+	snap.Histograms = make(map[string]HistogramSnapshot, len(hists))
+	for name, h := range hists {
+		hs := HistogramSnapshot{Sum: h.Sum(), Count: h.Count(), Buckets: make([]Bucket, 0, len(h.bounds)+1)}
+		cum := int64(0)
+		for i, ub := range h.bounds {
+			cum += h.counts[i].Load()
+			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: ub, Count: cum})
+		}
+		cum += h.counts[len(h.bounds)].Load()
+		hs.Buckets = append(hs.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
+		snap.Histograms[string(name)] = hs
+	}
 }
 
 // ringCopy returns the live contents of a ring buffer oldest-first.
@@ -527,9 +532,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WritePrometheusText writes the metrics (not spans/reports) in the
 // Prometheus text exposition format, metric names sanitised to
-// [a-zA-Z0-9_:].
+// [a-zA-Z0-9_:]. It reads only the metrics: no ring is copied and no
+// PublishExtra callback runs.
 func (r *Registry) WritePrometheusText(w io.Writer) error {
-	snap := r.Snapshot()
+	var snap Snapshot
+	r.snapshotMetrics(&snap)
 	var names []string
 	for n := range snap.Counters {
 		names = append(names, n)
