@@ -18,12 +18,13 @@
 //
 // In -check mode the fresh measurement is compared against the given
 // baseline: every baseline stage must still report invocations and
-// samples, no stage's p50 may regress more than -max-regress×
-// (durations under -floor-ms are floored first so sub-noise stages
-// cannot trip the gate), and no stage's alloc_bytes_per_op may regress
-// more than -max-alloc-regress× (values under 256 B are floored so
-// allocator noise cannot trip it; 0 disables the gate). Violations go
-// to stderr and the exit code is 1.
+// samples and make exactly the baseline's calls per chain, no stage's
+// ms_per_chain may regress more than -max-regress× (times under
+// -floor-ms are floored first so sub-noise stages cannot trip the
+// gate), and no stage's alloc_bytes_per_op may regress more than
+// -max-alloc-regress× (values under 256 B are floored so allocator
+// noise cannot trip it; 0 disables the gate). Violations go to stderr
+// and the exit code is 1.
 package main
 
 import (
@@ -58,8 +59,8 @@ func realMain() int {
 	warmup := flag.Int("warmup", 5, "unmeasured warm-up iterations")
 	bitrate := flag.Float64("bitrate", 500, "backscatter bitrate (bit/s)")
 	check := flag.String("check", "", "baseline BENCH_decode.json to gate against (exit 1 on regression)")
-	maxRegress := flag.Float64("max-regress", 2, "max allowed per-stage p50 regression factor in -check mode")
-	floorMS := flag.Float64("floor-ms", 0.05, "floor (ms) applied to p50s before the regression ratio")
+	maxRegress := flag.Float64("max-regress", 2, "max allowed per-stage ms_per_chain regression factor in -check mode")
+	floorMS := flag.Float64("floor-ms", 0.05, "floor (ms) applied to ms_per_chain before the regression ratio")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 1.5, "max allowed per-stage alloc_bytes_per_op regression factor in -check mode (0 disables the gate)")
 	var tf cli.TelemetryFlags
 	tf.Register()

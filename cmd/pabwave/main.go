@@ -20,6 +20,7 @@ import (
 	"pab/internal/audio"
 	"pab/internal/cli"
 	"pab/internal/core"
+	"pab/internal/dsp"
 	"pab/internal/frame"
 	"pab/internal/sensors"
 )
@@ -88,8 +89,18 @@ func generate(kind string, bitrate float64) ([]float64, float64, error) {
 	switch kind {
 	case "query":
 		q := frame.Query{Dest: 0x01, Command: frame.CmdReadSensor, Param: byte(frame.SensorPH)}
-		x, _, err := proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, 0.1, 0)
-		return x, cfg.SampleRate, err
+		keying, amp, err := proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, 0.1)
+		if err != nil {
+			return nil, 0, err
+		}
+		// The samples are the keyed carrier's: level·amp·sin ωi.
+		carrier := make([]complex128, keying.End())
+		dsp.NewPhasor(cfg.CarrierHz, cfg.SampleRate).Modulate(carrier, 0, keying)
+		x := make([]float64, len(carrier))
+		for i, v := range carrier {
+			x[i] = amp * imag(v)
+		}
+		return x, cfg.SampleRate, nil
 	case "exchange":
 		link, err := core.NewLink(cfg, n, proj)
 		if err != nil {

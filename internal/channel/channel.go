@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pab/internal/acoustics"
+	"pab/internal/dsp"
 	"pab/internal/telemetry"
 	"pab/internal/units"
 )
@@ -294,6 +296,89 @@ func (ir *ImpulseResponse) ApplyInPlace(x []float64) []float64 {
 	return out
 }
 
+// Carry returns the envelope the response gives a carrier of w radians
+// per sample modulated by env: where the input is env(i)·e^{jwi}, Apply's
+// output, taken over complex samples, is Carry(env, w)(j)·e^{jwj}, and
+// so, for a real input Im(env(i)·e^{jwi}), Apply's output is
+// Im(Carry(env, w)(j)·e^{jwj}) up to rounding. Each tap adds two terms,
+// g0·e^{−jw·i0}·env(j−i0) and g1·e^{−jw(i0+1)}·env(j−i0−1), so the output
+// envelope changes only where a step of env meets a term's delay: the
+// work is O(steps·taps), not O(samples·taps). The value at each change
+// is summed afresh, one difference of prefix sums of the terms'
+// coefficients per step of env the terms see, not carried over from the
+// last change, so no rounding builds up along a recording and the
+// envelope is exactly 0 wherever every term sees a zero of env.
+func (ir *ImpulseResponse) Carry(env dsp.Steps, w float64) dsp.Steps {
+	if len(env) == 0 || len(ir.Taps) == 0 {
+		return nil
+	}
+	// The terms in order of delay, one per distinct delay, and the
+	// prefix sums of their coefficients.
+	terms := make([]carryTerm, 0, 2*len(ir.Taps))
+	for _, tap := range ir.Taps {
+		i0, g0, g1 := tap.split(ir.SampleRate)
+		terms = append(terms, carryTerm{i0, g0}, carryTerm{i0 + 1, g1})
+	}
+	slices.SortStableFunc(terms, func(a, b carryTerm) int { return a.d - b.d })
+	delays := make([]int, 0, len(terms))
+	prefix := make([]complex128, 1, len(terms)+1)
+	for k, t := range terms {
+		if k > 0 && t.d == terms[k-1].d {
+			prefix[len(prefix)-1] += phase(w, t.d, t.g)
+			continue
+		}
+		delays = append(delays, t.d)
+		prefix = append(prefix, prefix[len(prefix)-1]+phase(w, t.d, t.g))
+	}
+	// At output j, seen[s] counts the terms that have reached step s
+	// of env, those whose delay d has env[s].At+d ≤ j: the terms of the
+	// least delays, which read env at or past the step. Step s's value
+	// thus reaches terms seen[s+1] … seen[s]−1, and seen[len(env)] = 0.
+	nd := len(delays)
+	seen := make([]int, len(env)+1)
+	out := make(dsp.Steps, 0, len(env)*nd)
+	done := 0 // the leading steps every term has reached
+	for {
+		j := math.MaxInt
+		for s := done; s < len(env) && env[s].At+delays[0] <= j; s++ {
+			if seen[s] < nd {
+				j = min(j, env[s].At+delays[seen[s]])
+			}
+		}
+		if j == math.MaxInt {
+			break
+		}
+		for s := done; s < len(env) && env[s].At+delays[0] <= j; s++ {
+			for seen[s] < nd && env[s].At+delays[seen[s]] <= j {
+				seen[s]++
+			}
+		}
+		for done < len(env) && seen[done] == nd {
+			done++
+		}
+		var e complex128
+		for s := max(done-1, 0); s < len(env) && seen[s] > 0; s++ {
+			if v := env[s].V; v != 0 && seen[s] > seen[s+1] {
+				e += v * (prefix[seen[s]] - prefix[seen[s+1]])
+			}
+		}
+		out = append(out, dsp.Step{At: j, V: e})
+	}
+	return out
+}
+
+// carryTerm is one interpolation term of a tap: gain g at delay d.
+type carryTerm struct {
+	d int
+	g float64
+}
+
+// phase returns g·e^{−jwd}.
+func phase(w float64, d int, g float64) complex128 {
+	s, c := math.Sincos(w * float64(d))
+	return complex(g*c, -g*s)
+}
+
 // applyBlock is how many outputs a render sums across all taps at a
 // time.
 const applyBlock = 1024
@@ -362,9 +447,9 @@ func (g *tapGroup) split(taps []Tap, fs float64) {
 }
 
 // add adds the group's terms to the outputs a … b−1, held in out from
-// output lo on. Where every input lies in x, a full group adds its eight
-// terms to each output in one pass; near x's ends each term checks its
-// input index.
+// output lo on. Where every input lies in x, the group adds all its
+// terms to each output in one pass, in the order a tap-by-tap scatter
+// would; near x's ends each term checks its input index.
 func (g *tapGroup) add(out, x []float64, lo, a, b int) {
 	if a >= b {
 		return
@@ -377,24 +462,32 @@ func (g *tapGroup) add(out, x []float64, lo, a, b int) {
 		return
 	}
 	o := out[ia-lo : ib-lo]
-	if g.m < 4 {
-		for t := range g.m {
-			g1, g0 := g.g1[t], g.g0[t]
-			x1 := x[ia-g.i0[t]-1:][:len(o)]
-			x0 := x[ia-g.i0[t]:][:len(o)]
-			for k := range o {
-				o[k] = o[k] + g1*x1[k] + g0*x0[k]
-			}
+	a1, a0 := g.g1[0], g.g0[0]
+	xa1, xa0 := x[ia-g.i0[0]-1:][:len(o)], x[ia-g.i0[0]:][:len(o)]
+	if g.m == 1 {
+		for k := range o {
+			o[k] = o[k] + a1*xa1[k] + a0*xa0[k]
 		}
 		return
 	}
-	a1, a0 := g.g1[0], g.g0[0]
 	b1, b0 := g.g1[1], g.g0[1]
-	c1, c0 := g.g1[2], g.g0[2]
-	d1, d0 := g.g1[3], g.g0[3]
-	xa1, xa0 := x[ia-g.i0[0]-1:][:len(o)], x[ia-g.i0[0]:][:len(o)]
 	xb1, xb0 := x[ia-g.i0[1]-1:][:len(o)], x[ia-g.i0[1]:][:len(o)]
+	if g.m == 2 {
+		for k := range o {
+			o[k] = o[k] + a1*xa1[k] + a0*xa0[k] + b1*xb1[k] + b0*xb0[k]
+		}
+		return
+	}
+	c1, c0 := g.g1[2], g.g0[2]
 	xc1, xc0 := x[ia-g.i0[2]-1:][:len(o)], x[ia-g.i0[2]:][:len(o)]
+	if g.m == 3 {
+		for k := range o {
+			o[k] = o[k] + a1*xa1[k] + a0*xa0[k] + b1*xb1[k] + b0*xb0[k] +
+				c1*xc1[k] + c0*xc0[k]
+		}
+		return
+	}
+	d1, d0 := g.g1[3], g.g0[3]
 	xd1, xd0 := x[ia-g.i0[3]-1:][:len(o)], x[ia-g.i0[3]:][:len(o)]
 	for k := range o {
 		o[k] = o[k] + a1*xa1[k] + a0*xa0[k] + b1*xb1[k] + b0*xb0[k] +
@@ -427,8 +520,9 @@ type zeroRun struct{ lo, hi int }
 // saves less than its bookkeeping costs.
 const minZeroRun = 64
 
-// stackRuns is how many zero runs a render keeps on its stack; a keyed
-// downlink has one per query bit, 50 in all.
+// stackRuns is how many zero runs a render keeps on its stack; the
+// reflection an exchange renders has one, before the carrier reaches
+// the node.
 const stackRuns = 64
 
 // zeroRuns returns x's zero runs of at least minZeroRun samples in

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"pab/internal/dsp"
 )
 
 // refApply is the replaced Apply, verbatim: a tap-by-tap scatter over
@@ -230,3 +232,101 @@ func TestZeroRunsMatchLinearScan(t *testing.T) {
 		}
 	}
 }
+
+// TestCarryMatchesApply renders carriers modulated by random
+// piecewise-constant envelopes through Apply, one rail at a time, and
+// requires Carry's envelope times the carrier to give both rails to
+// within 1e-10 of the input's peak times the response's total gain at
+// every output (the two differ by the rounding of the carrier's phase
+// arguments, ulp(ω·j) or 7e-12 rad at the longest input), and exactly 0 wherever no term of the response sees a
+// nonzero input. The responses are the hand-made set of
+// TestApplyMatchesReference (coincident, unsorted and whole-sample
+// delays) and random sets; the envelopes hold steps shorter and longer
+// than the responses' spread, of zero length, and runs of zeros.
+func TestCarryMatchesApply(t *testing.T) {
+	const fs = 96000
+	rng := rand.New(rand.NewSource(21))
+	irs := []*ImpulseResponse{{SampleRate: fs, Taps: []Tap{
+		{DelaySeconds: 0, Gain: 1},
+		{DelaySeconds: 0, Gain: -0.5},
+		{DelaySeconds: 3.0 / fs, Gain: 0.25},
+		{DelaySeconds: 2.5 / fs, Gain: -0.125},
+		{DelaySeconds: 700.75 / fs, Gain: 0.3},
+	}}}
+	for _, k := range []int{1, 2, 7, 25} {
+		taps := make([]Tap, k)
+		for i := range taps {
+			taps[i] = Tap{DelaySeconds: float64(rng.Intn(2400)) / 3 / fs, Gain: rng.NormFloat64()}
+		}
+		irs = append(irs, &ImpulseResponse{SampleRate: fs, Taps: taps})
+	}
+	for trial := range 40 {
+		var env dsp.Steps
+		at := rng.Intn(300)
+		for range 1 + rng.Intn(30) {
+			v := complex(rng.NormFloat64(), rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				v = 0
+			}
+			env = append(env, dsp.Step{At: at, V: v})
+			at += []int{0, 1, 5, 40, 480, 1500}[rng.Intn(6)]
+		}
+		env = append(env, dsp.Step{At: at})
+		n := env.End()
+		osc := dsp.NewPhasor(15000+1000*rng.Float64(), fs)
+		in := make([]complex128, n)
+		osc.Modulate(in, 0, env)
+		re, im := make([]float64, n), make([]float64, n)
+		peak := 0.0
+		for i, v := range in {
+			re[i], im[i] = real(v), imag(v)
+		}
+		for _, s := range env {
+			peak = max(peak, cmplxAbs(s.V))
+		}
+		for j, ir := range irs {
+			if n == 0 {
+				continue
+			}
+			gain := 0.0
+			for _, tap := range ir.Taps {
+				gain += math.Abs(tap.Gain)
+			}
+			wantRe, wantIm := ir.Apply(re), ir.Apply(im)
+			got := make([]complex128, len(wantRe))
+			osc.Modulate(got, 0, ir.Carry(env, osc.Omega()))
+			for i, v := range got {
+				d := math.Max(math.Abs(real(v)-wantRe[i]), math.Abs(imag(v)-wantIm[i]))
+				if d > 1e-10*peak*gain {
+					t.Fatalf("trial %d, response %d: output %d is %v, Apply gives %v", trial, j, i, v, complex(wantRe[i], wantIm[i]))
+				}
+				if silent := carrySilent(ir, env, i); silent != (v == 0) {
+					t.Fatalf("trial %d, response %d: output %d is %v, silent %v", trial, j, i, v, silent)
+				}
+			}
+		}
+	}
+}
+
+// carrySilent reports whether every interpolation term of ir with a
+// nonzero gain reads a zero of env at output j.
+func carrySilent(ir *ImpulseResponse, env dsp.Steps, j int) bool {
+	at := func(i int) complex128 {
+		var v complex128
+		for _, s := range env {
+			if s.At <= i {
+				v = s.V
+			}
+		}
+		return v
+	}
+	for _, tap := range ir.Taps {
+		i0, g0, g1 := tap.split(ir.SampleRate)
+		if (g0 != 0 && at(j-i0) != 0) || (g1 != 0 && at(j-i0-1) != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

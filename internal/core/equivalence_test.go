@@ -153,47 +153,47 @@ func TestReceiverEquivalence(t *testing.T) {
 }
 
 // equivPins are the receiver's results on equivCases, in order, on
-// recordings synthesized with the node's field from the projector's
-// keyed carrier.
+// recordings whose node field and direct path are the projector's keyed
+// carrier times its envelope through each response.
 var equivPins = []pinnedDecode{
 	// 500bps/0.5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59354, payloadIndex: 61100, startLevel: 1, score: 0.9449585851595423, snr: 117.67591256377881, cfo: -0.1487298881560982, preErrs: 0, measSNR: 74.28836049557377, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59354, payloadIndex: 61100, startLevel: 1, score: 0.9449585851582764, snr: 117.67591256120949, cfo: -0.14872988815543325, preErrs: 0, measSNR: 74.28836049430343, measBER: 0.0},
 	// 1000bps/0.5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.895102149223335, snr: 23.793032660289814, cfo: -0.32840594998703, preErrs: 0, measSNR: 23.384372105606992, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.8951021492205379, snr: 23.79303265978945, cfo: -0.328405949985356, preErrs: 0, measSNR: 23.384372105156814, measBER: 0.0},
 	// 2000bps/0.5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.8482932612243899, snr: 8.316042192627755, cfo: 0, preErrs: 0, measSNR: 7.666985063802287, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.8482932612186687, snr: 8.316042192541865, cfo: 0.0, preErrs: 0, measSNR: 7.666985063675287, measBER: 0.0},
 	// 500bps/2Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59354, payloadIndex: 61100, startLevel: 1, score: 0.9451098504123882, snr: 117.15192485837451, cfo: -0.14921985646620597, preErrs: 0, measSNR: 74.28981845987981, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59354, payloadIndex: 61100, startLevel: 1, score: 0.9451098504111073, snr: 117.15192485573058, cfo: -0.14921985646549044, preErrs: 0, measSNR: 74.28981845846369, measBER: 0.0},
 	// 1000bps/2Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.8947866590080207, snr: 23.823739279532774, cfo: -0.3286528030835474, preErrs: 0, measSNR: 23.321328825800453, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.8947866590052473, snr: 23.823739279030317, cfo: -0.3286528030820542, preErrs: 0, measSNR: 23.32132882534689, measBER: 0.0},
 	// 2000bps/2Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.848595709208573, snr: 8.393167110096948, cfo: 0, preErrs: 0, measSNR: 7.741275993419121, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.8485957092029892, snr: 8.393167110010456, cfo: 0.0, preErrs: 0, measSNR: 7.7412759932913815, measBER: 0.0},
 	// 500bps/5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59353, payloadIndex: 61099, startLevel: 1, score: 0.9450931082629379, snr: 116.68094122761752, cfo: -0.14868543791045347, preErrs: 0, measSNR: 71.40520704942034, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59353, payloadIndex: 61099, startLevel: 1, score: 0.9450931082616268, snr: 116.68094122510095, cfo: -0.14868543790993022, preErrs: 0, measSNR: 71.40520704811696, measBER: 0.0},
 	// 1000bps/5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.895967098125725, snr: 23.581449689979237, cfo: -0.32839842317283363, preErrs: 0, measSNR: 23.029112797303043, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59354, payloadIndex: 60236, startLevel: 1, score: 0.8959670981229994, snr: 23.581449689458257, cfo: -0.32839842317141793, preErrs: 0, measSNR: 23.029112796842945, measBER: 0.0},
 	// 2000bps/5Pa/poolA/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.8501191608891693, snr: 8.161223631073991, cfo: 0, preErrs: 0, measSNR: 7.560317567266411, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59351, payloadIndex: 59783, startLevel: 1, score: 0.8501191608835857, snr: 8.161223630981114, cfo: 0.0, preErrs: 0, measSNR: 7.5603175671352725, measBER: 0.0},
 	// 500bps/0.5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8458240998198866, snr: 22.529328043174257, cfo: -0.31996916641443535, preErrs: 0, measSNR: 11.518810011978214, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8458240998255172, snr: 22.529328043981955, cfo: -0.31996916641290674, preErrs: 0, measSNR: 11.518810012345662, measBER: 0.0},
 	// 1000bps/0.5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8542062431450261, snr: 25.246255883658424, cfo: -0.4564154944260874, preErrs: 0, measSNR: 21.735282549829975, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8542062431465987, snr: 25.246255884054218, cfo: -0.45641549442360074, preErrs: 0, measSNR: 21.735282549991716, measBER: 0.0},
 	// 2000bps/0.5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.7578020389058464, snr: 11.07351246376016, cfo: -0.47524698871073756, preErrs: 0, measSNR: 10.646230067250823, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.7578020389098592, snr: 11.073512463950514, cfo: -0.4752469887103737, preErrs: 0, measSNR: 10.646230067435532, measBER: 0.0},
 	// 500bps/2Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8457467874554077, snr: 22.51048528308757, cfo: -0.3199413367951758, preErrs: 0, measSNR: 11.517763683828116, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8457467874610213, snr: 22.510485283925828, cfo: -0.31994133679362075, preErrs: 0, measSNR: 11.517763684200492, measBER: 0.0},
 	// 1000bps/2Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8542870163290242, snr: 25.289205804058156, cfo: -0.45616733626064887, preErrs: 0, measSNR: 21.72781194293971, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8542870163305981, snr: 25.289205804442865, cfo: -0.45616733625823036, preErrs: 0, measSNR: 21.72781194310073, measBER: 0.0},
 	// 2000bps/2Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.7575533209638429, snr: 11.05335566858865, cfo: -0.47579815623351335, preErrs: 0, measSNR: 10.622402796151526, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.7575533209678262, snr: 11.053355668775453, cfo: -0.4757981562334004, preErrs: 0, measSNR: 10.622402796333642, measBER: 0.0},
 	// 500bps/5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8455666638311893, snr: 22.59273494359044, cfo: -0.3203672772671123, preErrs: 0, measSNR: 11.38757646243045, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59355, payloadIndex: 61101, startLevel: -1, score: 0.8455666638367892, snr: 22.592734944410868, cfo: -0.3203672772655414, preErrs: 0, measSNR: 11.387576462787816, measBER: 0.0},
 	// 1000bps/5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8539044647975376, snr: 25.183760025428644, cfo: -0.45377607053103075, preErrs: 0, measSNR: 21.58379802504633, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59360, payloadIndex: 60242, startLevel: -1, score: 0.8539044647990952, snr: 25.183760025852674, cfo: -0.45377607052841734, preErrs: 0, measSNR: 21.58379802522945, measBER: 0.0},
 	// 2000bps/5Pa/poolB/0mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.7573292708006354, snr: 10.86191390354033, cfo: -0.4744560210596935, preErrs: 0, measSNR: 10.45207411904902, measBER: 0},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x32}, index: 59364, payloadIndex: 59796, startLevel: -1, score: 0.757329270804816, snr: 10.86191390377303, cfo: -0.4744560210591788, preErrs: 0, measSNR: 10.452074119272261, measBER: 0.0},
 	// 500bps/0.5Pa/poolA/2mps
-	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59192, payloadIndex: 60938, startLevel: 1, score: 0.8785995638438191, snr: 14.859763602942072, cfo: -0.0017577891068532856, preErrs: 0, measSNR: 0.12157694775656763, measBER: 0.3230769230769231},
+	{decoded: true, source: 1, seq: 0, payload: []byte{0x0, 0x33}, index: 59192, payloadIndex: 60938, startLevel: 1, score: 0.8785995638458207, snr: 14.859763602988691, cfo: -0.0017577891043521886, preErrs: 0, measSNR: 0.12157694775693617, measBER: 0.3230769230769231},
 	// 500bps/0.5Pa/poolA/6mps
-	{measSNR: 0.29663582505810715, measBER: 0.36923076923076925}, // frame: data CRC mismatch: got 7f9c, want 5555
+	{measSNR: 0.29663582508721265, measBER: 0.36923076923076925}, // frame: data CRC mismatch: got 7f9c, want 5555
 }

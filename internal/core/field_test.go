@@ -6,80 +6,177 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"pab/internal/channel"
 	"pab/internal/dsp"
 	"pab/internal/frame"
 	"pab/internal/phy"
-	"pab/internal/projector"
 	"pab/internal/sensors"
 )
 
-// The tests in this file pin the node's complex field, which RunQuery,
-// RunTrace and RunConcurrent build from the projector's carrier and its
-// quadrature. The in-phase rails must hold, bit for bit
-// (math.Float64bits), what the replaced code synthesized, so the
-// projector waveform, the direct path and the node's envelope decode
-// are unchanged; the field must match the FFT analytic signal it
-// replaced wherever the receiver reads the reply.
+// The tests in this file pin the carriers RunQuery, RunTrace and
+// RunConcurrent synthesize without rendering them: the field at a node
+// and the direct path to the hydrophone are a carrier times its
+// envelope through the response (channel.ImpulseResponse.Carry).
+// TestKeyedFieldMatchesApply holds both to Apply over the keyed
+// carrier's rails, materialized sample by sample; the field must also
+// match the FFT analytic signal RunQuery once took of its in-phase rail
+// wherever the receiver reads the reply.
 
-// refOscillator is dsp.Oscillator as the replaced synthesis stepped it,
-// verbatim.
-type refOscillator struct{ freq, fs, phase float64 }
-
-func (o *refOscillator) Next() float64 {
-	v := math.Sin(o.phase)
-	o.phase += 2 * math.Pi * o.freq / o.fs
-	if o.phase > 2*math.Pi {
-		o.phase -= 2 * math.Pi
-	}
-	return v
+// keyedCase is a keyed carrier as a synthesis path builds it, and the
+// responses the path carries it through.
+type keyedCase struct {
+	name  string
+	f, fs float64
+	amp   float64
+	// on is the sample the carrier's phase counts from: the carrier is
+	// level(i)·amp·sin 2πf(i−on)/fs.
+	on int
+	// levels is the keying, whose values are the levels; env is the
+	// envelope the synthesis carries, the levels times its amplitude.
+	levels, env dsp.Steps
+	irs         []*channel.ImpulseResponse
 }
 
-// refQuery is the replaced projector.Query, verbatim but for its
-// receiver and oscillator.
-func refQuery(p *projector.Projector, q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64) ([]float64, error) {
-	pwm, err := phy.NewPWM(unitSamples)
-	if err != nil {
-		return nil, err
-	}
-	bits := append(append([]phy.Bit{}, phy.PreambleBits...), frame.Bits(q.Marshal())...)
-	lead := 4 * unitSamples
-	tail := int(tailSeconds * p.SampleRate)
-	amp := p.PressureAmplitude(driveV, f)
-	osc := &refOscillator{freq: f, fs: p.SampleRate}
-	out := make([]float64, lead+pwm.EncodedLength(bits)+tail)
-	for range lead {
-		osc.Next()
-	}
-	i := lead
-	pwm.Keying(bits, func(level float64, samples int) {
-		for end := i + samples; i < end; i++ {
-			out[i] = level * (amp * osc.Next())
+// keyedCases returns the carriers of the synthesis golden exchanges
+// (RunQuery's keyed downlink through irPN and irPH in both pools, at
+// the three bitrates and under drift and a fault engine), Fig 2's
+// switched CW (RunTrace) and Fig 10's two tones (RunConcurrent).
+func keyedCases(t *testing.T) []keyedCase {
+	t.Helper()
+	q := frame.Query{Dest: 0x01, Command: frame.CmdPing}
+	var out []keyedCase
+	for _, g := range synthGoldens {
+		l := g.c.poweredLink(t)
+		cfg := l.cfg
+		keying, amp, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, l.queryTail())
+		if err != nil {
+			t.Fatal(err)
 		}
+		env := make(dsp.Steps, len(keying))
+		for i, s := range keying {
+			env[i] = dsp.Step{At: s.At, V: s.V * complex(amp, 0)}
+		}
+		out = append(out, keyedCase{
+			name: fmt.Sprintf("query %v fault=%q", g.c.equivCase, g.c.fault),
+			f:    cfg.CarrierHz, fs: cfg.SampleRate, amp: amp,
+			levels: keying, env: env, irs: []*channel.ImpulseResponse{l.irPN, l.irPH},
+		})
+	}
+
+	l := defaultPoweredLink(t, 500)
+	cfg := l.cfg
+	const total, txStart = 1.6, 0.2
+	on, n := int(txStart*cfg.SampleRate), int(total*cfg.SampleRate)
+	amp := l.proj.PressureAmplitude(cfg.DriveV, cfg.CarrierHz)
+	out = append(out, keyedCase{
+		name: "Fig 2 switched CW", f: cfg.CarrierHz, fs: cfg.SampleRate, amp: amp, on: on,
+		levels: dsp.Steps{{At: on, V: 1}, {At: n}},
+		env:    switchedOn(amp, 2*math.Pi*cfg.CarrierHz/cfg.SampleRate, on, n),
+		irs:    []*channel.ImpulseResponse{l.irPN, l.irPH},
 	})
-	for ; i < len(out); i++ {
-		out[i] = amp * osc.Next()
-	}
-	return out, nil
-}
 
-// refTraceCarrier is RunTrace's replaced oscillator loop, verbatim.
-func refTraceCarrier(amp, f, fs float64, txIdx, n int) []float64 {
-	x := make([]float64, n)
-	osc := &refOscillator{freq: f, fs: fs}
-	for i := txIdx; i < n; i++ {
-		x[i] = amp * osc.Next()
+	cc := DefaultConcurrentConfig()
+	opts := channel.Options{MaxOrder: cc.ChannelOrder, MinGain: 0.02, CarrierHz: (cc.Carriers[0] + cc.Carriers[1]) / 2}
+	irs := make([]*channel.ImpulseResponse, 3)
+	for k, dst := range []channel.Vec3{cc.NodePos[0], cc.NodePos[1], cc.HydrophonePos} {
+		var err error
+		if irs[k], err = cc.Tank.Response(cc.ProjectorPos, dst, cc.SampleRate, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return x
-}
-
-// refSine is dsp.Sine, which RunConcurrent's tones came from, verbatim.
-func refSine(amplitude, f, fs, phase float64, n int) []float64 {
-	out := make([]float64, n)
-	w := 2 * math.Pi * f / fs
-	for i := range out {
-		out[i] = amplitude * math.Sin(w*float64(i)+phase)
+	proj, err := NewPaperProjector(cc.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spb, err := phy.SamplesPerBitFor(cc.SampleRate, cc.BitrateBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tones := int(0.05*cc.SampleRate)*2 + (2*len(phy.PreambleBits)+cc.PayloadBits)*spb
+	for _, f := range cc.Carriers {
+		amp := proj.PressureAmplitude(cc.DriveV, f)
+		out = append(out, keyedCase{
+			name: fmt.Sprintf("Fig 10 %g Hz tone", f), f: f, fs: cc.SampleRate, amp: amp,
+			levels: dsp.Steps{{At: 0, V: 1}, {At: tones}},
+			env:    dsp.Steps{{At: 0, V: complex(amp, 0)}, {At: tones}},
+			irs:    irs,
+		})
 	}
 	return out
+}
+
+// TestKeyedFieldMatchesApply materializes each keyed carrier's rails,
+// level(i)·amp·sin θ and −level(i)·amp·cos θ with θ from math.Sincos at
+// every sample, renders them through each response with Apply, and
+// requires the carried envelope times the carrier to give both rails —
+// the field at a node, and so the direct path — to within 1e-9 of the
+// rendered rails' peak at every output sample, and to be exactly 0
+// wherever no tap of the response sees the carrier on.
+func TestKeyedFieldMatchesApply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sample-level carriers")
+	}
+	for _, c := range keyedCases(t) {
+		n := c.levels.End()
+		level := make([]float64, n)
+		wave, quad := make([]float64, n), make([]float64, n)
+		w := 2 * math.Pi * c.f / c.fs
+		for k, s := range c.levels {
+			end := n
+			if k+1 < len(c.levels) {
+				end = c.levels[k+1].At
+			}
+			for i := s.At; i < end; i++ {
+				level[i] = real(s.V)
+				sin, cos := math.Sincos(w * float64(i-c.on))
+				wave[i], quad[i] = level[i]*(c.amp*sin), -level[i]*(c.amp*cos)
+			}
+		}
+		osc := dsp.NewPhasor(c.f, c.fs)
+		for r, ir := range c.irs {
+			re, im := ir.Apply(wave), ir.Apply(quad)
+			u := make([]complex128, len(re))
+			osc.Modulate(u, 0, ir.Carry(c.env, osc.Omega()))
+			peak := 0.0
+			for i := range re {
+				peak = max(peak, math.Abs(re[i]), math.Abs(im[i]))
+			}
+			worst, silent := 0.0, 0
+			for j, v := range u {
+				// The field is −j times the carried carrier: its rails are
+				// Im(v) and −Re(v).
+				d := max(math.Abs(imag(v)-re[j]), math.Abs(-real(v)-im[j]))
+				if d > 1e-9*peak {
+					t.Fatalf("%s, response %d: output %d is %v, Apply gives %v (%.3g of the peak %.4g)",
+						c.name, r, j, complex(imag(v), -real(v)), complex(re[j], im[j]), d/peak, peak)
+				}
+				worst = max(worst, d)
+				if unseen(ir, level, j) {
+					silent++
+					if v != 0 {
+						t.Fatalf("%s, response %d: output %d is %v where no tap sees the carrier", c.name, r, j, v)
+					}
+				}
+			}
+			t.Logf("%s, response %d (%d taps): max |Δ| %.2g of the peak, %d silent outputs of %d",
+				c.name, r, len(ir.Taps), worst/peak, silent, len(u))
+		}
+	}
+}
+
+// unseen reports whether every interpolation term of ir with a nonzero
+// gain reads a sample where the keying is off at output j.
+func unseen(ir *channel.ImpulseResponse, level []float64, j int) bool {
+	on := func(i int) bool { return i >= 0 && i < len(level) && level[i] != 0 }
+	for _, tap := range ir.Taps {
+		d := tap.DelaySeconds * ir.SampleRate
+		i0 := int(math.Floor(d))
+		frac := d - float64(i0)
+		if (frac != 1 && on(j-i0)) || (frac != 0 && on(j-i0-1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // refAnalyticSignal is the replaced dsp.AnalyticSignal, verbatim but
@@ -150,128 +247,19 @@ func defaultPoweredLink(t *testing.T, bitrate float64) *Link {
 	return l
 }
 
-// firstBitMismatch returns the first index where got and want hold
-// different bits, or −1.
-func firstBitMismatch(got, want []float64) int {
-	if len(got) != len(want) {
-		return min(len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// checkQuadrature requires quad[i] to be −level[i]·amp·cos θ, θ the
-// phase of a reference oscillator started at sample on, and zero (of
-// either sign) before it.
-func checkQuadrature(t *testing.T, name string, quad, level []float64, amp, f, fs float64, on int) {
-	t.Helper()
-	osc := &refOscillator{freq: f, fs: fs}
-	for i, v := range quad {
-		want := 0.0
-		if i >= on {
-			want = -level[i] * (amp * math.Cos(osc.phase))
-			osc.Next()
-		}
-		if math.Float64bits(v) != math.Float64bits(want) && (want != 0 || v != 0) {
-			t.Fatalf("%s: quadrature sample %d is %v, want %v", name, i, v, want)
-		}
-	}
-}
-
-// queryLevels returns the keying level of each sample of q's query
-// waveform: off through the lead-in, the PWM keying, on through the
-// tail.
-func queryLevels(q frame.Query, unitSamples, n int) []float64 {
-	pwm, _ := phy.NewPWM(unitSamples)
-	level := make([]float64, n)
-	i := 4 * unitSamples
-	pwm.Keying(append(append([]phy.Bit{}, phy.PreambleBits...), frame.Bits(q.Marshal())...), func(l float64, samples int) {
-		for end := i + samples; i < end; i++ {
-			level[i] = l
-		}
-	})
-	for ; i < n; i++ {
-		level[i] = 1
-	}
-	return level
-}
-
-// TestCarrierRailsMatchReplaced requires the in-phase rail of each
-// carrier generator to be the replaced waveform bit for bit, and its
-// quadrature to be −amp·cos of the same phase, at the lengths of the
-// queries at the three bitrates: Query's keyed carrier, RunTrace's
-// switched CW (also at Fig 2's 1.6 s) and RunConcurrent's tones.
-func TestCarrierRailsMatchReplaced(t *testing.T) {
-	q := frame.Query{Dest: 0x01, Command: frame.CmdPing}
-	for _, br := range []float64{500, 1000, 2000} {
-		l := defaultPoweredLink(t, br)
-		c, cfg := fmt.Sprintf("%gbps", br), l.cfg
-		tail := l.queryTail()
-		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refQuery(l.proj, q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i := firstBitMismatch(wave, want); i >= 0 {
-			t.Fatalf("%v: query sample %d of %d differs from the replaced Query", c, i, len(want))
-		}
-		n := len(want)
-		amp := l.proj.PressureAmplitude(cfg.DriveV, cfg.CarrierHz)
-		checkQuadrature(t, c+" query", quad, queryLevels(q, cfg.PWMUnit, n), amp, cfg.CarrierHz, cfg.SampleRate, 0)
-
-		on := make([]float64, n)
-		for i := range on {
-			on[i] = 1
-		}
-		for _, start := range []int{0, n / 8, n - 1} {
-			wave, quad := switchedCW(amp, cfg.CarrierHz, cfg.SampleRate, start, n, 0)
-			if i := firstBitMismatch(wave, refTraceCarrier(amp, cfg.CarrierHz, cfg.SampleRate, start, n)); i >= 0 {
-				t.Fatalf("%v: CW from %d: sample %d differs from RunTrace's replaced loop", c, start, i)
-			}
-			checkQuadrature(t, c+" CW", quad, on, amp, cfg.CarrierHz, cfg.SampleRate, start)
-		}
-
-		for _, f := range []float64{15000, 18000} {
-			for _, phase := range []float64{0, 0.7} {
-				re, im := dsp.AnalyticSine(amp, f, cfg.SampleRate, phase, n)
-				if i := firstBitMismatch(re, refSine(amp, f, cfg.SampleRate, phase, n)); i >= 0 {
-					t.Fatalf("%v: %g Hz tone sample %d differs from dsp.Sine", c, f, i)
-				}
-				w := 2 * math.Pi * f / cfg.SampleRate
-				for i, v := range im {
-					if want := -(amp * math.Cos(w*float64(i)+phase)); math.Float64bits(v) != math.Float64bits(want) {
-						t.Fatalf("%v: %g Hz tone quadrature %d is %v, want %v", c, f, i, v, want)
-					}
-				}
-			}
-		}
-	}
-	const fs, total, txStart = 96000.0, 1.6, 0.2
-	wave, _ := switchedCW(3.5, 15000, fs, int(txStart*fs), int(total*fs), 0)
-	if i := firstBitMismatch(wave, refTraceCarrier(3.5, 15000, fs, int(txStart*fs), int(total*fs))); i >= 0 {
-		t.Fatalf("Fig 2 CW: sample %d differs from RunTrace's replaced loop", i)
-	}
-}
-
 // TestNodeFieldMatchesAnalyticSignal compares the node's complex field,
-// irPN.Apply(wave) + j·irPN.Apply(quad), with the FFT analytic signal
-// of irPN.Apply(wave) that RunQuery used before. Inside the uplink
-// window — from 30 ms past the query end plus the first tap's delay,
-// where the reply starts, for as long as the reply lasts — they agree
-// to within 1e-3 of the node's carrier amplitude (the carrier there is
-// steady, and both are its analytic signal; 7.2e-5 at most on amd64).
-// Near the keying edges they differ by up to about 0.45 of it: the FFT
-// spreads each edge's transient over the whole 2^17-point record, while
-// the keyed quadrature switches with the carrier. The decoder reads
-// none of the PWM edges — its gate sits 10 ms past the query end — and
-// the carrier's own end comes 30 ms after the reply's.
+// the carrier times its envelope through irPN, with the FFT analytic
+// signal of the field's in-phase rail that RunQuery used before. Inside
+// the uplink window — from 30 ms past the query end plus the first
+// tap's delay, where the reply starts, for as long as the reply lasts —
+// they agree to within 1e-3 of the node's carrier amplitude (the
+// carrier there is steady, and both are its analytic signal; 7.2e-5 at
+// most on amd64). Near the keying edges they differ by up to about 0.45
+// of it: the FFT spreads each edge's transient over the whole
+// 2^17-point record, while the keyed envelope switches with the
+// carrier. The decoder reads none of the PWM edges — its gate sits
+// 10 ms past the query end — and the carrier's own end comes 30 ms
+// after the reply's.
 func TestNodeFieldMatchesAnalyticSignal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sample-level exchanges")
@@ -288,24 +276,33 @@ func TestNodeFieldMatchesAnalyticSignal(t *testing.T) {
 		}
 		cfg := l.cfg
 		tail := l.queryTail()
-		wave, quad, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail, 0)
+		keying, amp, err := l.proj.Query(q, cfg.DriveV, cfg.CarrierHz, cfg.PWMUnit, tail)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pNode, qNode := l.irPN.Apply(wave), l.irPN.Apply(quad)
+		for i := range keying {
+			keying[i].V *= complex(amp, 0)
+		}
+		osc := dsp.NewPhasor(cfg.CarrierHz, cfg.SampleRate)
+		u := make([]complex128, keying.End()+l.irPN.Spread())
+		osc.Modulate(u, 0, l.irPN.Carry(keying, osc.Omega()))
+		pNode := make([]float64, len(u))
+		for i, v := range u {
+			pNode[i] = imag(v)
+		}
 		ref := refAnalyticSignal(pNode)
 
 		spb, err := phy.SamplesPerBitFor(cfg.SampleRate, l.node.Bitrate())
 		if err != nil {
 			t.Fatal(err)
 		}
-		queryEnd := len(wave) - int(tail*cfg.SampleRate)
+		queryEnd := keying.End() - int(tail*cfg.SampleRate)
 		start := queryEnd + int(l.irPN.Taps[0].DelaySeconds*cfg.SampleRate) + int(processingMargin*cfg.SampleRate)
 		end := start + len(res.UplinkBits)*spb
-		amp := l.incidentAmplitude(cfg.DriveV)
+		incident := l.incidentAmplitude(cfg.DriveV)
 		var inWindow, anywhere float64
-		for i := range pNode {
-			d := cmplx.Abs(complex(pNode[i], qNode[i])-ref[i]) / amp
+		for i, v := range u {
+			d := cmplx.Abs(complex(imag(v), -real(v))-ref[i]) / incident
 			anywhere = max(anywhere, d)
 			if start <= i && i < end {
 				inWindow = max(inWindow, d)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"pab/internal/channel"
 	"pab/internal/dsp"
@@ -250,25 +251,30 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 
 	tail := l.queryTail()
 
-	// 1. Downlink waveform and its quadrature, with room for the
-	// renders written over them.
+	// 1. Downlink keying.
 	spStage := sp.Child("modulate")
-	x, xq, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail, l.renderRoom())
-	spStage.Attr("samples", len(x)).End()
+	keying, amp, err := l.proj.Query(q, l.cfg.DriveV, l.cfg.CarrierHz, l.cfg.PWMUnit, tail)
 	if err != nil {
+		spStage.End()
 		return nil, err
 	}
-	nx := len(x)
+	nx := keying.End()
+	spStage.Attr("samples", nx).End()
 	queryEndX := nx - int(tail*l.cfg.SampleRate) // end of PWM section
+	for i := range keying {
+		keying[i].V *= complex(amp, 0)
+	}
 
-	// 2. Complex field at the node. The channel is real and linear, so
-	// it carries the waveform and its quadrature to the field's two
-	// rails. The quadrature rail is rendered over the quadrature; the
-	// in-phase rail needs a buffer of its own, since the waveform
-	// lives on for the direct path.
+	// 2. Field at the node: the carrier times the keying's envelope
+	// through irPN. Its in-phase rail is the one recording-length
+	// buffer the exchange fills; the reflection, the scattered path and
+	// the direct path are each written over it in turn.
 	spStage = sp.Child("project")
-	qNode := l.irPN.ApplyInPlace(xq)
-	pNode := l.irPN.Apply(x)
+	osc := l.recv.work().phasor(l.cfg.CarrierHz, l.cfg.SampleRate)
+	w := osc.Omega()
+	atNode := l.irPN.Carry(keying, w)
+	pNode := l.fieldBuffer(nx)
+	superpose(pNode, len(pNode), osc, atNode)
 	spStage.End()
 
 	// 3. Node-side envelope decode of the query.
@@ -330,29 +336,35 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	}
 
 	// The reflection coefficient Γ is complex (magnitude and phase), so
-	// the reflected wave is real(Γ·field). Γ is the absorptive load's
-	// but during the reply, where the resonator's stored energy slews it
-	// between the two loads' over its ring time τ rather than
-	// instantaneously — the high-bitrate limiter of Fig 8. The
-	// reflection overwrites the quadrature rail, each sample after it
-	// is read, and keeps its room for the scattered path.
+	// the reflected wave is real(Γ·field), the field being −j times the
+	// carrier at the node. Γ is the absorptive load's but during the
+	// reply, where the resonator's stored energy slews it between the
+	// two loads' over its ring time τ rather than instantaneously — the
+	// high-bitrate limiter of Fig 8. The reflection overwrites the
+	// field's in-phase rail.
 	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	reflGain := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	tau := l.node.FrontEnd().ResponseTimeConstant()
 	alpha := complex(1-math.Exp(-1/(tau*l.cfg.SampleRate)), 0)
 	gSmooth := absorbGain
-	reflected := qNode
-	for i, p := range pNode {
-		g := absorbGain
-		if k := i - start; k >= 0 && k < len(states) {
-			target := absorbGain
-			if states[k] == piezo.Reflective {
-				target = reflGain
+	reflected := pNode
+	var field [fieldBlock]complex128
+	for lo := 0; lo < len(reflected); lo += fieldBlock {
+		out := reflected[lo:min(lo+fieldBlock, len(reflected))]
+		u := field[:len(out)]
+		osc.Modulate(u, lo, atNode)
+		for i, v := range u {
+			g := absorbGain
+			if k := lo + i - start; k >= 0 && k < len(states) {
+				target := absorbGain
+				if states[k] == piezo.Reflective {
+					target = reflGain
+				}
+				gSmooth += alpha * (target - gSmooth)
+				g = gSmooth
 			}
-			gSmooth += alpha * (target - gSmooth)
-			g = gSmooth
+			out[i] = imag(g * v)
 		}
-		reflected[i] = real(g * complex(p, qNode[i]))
 	}
 	if res.UplinkBits != nil {
 		if midFrameBrownout {
@@ -364,10 +376,10 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	spStage.End() // piezo
 
 	// 5. Hydrophone field: direct downlink + node reflections + noise,
-	// the direct path rendered over the waveform and the scattered path
-	// over the reflection.
+	// the scattered path rendered over the reflection and the direct
+	// path, the carrier times the keying's envelope through irPH, added
+	// to it.
 	spStage = sp.Child("channel")
-	direct := l.irPH.ApplyInPlace(x)
 	if l.cfg.NodeRadialSpeedMS != 0 {
 		reflected = dopplerScale(reflected, l.cfg.NodeRadialSpeedMS, l.cfg.Tank.Water.SoundSpeed())
 	}
@@ -381,7 +393,7 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 			telemetry.Inc(telemetry.MCoreFaultFadedUplinksTotal)
 		}
 	}
-	y := superpose(direct, scattered)
+	y := superpose(scattered, nx+l.irPH.Spread(), osc, l.irPH.Carry(keying, w))
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -426,27 +438,38 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	return res, nil
 }
 
-// renderRoom is the capacity past the waveform that lets every render
-// of an exchange run in place: the direct path over the waveform, and
-// the node's field and then the scattered path over the quadrature.
-func (l *Link) renderRoom() int {
-	return max(l.irPH.Spread(), l.irPN.Spread()+l.irNH.Spread())
+// fieldBuffer returns a zeroed buffer for the node's field over n
+// input samples, n + irPN.Spread() long, with room for every render an
+// exchange writes over it in place: the scattered path, and the direct
+// path added to it where that runs longer.
+func (l *Link) fieldBuffer(n int) []float64 {
+	return make([]float64, n+l.irPN.Spread(), n+max(l.irPH.Spread(), l.irPN.Spread()+l.irNH.Spread()))
 }
 
-// superpose returns direct + scattered, written over the longer of the
-// two, bit for bit the sum of a zeroed buffer, direct copied in and
-// scattered added: where only scattered reaches, +0 + s.
-func superpose(direct, scattered []float64) []float64 {
-	if len(scattered) < len(direct) {
-		return dsp.Add(direct, scattered)
+// fieldBlock is how many samples of a carrier the synthesis modulates
+// at a time, on the stack.
+const fieldBlock = 1024
+
+// superpose adds the carrier osc modulated by env to y over the samples
+// 0 … m−1, Im(env(j)·e^{jωj}) + y[j], and returns y, first grown with
+// zeros to m samples when it is shorter: in place when it has the room.
+// The sample is a real carrier's through the response env came from
+// (channel.ImpulseResponse.Carry).
+func superpose(y []float64, m int, osc *dsp.Phasor, env dsp.Steps) []float64 {
+	if n := len(y); n < m {
+		y = slices.Grow(y, m-n)[:m]
+		clear(y[n:])
 	}
-	for i, d := range direct {
-		scattered[i] = d + scattered[i]
+	var field [fieldBlock]complex128
+	for lo := 0; lo < m; lo += fieldBlock {
+		out := y[lo:min(lo+fieldBlock, m)]
+		u := field[:len(out)]
+		osc.Modulate(u, lo, env)
+		for i, v := range u {
+			out[i] = imag(v) + out[i]
+		}
 	}
-	for i := len(direct); i < len(scattered); i++ {
-		scattered[i] = 0 + scattered[i]
-	}
-	return scattered
+	return y
 }
 
 // berBuckets resolve the raw uplink bit-error-rate range.
@@ -501,24 +524,31 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 		return nil, fmt.Errorf("core: toggle rate %g Hz needs a %g Hz demodulation cutoff, at or above fs/2=%g", toggleHz, demodCut, fs/2)
 	}
 	halfPeriod := int(fs / (2 * toggleHz))
-	amp := l.proj.PressureAmplitude(l.cfg.DriveV, l.cfg.CarrierHz)
-	x, xq := switchedCW(amp, l.cfg.CarrierHz, fs, int(txStart*fs), int(total*fs), l.renderRoom())
-	// The node's complex field, its reflection and the hydrophone field,
-	// rendered in place as in RunQuery.
-	qNode := l.irPN.ApplyInPlace(xq)
-	pNode := l.irPN.Apply(x)
+	osc := l.recv.work().phasor(l.cfg.CarrierHz, fs)
+	w := osc.Omega()
+	n := int(total * fs)
+	cw := switchedOn(l.proj.PressureAmplitude(l.cfg.DriveV, l.cfg.CarrierHz), w, int(txStart*fs), n)
+	// The node's reflection, the scattered path rendered over it and the
+	// direct path added, as in RunQuery.
+	atNode := l.irPN.Carry(cw, w)
 	absorb := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	refl := l.node.FrontEnd().ReflectionCoeff(piezo.Reflective, l.cfg.CarrierHz)
 	bsIdx := int(bsStart * fs)
-	reflected := qNode
-	for i, p := range pNode {
-		g := absorb
-		if i >= bsIdx && ((i-bsIdx)/halfPeriod)%2 == 0 {
-			g = refl
+	reflected := l.fieldBuffer(n)
+	var field [fieldBlock]complex128
+	for lo := 0; lo < len(reflected); lo += fieldBlock {
+		out := reflected[lo:min(lo+fieldBlock, len(reflected))]
+		u := field[:len(out)]
+		osc.Modulate(u, lo, atNode)
+		for k, v := range u {
+			g := absorb
+			if i := lo + k; i >= bsIdx && ((i-bsIdx)/halfPeriod)%2 == 0 {
+				g = refl
+			}
+			out[k] = imag(g * v)
 		}
-		reflected[i] = real(g * complex(p, qNode[i]))
 	}
-	y := superpose(l.irPH.ApplyInPlace(x), l.irNH.ApplyInPlace(reflected))
+	y := superpose(l.irNH.ApplyInPlace(reflected), n+l.irPH.Spread(), osc, l.irPH.Carry(cw, w))
 	noise := l.cfg.NoiseRMS
 	if noise <= 0 {
 		noise = 0.05
@@ -547,19 +577,13 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	return tr, nil
 }
 
-// switchedCW returns both rails of the analytic signal of a carrier of
-// amplitude amp at f Hz, silent before sample on and running to sample
-// n: amp·sin θ and −amp·cos θ, with θ counting from sample on. Each
-// rail has capacity for room more samples.
-func switchedCW(amp, f, fs float64, on, n, room int) (wave, quad []float64) {
-	wave, quad = make([]float64, n, n+room), make([]float64, n, n+room)
-	osc := dsp.NewOscillator(f, fs)
-	for i := on; i < n; i++ {
-		sin, cos := osc.NextSincos()
-		wave[i] = amp * sin
-		quad[i] = -amp * cos
-	}
-	return wave, quad
+// switchedOn returns the envelope of a carrier of amplitude amp at w
+// radians per sample that is silent before sample on and runs to sample
+// n, with its phase counting from on: amp·sin w(i−on), the carrier
+// e^{jwi} times amp·e^{−jw·on}.
+func switchedOn(amp, w float64, on, n int) dsp.Steps {
+	sin, cos := math.Sincos(w * float64(on))
+	return dsp.Steps{{At: on, V: complex(amp*cos, -amp*sin)}, {At: n}}
 }
 
 // dopplerScale time-compresses (approaching, v > 0) or dilates

@@ -154,17 +154,13 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 	payLen := cfg.PayloadBits * spb
 	total := settle + 2*trainLen + payLen + int(0.05*fs)
 
-	// Dual-tone downlink, with each tone's quadrature for the field at
-	// the nodes.
-	tone := func(f float64) (wave, quad []float64) {
-		return dsp.AnalyticSine(proj.PressureAmplitude(cfg.DriveV, f), f, fs, 0, total)
+	// Dual-tone downlink: two carriers on through the whole schedule.
+	var osc [2]*dsp.Phasor
+	var tones [2]dsp.Steps
+	for t, f := range cfg.Carriers {
+		osc[t] = dsp.NewPhasor(f, fs)
+		tones[t] = dsp.Steps{{At: 0, V: complex(proj.PressureAmplitude(cfg.DriveV, f), 0)}, {At: total}}
 	}
-	x1, x1q := tone(cfg.Carriers[0])
-	x2, x2q := tone(cfg.Carriers[1])
-	// Their sum has room for the direct path, rendered over it.
-	x := make([]float64, total, total+irPH.Spread())
-	copy(x, x1)
-	dsp.Add(x, x2)
 
 	// Per-node switch schedules.
 	res := &ConcurrentResult{}
@@ -189,15 +185,29 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 		schedules[k] = sched
 	}
 
+	// The direct path of both tones, with room for the longest
+	// scattered path.
+	n := total + irPH.Spread()
+	room := n
+	for k := range irNH {
+		room = max(room, total+irNH[k].Spread())
+	}
+	y := make([]float64, n, room)
+	for t := range tones {
+		y = superpose(y, n, osc[t], irPH.Carry(tones[t], osc[t].Omega()))
+	}
 	// Physical reflection: per node, per tone (backscatter is
-	// frequency-agnostic but with frequency-dependent depth).
-	y := irPH.ApplyInPlace(x)
-	reflected := make([]float64, total) // reused across nodes; fully rewritten each pass
+	// frequency-agnostic but with frequency-dependent depth). One
+	// buffer holds each node's reflection and then its scattered path.
+	reflected := make([]float64, total, room)
+	var field [2][fieldBlock]complex128
 	for k := 0; k < 2; k++ {
 		fe := nodes[k].FrontEnd()
-		// The node's complex field per tone, as in RunQuery.
-		p1, q1 := irPN[k].Apply(x1), irPN[k].Apply(x1q)
-		p2, q2 := irPN[k].Apply(x2), irPN[k].Apply(x2q)
+		// The field of each tone at the node, as in RunQuery.
+		var atNode [2]dsp.Steps
+		for t := range tones {
+			atNode[t] = irPN[k].Carry(tones[t], osc[t].Omega())
+		}
 		gains := [2][2]complex128{}
 		for t, f := range cfg.Carriers {
 			gains[t][0] = fe.ReflectionCoeff(piezo.Absorptive, f)
@@ -208,20 +218,28 @@ func RunConcurrent(cfg ConcurrentConfig, nodes [2]*node.Node, proj *projector.Pr
 		alpha := complex(1-math.Exp(-1/(tau*fs)), 0)
 		g1 := gains[0][0]
 		g2 := gains[1][0]
-		for i := 0; i < total; i++ {
-			state := 0
-			if schedules[k][i] > 0 {
-				state = 1
+		reflected = reflected[:total]
+		for lo := 0; lo < total; lo += fieldBlock {
+			out := reflected[lo:min(lo+fieldBlock, total)]
+			u1, u2 := field[0][:len(out)], field[1][:len(out)]
+			osc[0].Modulate(u1, lo, atNode[0])
+			osc[1].Modulate(u2, lo, atNode[1])
+			for i := range out {
+				state := 0
+				if schedules[k][lo+i] > 0 {
+					state = 1
+				}
+				g1 += alpha * (gains[0][state] - g1)
+				g2 += alpha * (gains[1][state] - g2)
+				out[i] = imag(g1*u1[i] + g2*u2[i])
 			}
-			g1 += alpha * (gains[0][state] - g1)
-			g2 += alpha * (gains[1][state] - g2)
-			reflected[i] = real(g1*complex(p1[i], q1[i]) + g2*complex(p2[i], q2[i]))
 		}
-		scat := irNH[k].Apply(reflected)
+		scat := irNH[k].ApplyInPlace(reflected)
 		if len(scat) > len(y) {
-			y = append(y, make([]float64, len(scat)-len(y))...)
+			y = y[:len(scat)]
 		}
 		dsp.Add(y, scat)
+		reflected = scat
 	}
 	noise := cfg.NoiseRMS
 	if noise <= 0 {

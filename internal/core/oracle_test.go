@@ -71,7 +71,7 @@ func TestRecordGatedMatchesRecordThenDemodulate(t *testing.T) {
 			t.Fatalf("auto-gain %v: %d clipped samples", autoGain, clipped)
 		}
 		for _, gate := range []int{0, 1, frontEndBlock - 1, frontEndBlock, 2*frontEndBlock + 7, n - 1} {
-			want, err := dsp.DownconvertGatedInto(nil, volts, carrier, fs, lp, gate)
+			want, err := dsp.DownconvertGatedInto(nil, volts, dsp.NewPhasor(carrier, fs), lp, gate)
 			if err != nil {
 				t.Fatal(err)
 			}

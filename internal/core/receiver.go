@@ -361,7 +361,7 @@ func (r *Receiver) demodulateGated(n, block int, next func(off, k int) []float64
 	if err != nil {
 		return nil, err
 	}
-	bb, err := dsp.DownconvertGatedFrom(ws.bb, n, block, next, carrier, r.SampleRate, lp, searchFrom)
+	bb, err := dsp.DownconvertGatedFrom(ws.bb, n, block, next, ws.phasor(carrier, r.SampleRate), lp, searchFrom)
 	if err != nil {
 		return nil, err
 	}

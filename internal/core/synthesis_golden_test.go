@@ -25,38 +25,39 @@ type synthCase struct {
 // synthGoldens pins RunQuery's sample-level synthesis bit for bit: the
 // sha256 of each exchange's Recording (math.Float64bits, little-endian),
 // then its DecodeGate and its UplinkBits. The recording is the direct
-// path plus the node's reflection, real(Γ·field), of the complex field
-// that the channel carries from the projector's keyed carrier and its
-// quadrature (projector.Query), plus the link's seeded noise. The
-// hashes were computed on amd64 with the scatter convolution that the
-// oracle tests in internal/channel keep as a reference; a change to
-// the synthesis path must leave them unchanged.
+// path plus the node's reflection, real(Γ·field), of the field at the
+// node, plus the link's seeded noise; the field and the direct path are
+// the projector's keyed carrier times its envelope through each
+// response (channel.ImpulseResponse.Carry), the carrier taken from a
+// dsp.Phasor. The hashes were computed on amd64; a change to the
+// synthesis path must leave them unchanged, or re-pin them with each
+// recording's largest move relative to its peak.
 var synthGoldens = []struct {
 	c    synthCase
 	hash string
 }{
 	{synthCase{equivCase: equivCase{bitrate: 500, noisePa: 0.5, seed: 11}},
-		"6cf2b7dba4d81956b8312d57c6f4f491b85990c7957c335da9fb96dc808d8386"},
+		"098b8c38a3eca2d7f0469f9d20c81b84180151dd0a0425fb7f47d2fb6a14052a"},
 	{synthCase{equivCase: equivCase{bitrate: 1000, noisePa: 2, seed: 12}},
-		"b6cb52d1445d697a0683c192dcb19cf83d6685d756697f89eff966af75754090"},
+		"dbf4d108593ef14f5096912f8a0b8005c4faa6baec42678bb94ccdcb1e552b61"},
 	{synthCase{equivCase: equivCase{bitrate: 2000, noisePa: 5, seed: 13}},
-		"13b7c812602641aa930ad1ce7a96d26a96d5e641bfe7accb125402c8da4f2da6"},
+		"b01aa7210cb47e8cd181a35eb46b6962248b4b4f78430f9b3c5e70cc83e85da3"},
 	{synthCase{equivCase: equivCase{bitrate: 500, noisePa: 2, poolB: true, seed: 14}},
-		"bc7afe97491d37a95d878ebf38cc7ea6cc4e0547697a6b5cae89f113f1bc791f"},
+		"8c42add9604dadc39b363619f368d45c96c34a38e6ea5acecd6dea09f7db0d30"},
 	{synthCase{equivCase: equivCase{bitrate: 1000, noisePa: 5, poolB: true, seed: 15}},
-		"7d0667db2ce62cc49bc50b7d45f0a637554c755bda4e55befa64c2fa434d3d15"},
+		"f57f3d855b399b17bb036a02e3f181422cb350e661a037bb631ce94b11778c42"},
 	{synthCase{equivCase: equivCase{bitrate: 2000, noisePa: 0.5, poolB: true, seed: 16}},
-		"1e101748522444f793d14e3ec32c3ad515bc0cd9968aa01ef8ffb59faaf2705e"},
+		"0744b6bd7d3df9ffa6b534d1bc1d00b1df551696289253b27ce228ada5b925e3"},
 	// Drifting nodes: a receding node's reflection is stretched past the
 	// direct path; at 12 m/s an approaching node's is compressed short
 	// of it, so the recording is the direct path's length.
 	{synthCase{equivCase: equivCase{bitrate: 1000, noisePa: 0.5, speedMS: -3, seed: 17}},
-		"80719ebb992422769a57450831ba3051ace6ba32952b9420fcb31fe2b7cd3f32"},
+		"c2c60302290f35c01a8168be898e09c1b8efc9a38052a4bc1aefd928cf46d7e4"},
 	{synthCase{equivCase: equivCase{bitrate: 2000, noisePa: 2, speedMS: 12, seed: 19}},
-		"f77359d0ec09dba6bac6137c4c64058a759832af0ee6fd669e7a7c52e4d7587f"},
+		"29087b5a2880742e10ff097e490671e652878e194578331015f0b022b56201d8"},
 	// storm at 38.5 s: an uplink fade (gain ≈0.50) and a 3.6× noise step.
 	{synthCase{equivCase: equivCase{bitrate: 500, noisePa: 0.5, seed: 18}, fault: "storm", faultAtS: 38.5},
-		"1dbc4adbffb8ab3650d20f371c4d7501a0ce68a7642daf6f77d50b0729c5f5f3"},
+		"1cad95253d21bb8085cbc6a19743874658ccb2d1d1c5ef87bb7cef7d554b185b"},
 }
 
 // synthesisHash runs the case's exchange and hashes what it synthesized.
@@ -110,52 +111,74 @@ func TestSynthesisGolden(t *testing.T) {
 	}
 }
 
-// TestSuperposeMatchesZeroedSum pins superpose to the sum it replaced —
-// a zeroed buffer of the longer length, direct copied in, scattered
-// added — bit for bit, signed zeros included, whichever side is longer.
+// TestSuperposeMatchesZeroedSum pins superpose to the sum it stands
+// for — a zeroed buffer as long as the longer of y and the carrier, y
+// copied in, the carrier's samples added over their span — bit for bit,
+// signed zeros included, whichever side is longer, and requires it to
+// write over y when y has the room.
 func TestSuperposeMatchesZeroedSum(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	short := []float64{1, negZero, 0, -2}
-	long := []float64{negZero, negZero, 3, 0, negZero, negZero, 0.5}
-	for _, tc := range []struct{ direct, scattered []float64 }{
-		{short, long},
-		{long, long},
-		{long, short},
-		{short, short[:2]},
-		{short, nil},
+	osc := dsp.NewPhasor(15000, 96000)
+	env := dsp.Steps{{At: 2, V: 3 - 1i}, {At: 5, V: 0}, {At: 700, V: 0.5}, {At: 1500}}
+	long := make([]float64, 2100)
+	for i := range long {
+		long[i] = []float64{negZero, 0, 1.5, -2}[i%4]
+	}
+	for _, tc := range []struct {
+		y    []float64
+		room int
+		m    int
+	}{
+		{long[:10], 0, 1600},
+		{long[:10], 1590, 1600},
+		{long, 0, 1600},
+		{long[:1600], 0, 1600},
+		{nil, 0, 1600},
+		{long[:3], 0, 0},
 	} {
-		want := make([]float64, max(len(tc.direct), len(tc.scattered)))
-		copy(want, tc.direct)
-		dsp.Add(want, tc.scattered)
-		got := superpose(append([]float64(nil), tc.direct...), append([]float64(nil), tc.scattered...))
+		want := make([]float64, max(len(tc.y), tc.m))
+		copy(want, tc.y)
+		u := make([]complex128, tc.m)
+		osc.Modulate(u, 0, env)
+		for i, v := range u {
+			want[i] = imag(v) + want[i]
+		}
+		y := append(make([]float64, 0, len(tc.y)+tc.room), tc.y...)
+		got := superpose(y, tc.m, osc, env)
 		if len(got) != len(want) {
-			t.Fatalf("len %d, want %d", len(got), len(want))
+			t.Fatalf("len %d, m %d: length %d, want %d", len(tc.y), tc.m, len(got), len(want))
+		}
+		if cap(y) >= len(want) && len(want) > 0 && &got[0] != &y[:1][0] {
+			t.Errorf("len %d, room %d, m %d: did not write over y", len(tc.y), tc.room, tc.m)
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("direct %v, scattered %v: sample %d is %v, want %v", tc.direct, tc.scattered, i, got[i], want[i])
+				t.Fatalf("len %d, m %d: sample %d is %v, want %v", len(tc.y), tc.m, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // runQueryAllocBounds bound one warm RunQuery at 496.5, 993 and 2048
-// bit/s in the default geometry: the maximum measured on amd64 (48–50
-// allocations; 3.31, 2.67 and 2.34 MB) plus about a quarter, less than
-// one more recording-length buffer (0.85, 0.67 and 0.58 MB).
+// bit/s in the default geometry. The bytes are the maximum measured on
+// amd64 (1.71, 1.44 and 1.28 MB) plus about a quarter, less than one
+// more recording-length buffer (0.86, 0.68 and 0.59 MB), such as a
+// materialized rail of the keyed carrier. The 57–58 allocations stay
+// under the bound of the rendered synthesis.
 var runQueryAllocBounds = []struct {
 	bitrate float64
 	allocs  float64
 	bytes   uint64
 }{
-	{500, 62, 4_100_000},
-	{1000, 62, 3_300_000},
-	{2000, 62, 2_880_000},
+	{500, 62, 2_150_000},
+	{1000, 62, 1_800_000},
+	{2000, 62, 1_610_000},
 }
 
 // TestRunQueryAllocs bounds what one exchange allocates once its link
-// is warm: the synthesis's recording-length buffers, the node's
-// envelope and switch states, and the decode's result.
+// is warm: the synthesis's one recording-length buffer and its carried
+// envelopes, the node's envelope and switch states, and the decode's
+// result.
 func TestRunQueryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sample-level exchanges")

@@ -6,9 +6,10 @@ import (
 )
 
 // workspace is a Receiver's decode scratch. Its buffers only grow and
-// are reused from call to call; its codecs and channel filters are
-// built once per samples-per-bit and per cutoff. A decode result never
-// points into it: Decoded copies what it keeps.
+// are reused from call to call; its codecs, channel filters and carrier
+// phasors are built once per samples-per-bit, per cutoff and per
+// carrier. A decode result never points into it: Decoded copies what
+// it keeps.
 type workspace struct {
 	// volts is one block of hydrophone output: the front end converts
 	// and demodulates a recording a block at a time.
@@ -40,6 +41,7 @@ type workspace struct {
 	detect  phy.DetectScratch
 	codecs  map[int]*codec
 	filters map[filterKey]*dsp.IIR
+	phasors map[carrierKey]*dsp.Phasor
 }
 
 // codec is the FM0 line code and preamble detector for one
@@ -85,4 +87,22 @@ func (ws *workspace) filter(fs, cutoff float64) (*dsp.IIR, error) {
 	}
 	ws.filters[key] = lp
 	return lp, nil
+}
+
+// carrierKey identifies a carrier at a sample rate.
+type carrierKey struct{ fc, fs float64 }
+
+// phasor returns the cached phasor of the carrier fc at sample rate fs,
+// building it on first use.
+func (ws *workspace) phasor(fc, fs float64) *dsp.Phasor {
+	key := carrierKey{fc, fs}
+	if p, ok := ws.phasors[key]; ok {
+		return p
+	}
+	p := dsp.NewPhasor(fc, fs)
+	if ws.phasors == nil {
+		ws.phasors = make(map[carrierKey]*dsp.Phasor)
+	}
+	ws.phasors[key] = p
+	return p
 }

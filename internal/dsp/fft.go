@@ -13,11 +13,10 @@
 // one block of lags plus the template, and DownconvertGatedFrom takes
 // its input a block at a time, so neither holds a recording-length
 // copy of its input. On the synthesis side no FFT runs either: the
-// node's complex field comes from the carrier's quadrature rail
-// (Oscillator.NextSincos, AnalyticSine), not from a 2^17-point analytic
-// signal. The FFTs serve carrier search (FindPeaks), once per stream
-// that auto-detects its carrier, so the radix-2 kernel is the textbook
-// loop.
+// node's complex field is the carrier, a Phasor, times its envelope
+// through the channel, not a 2^17-point analytic signal. The FFTs
+// serve carrier search (FindPeaks), once per stream that auto-detects
+// its carrier, so the radix-2 kernel is the textbook loop.
 package dsp
 
 import (

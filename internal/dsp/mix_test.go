@@ -7,19 +7,6 @@ import (
 	"testing"
 )
 
-// TestOscillatorPhaseContinuity steps the oscillator past many phase
-// wraps and checks every sample against the closed-form sinusoid.
-func TestOscillatorPhaseContinuity(t *testing.T) {
-	const f, fs = 15000.0, 96000.0
-	o := NewOscillator(f, fs)
-	for i := 0; i < 200; i++ {
-		want := math.Sin(2 * math.Pi * f / fs * float64(i))
-		if got := o.Next(); !approx(got, want, 1e-9) {
-			t.Fatalf("sample %d = %g, want %g: oscillator is not phase continuous", i, got, want)
-		}
-	}
-}
-
 func TestSineAmplitudeAndFrequency(t *testing.T) {
 	fs := 96000.0
 	x := Sine(2.5, 15000, fs, 0, 9600)
@@ -255,7 +242,7 @@ func TestDownconvertGatedIntoMatchesLPFrom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DownconvertGatedInto(dirtyComplex(len(x)), x, fc, fs, lp, from)
+			got, err := DownconvertGatedInto(dirtyComplex(len(x)), x, NewPhasor(fc, fs), lp, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,11 +288,11 @@ func TestDownconvertGatedFromMatchesOneBlock(t *testing.T) {
 			return buf[:k]
 		}
 		for _, from := range []int{0, 1, 5, 600, len(x) - 1, len(x)} {
-			want, err := DownconvertGatedInto(nil, x, fc, fs, lp, from)
+			want, err := DownconvertGatedInto(nil, x, NewPhasor(fc, fs), lp, from)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DownconvertGatedFrom(dirtyComplex(len(x)), len(x), block, next, fc, fs, lp, from)
+			got, err := DownconvertGatedFrom(dirtyComplex(len(x)), len(x), block, next, NewPhasor(fc, fs), lp, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,44 +307,118 @@ func TestDownconvertGatedFromMatchesOneBlock(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DownconvertGatedFrom(nil, 10, 4, nil, fc, fs, lp, 11); err == nil {
+	if _, err := DownconvertGatedFrom(nil, 10, 4, nil, NewPhasor(fc, fs), lp, 11); err == nil {
 		t.Error("gate past the input: no error")
 	}
 }
 
-// TestMixSampleMatchesCosSin pins the batch mixer's math.Sincos to the
-// math.Cos/math.Sin pair it replaced, bit for bit, at the first 2²¹
-// sample phases of every carrier the repository configures — 15 and
-// 18 kHz (the paper's recto-piezos), 13.5 and 16.5 kHz (the FDMA band
-// edges) at 96 kHz, and the streaming tests' 3 kHz at 12 kHz and
-// 2 kHz at 8 kHz — and at random phases across ±5·10⁶ rad.
-func TestMixSampleMatchesCosSin(t *testing.T) {
-	old := func(v, w float64, i int) complex128 {
-		ph := w * float64(i)
-		return complex(v*math.Cos(ph), -v*math.Sin(ph))
+// carriers are every carrier the repository configures: 15 and 18 kHz
+// (the paper's recto-piezos), 13.5 and 16.5 kHz (the FDMA band edges)
+// at 96 kHz, and the streaming tests' 3 kHz at 12 kHz and 2 kHz at
+// 8 kHz.
+var carriers = []struct{ fc, fs float64 }{
+	{15000, 96000}, {18000, 96000}, {13500, 96000}, {16500, 96000},
+	{3000, 12000}, {2000, 8000},
+}
+
+// unitCarrier is the carrier modulated by 1 from sample 0 on.
+var unitCarrier = Steps{{At: 0, V: 1}}
+
+// TestPhasorMatchesSincos steps the phasor of every carrier through its
+// first 2²² samples, in calls of odd lengths that start on and off its
+// anchors, and requires each sample to be math.Sincos(ω·i) bit for bit
+// at every anchor, and elsewhere within 1e-10 of it plus one unit in the
+// last place of ω·i: math.Sincos's own argument is ω·i rounded, and the
+// phasor's is ω·b rounded plus ω·r, so the two phases may differ by that
+// rounding (up to 9.3e-10 rad near i = 2²², under 1.2e-10 rad below the
+// 2¹⁹ samples every synthesized recording stays within).
+func TestPhasorMatchesSincos(t *testing.T) {
+	const n = 1 << 22
+	buf := make([]complex128, 3001)
+	for _, c := range carriers {
+		p := NewPhasor(c.fc, c.fs)
+		w := 2 * math.Pi * c.fc / c.fs
+		if p.Omega() != w {
+			t.Fatalf("%g Hz at %g Hz: ω = %v, want %v", c.fc, c.fs, p.Omega(), w)
+		}
+		var worst, recording float64
+		for at, k := 0, 0; at < n; k++ {
+			u := buf[:min(n-at, 1+(k*997)%len(buf))]
+			p.Modulate(u, at, unitCarrier)
+			for j, v := range u {
+				i := at + j
+				ph := w * float64(i)
+				sin, cos := math.Sincos(ph)
+				if i%phasorBlock == 0 {
+					if math.Float64bits(real(v)) != math.Float64bits(cos) || math.Float64bits(imag(v)) != math.Float64bits(sin) {
+						t.Fatalf("%g Hz at %g Hz: anchor %d is %v, math.Sincos gives %v", c.fc, c.fs, i, v, complex(cos, sin))
+					}
+					continue
+				}
+				d := math.Hypot(real(v)-cos, imag(v)-sin)
+				if d > 1e-10+(math.Nextafter(ph, math.Inf(1))-ph) {
+					t.Fatalf("%g Hz at %g Hz: sample %d is %v, math.Sincos gives %v (|Δ| %.3g)", c.fc, c.fs, i, v, complex(cos, sin), d)
+				}
+				worst = max(worst, d)
+				if i < 1<<19 {
+					recording = max(recording, d)
+				}
+			}
+			at += len(u)
+		}
+		t.Logf("%g Hz at %g Hz: largest |Δ| %.3g below 2¹⁹ samples, %.3g below 2²²", c.fc, c.fs, recording, worst)
 	}
-	same := func(a, b complex128) bool {
-		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestPhasorMixMatchesCarrier requires Mix to be its input times the
+// conjugate of the carrier Modulate gives, bit for bit, whatever the
+// index its calls start at, and Modulate to write the carrier scaled by
+// each step's value, 0 exactly where the value is 0.
+func TestPhasorMixMatchesCarrier(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 5000
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
 	}
-	pairs := []struct{ fc, fs float64 }{
-		{15000, 96000}, {18000, 96000}, {13500, 96000}, {16500, 96000},
-		{3000, 12000}, {2000, 8000},
-	}
-	const v = 0.734 // any non-trivial sample value
-	for _, p := range pairs {
-		w := 2 * math.Pi * p.fc / p.fs
-		for i := 0; i < 1<<21; i++ {
-			if got, want := mixSample(v, w, i), old(v, w, i); !same(got, want) {
-				t.Fatalf("%g Hz at %g Hz, sample %d: %v, want %v", p.fc, p.fs, i, got, want)
+	env := Steps{{At: 7, V: 0.5 - 2i}, {At: 300, V: 0}, {At: 300, V: 3}, {At: 1200, V: 0}, {At: 4000, V: 1i}}
+	for _, c := range carriers {
+		p := NewPhasor(c.fc, c.fs)
+		carrier := make([]complex128, n)
+		p.Modulate(carrier, 0, unitCarrier)
+		got := make([]complex128, n)
+		for _, chunk := range []int{1, 255, 256, 257, 1000, n} {
+			for at := 0; at < n; at += chunk {
+				p.Mix(got[at:], x[at:min(at+chunk, n)], at)
+			}
+			for i, v := range x {
+				want := complex(v*real(carrier[i]), -v*imag(carrier[i]))
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want)) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want)) {
+					t.Fatalf("%g Hz at %g Hz, chunks of %d: sample %d is %v, want %v", c.fc, c.fs, chunk, i, got[i], want)
+				}
 			}
 		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for k := 0; k < 1<<20; k++ {
-		ph := (2*rng.Float64() - 1) * 5e6
-		if got, want := mixSample(v, ph, 1), old(v, ph, 1); !same(got, want) {
-			t.Fatalf("phase %v: %v, want %v", ph, got, want)
+		mod := make([]complex128, n)
+		for at := 0; at < n; at += 333 {
+			p.Modulate(mod[at:min(at+333, n)], at, env)
+		}
+		for i, v := range mod {
+			var e complex128
+			for _, s := range env {
+				if s.At <= i {
+					e = s.V
+				}
+			}
+			if e == 0 {
+				if v != 0 {
+					t.Fatalf("%g Hz at %g Hz: sample %d is %v where the envelope is 0", c.fc, c.fs, i, v)
+				}
+				continue
+			}
+			if d := cmplxAbs(v - e*carrier[i]); d > 1e-15*cmplxAbs(e) {
+				t.Fatalf("%g Hz at %g Hz: sample %d is %v, want %v", c.fc, c.fs, i, v, e*carrier[i])
+			}
 		}
 	}
 }

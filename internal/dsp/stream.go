@@ -1,41 +1,27 @@
 package dsp
 
-import "math"
-
-const twoPi = 2 * math.Pi
-
 // Downmixer is the streaming counterpart of Downconvert: it mixes real
-// passband blocks down by a fixed carrier, carrying the oscillator
-// phase across calls so consecutive blocks are phase-continuous. A
-// recording processed block by block therefore matches the one-shot
-// Downconvert up to floating-point rounding in the phase accumulator
-// (the constant overall phase is absorbed downstream by the
-// modulation-axis estimate).
+// passband blocks down by a fixed carrier, counting the samples it has
+// mixed so that each block continues the last. Its carrier is a Phasor
+// indexed from the first sample, so a recording mixed block by block
+// equals Downconvert's one-shot mix bit for bit, whatever the blocks.
 type Downmixer struct {
-	w     float64 // radians advanced per sample
-	phase float64 // current phase, wrapped to [0, 2π)
+	osc *Phasor
+	at  int // index of the next sample
 }
 
 // NewDownmixer returns a mixer for carrier fc (Hz) at sample rate fs.
 func NewDownmixer(fc, fs float64) *Downmixer {
-	return &Downmixer{w: twoPi * fc / fs}
+	return &Downmixer{osc: NewPhasor(fc, fs)}
 }
 
-// MixInto writes e^{-jφ[n]}·x[n] into dst, which must hold at least
-// len(x) elements, and returns dst[:len(x)]. The carried phase
-// advances by len(x) samples.
+// MixInto writes e^{-jω(at+n)}·x[n] into dst, which must hold at least
+// len(x) elements, and returns dst[:len(x)]. The sample count advances
+// by len(x).
 func (m *Downmixer) MixInto(dst []complex128, x []float64) []complex128 {
 	out := dst[:len(x)]
-	phase, w := m.phase, m.w
-	for i, v := range x {
-		s, c := math.Sincos(phase)
-		out[i] = complex(v*c, -v*s)
-		phase += w
-		if phase >= twoPi {
-			phase -= twoPi
-		}
-	}
-	m.phase = phase
+	m.osc.Mix(out, x, m.at)
+	m.at += len(x)
 	return out
 }
 

@@ -81,11 +81,10 @@ func TestDownmixerMatchesDownconvert(t *testing.T) {
 			got = append(got, m.MixInto(buf, x[off:end])...)
 		}
 		for i := range got {
-			// The batch mixer computes phase as w·i without wrapping, the
-			// streaming mixer accumulates and wraps — identical up to
-			// accumulated rounding, which stays far below 1e-6 here.
-			if d := cmplxAbs(got[i] - want[i]); d > 1e-6 {
-				t.Fatalf("block %d: sample %d: |Δ| = %g (got %v want %v)", block, i, d, got[i], want[i])
+			// Both mixers take each sample's carrier from one phasor by
+			// the sample's index, so they agree exactly.
+			if got[i] != want[i] {
+				t.Fatalf("block %d: sample %d: got %v want %v", block, i, got[i], want[i])
 			}
 		}
 	}

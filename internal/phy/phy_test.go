@@ -285,14 +285,17 @@ func TestPWMRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPWMEncodedLength requires the keying of a bit to last two units
+// for a 0 and three for a 1.
 func TestPWMEncodedLength(t *testing.T) {
 	p, _ := NewPWM(10)
-	bits := []Bit{0, 1, 0}
-	if n := p.EncodedLength(bits); n != len(keyingEnvelope(p, bits)) {
-		t.Errorf("EncodedLength %d != actual %d", n, len(keyingEnvelope(p, bits)))
-	}
-	if p.SymbolSamples(0) != 20 || p.SymbolSamples(1) != 30 {
-		t.Error("symbol sample counts wrong")
+	for _, tc := range []struct {
+		bits []Bit
+		n    int
+	}{{[]Bit{0}, 20}, {[]Bit{1}, 30}, {[]Bit{0, 1, 0}, 70}} {
+		if n := len(keyingEnvelope(p, tc.bits)); n != tc.n {
+			t.Errorf("keying of %v lasts %d samples, want %d", tc.bits, n, tc.n)
+		}
 	}
 }
 

@@ -160,28 +160,34 @@ func TestBenchReportAttributePerChain(t *testing.T) {
 	}
 }
 
+// TestBenchReportCheckAgainst gates per-chain cost: a stage may spend
+// up to maxRegress× its baseline ms_per_chain, floored, and must run
+// exactly its baseline's calls per chain, at any run count.
 func TestBenchReportCheckAgainst(t *testing.T) {
 	base := BenchReport{
+		Runs: 60,
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 1.0, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 1080, MSPerChain: 1.0, TotalSamples: 100},
+			"decode": {Count: 60, MSPerChain: 2.0, TotalSamples: 100},
 		},
 	}
-	// Clean run: slight regression within budget.
+	// Clean run at another run count: slight regression within budget.
 	cur := BenchReport{
+		Runs:    20,
 		Decoded: 5,
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 1.5, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 360, MSPerChain: 1.5, TotalSamples: 100},
+			"decode": {Count: 20, MSPerChain: 2.0, TotalSamples: 100},
 		},
 	}
 	if problems := cur.CheckAgainst(base, 2, 0.05, 1.5); len(problems) != 0 {
 		t.Fatalf("clean run flagged: %v", problems)
 	}
-	// Regression, missing stage, zero samples, zero decodes.
+	// Regression, zero samples, missing stage, zero decodes.
 	bad := BenchReport{
+		Runs: 20,
 		Stages: map[string]StageStats{
-			"sync": {Count: 10, P50MS: 5.0, TotalSamples: 0},
+			"sync": {Count: 360, MSPerChain: 5.0, TotalSamples: 0},
 		},
 	}
 	problems := bad.CheckAgainst(base, 2, 0.05, 1.5)
@@ -189,18 +195,33 @@ func TestBenchReportCheckAgainst(t *testing.T) {
 		t.Fatalf("want 4 problems (regression, zero samples, missing stage, zero decodes), got %d: %v",
 			len(problems), problems)
 	}
+	// A stage timed in more, cheaper calls per chain fails on its call
+	// count, not its per-call time; its per-chain time here is within
+	// budget.
+	finer := BenchReport{
+		Runs:    20,
+		Decoded: 5,
+		Stages: map[string]StageStats{
+			"sync":   {Count: 360, MSPerChain: 1.0, TotalSamples: 100},
+			"decode": {Count: 300, MSPerChain: 2.5, TotalSamples: 100},
+		},
+	}
+	problems = finer.CheckAgainst(base, 2, 0.05, 1.5)
+	if len(problems) != 1 || !strings.Contains(problems[0], "calls") {
+		t.Fatalf("want exactly the decode call-count problem, got %v", problems)
+	}
 	// The floor keeps sub-noise stages from tripping the ratio: 0.01 ms
 	// vs 0.001 ms is 10x raw but 1x after a 0.05 ms floor.
 	noisy := BenchReport{
 		Decoded: 1,
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 0.01, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 10, MSPerChain: 0.01, TotalSamples: 100},
+			"decode": {Count: 10, MSPerChain: 2.0, TotalSamples: 100},
 		},
 	}
 	tiny := BenchReport{Stages: map[string]StageStats{
-		"sync":   {Count: 10, P50MS: 0.001, TotalSamples: 100},
-		"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+		"sync":   {Count: 10, MSPerChain: 0.001, TotalSamples: 100},
+		"decode": {Count: 10, MSPerChain: 2.0, TotalSamples: 100},
 	}}
 	if problems := noisy.CheckAgainst(tiny, 2, 0.05, 1.5); len(problems) != 0 {
 		t.Fatalf("floored comparison flagged: %v", problems)

@@ -159,12 +159,15 @@ func (r *BenchReport) AttributePerChain() {
 
 // CheckAgainst gates a fresh measurement against a committed baseline
 // (the CI bench-decode-smoke job): every baseline stage must still be
-// present with nonzero invocations and samples, no stage's p50 may
-// regress more than maxRegress×, and — when maxAllocRegress > 0 — no
+// present with nonzero invocations and samples, must run as many times
+// per chain as in the baseline (a chain's calls are deterministic, so
+// a stage timed at another granularity fails here rather than passing
+// on a cheaper per-call time), and may not spend more than maxRegress×
+// the baseline's ms_per_chain; and, when maxAllocRegress > 0, no
 // stage's alloc_bytes_per_op may grow more than maxAllocRegress×.
-// Durations under floorMS are floored before the latency ratio so
-// sub-noise stages cannot trip the gate; the allocation ratio floors at
-// 256 B per op for the same reason (allocator noise on near-zero
+// Per-chain times under floorMS are floored before the latency ratio
+// so sub-noise stages cannot trip the gate; the allocation ratio floors
+// at 256 B per op for the same reason (allocator noise on near-zero
 // stages). 256 B is a warm receiver's whole steady-state decode budget,
 // so a stage that starts allocating a buffer per call trips the gate.
 // Returns one message per violation.
@@ -192,10 +195,15 @@ func (r BenchReport) CheckAgainst(base BenchReport, maxRegress, floorMS, maxAllo
 		if cur.TotalSamples == 0 {
 			problems = append(problems, fmt.Sprintf("stage %q: zero samples processed", key))
 		}
-		if ratio := floor(cur.P50MS) / floor(bs.P50MS); ratio > maxRegress {
+		if cur.Count*base.Runs != bs.Count*r.Runs {
 			problems = append(problems, fmt.Sprintf(
-				"stage %q: p50 regressed %.2fx (%.3fms vs baseline %.3fms, budget %.1fx)",
-				key, ratio, cur.P50MS, bs.P50MS, maxRegress))
+				"stage %q: %d calls in %d chains, baseline %d in %d (calls_per_chain %.4g vs %.4g)",
+				key, cur.Count, r.Runs, bs.Count, base.Runs, cur.CallsPerChain, bs.CallsPerChain))
+		}
+		if ratio := floor(cur.MSPerChain) / floor(bs.MSPerChain); ratio > maxRegress {
+			problems = append(problems, fmt.Sprintf(
+				"stage %q: ms_per_chain regressed %.2fx (%.3fms vs baseline %.3fms, budget %.1fx)",
+				key, ratio, cur.MSPerChain, bs.MSPerChain, maxRegress))
 		}
 		if maxAllocRegress > 0 {
 			if ratio := floorAlloc(cur.AllocBytesPerOp) / floorAlloc(bs.AllocBytesPerOp); ratio > maxAllocRegress {

@@ -55,51 +55,34 @@ func (p *Projector) PressureAmplitude(driveV, f float64) float64 {
 	return p.Transducer.TransmitPressure(p.clampDrive(driveV), f)
 }
 
-// Query synthesises the PWM-keyed downlink query waveform: carrier at f
-// on/off keyed with the preamble plus the marshalled query bits, followed
-// by a continuous carrier tail of tailSeconds during which the node
-// backscatters its reply and harvests (§3.2: PWM "provides ample
-// opportunities for energy harvesting").
-//
-// It returns both rails of the keyed carrier's analytic signal: the
-// waveform level·amp·sin θ and its quadrature −level·amp·cos θ. The
-// keying level changes only every PWM unit, far slower than the
-// carrier, so the quadrature is the waveform's Hilbert transform away
-// from the keying edges, and any linear channel carries the pair to a
-// complex field whose product with a reflection coefficient is the
-// reflected narrowband wave. Each rail has capacity for room more
-// samples, so a caller can render a channel over it in place
-// (channel.ImpulseResponse.ApplyInPlace).
-func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64, room int) (wave, quad []float64, err error) {
+// Query returns the PWM-keyed downlink query as the keying of a carrier
+// at f and the carrier's amplitude: the carrier on/off keyed with the
+// preamble plus the marshalled query bits, followed by a continuous
+// carrier tail of tailSeconds during which the node backscatters its
+// reply and harvests (§3.2: PWM "provides ample opportunities for
+// energy harvesting"). Sample i of the waveform is
+// level(i)·amp·sin(2πf·i/fs), the carrier's phase counting from sample
+// 0, and the carrier stops at the keying's End. The keying changes only
+// every PWM unit, far slower than the carrier, so a channel's response
+// to it is the carrier times a slowly varying complex envelope
+// (channel.ImpulseResponse.Carry), and no recording-length waveform
+// needs to exist.
+func (p *Projector) Query(q frame.Query, driveV, f float64, unitSamples int, tailSeconds float64) (keying dsp.Steps, amp float64, err error) {
 	pwm, err := phy.NewPWM(unitSamples)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	bits := append(append([]phy.Bit{}, phy.PreambleBits...), frame.Bits(q.Marshal())...)
 	// Lead-in silence lets the node's envelope detector settle so the
-	// first pulse width is measured cleanly. The oscillator runs through
-	// it, so the carrier phase counts from the first sample.
-	lead := 4 * unitSamples
-	tail := int(tailSeconds * p.SampleRate)
-	amp := p.PressureAmplitude(driveV, f)
-	osc := dsp.NewOscillator(f, p.SampleRate)
-	n := lead + pwm.EncodedLength(bits) + tail
-	wave, quad = make([]float64, n, n+room), make([]float64, n, n+room)
-	for range lead {
-		osc.Next()
-	}
-	i := lead
+	// first pulse width is measured cleanly.
+	i := 4 * unitSamples
+	keying = make(dsp.Steps, 0, 2*len(bits)+2)
 	pwm.Keying(bits, func(level float64, samples int) {
-		for end := i + samples; i < end; i++ {
-			sin, cos := osc.NextSincos()
-			wave[i] = level * (amp * sin)
-			quad[i] = -level * (amp * cos)
-		}
+		keying = append(keying, dsp.Step{At: i, V: complex(level, 0)})
+		i += samples
 	})
-	for ; i < n; i++ {
-		sin, cos := osc.NextSincos()
-		wave[i] = amp * sin
-		quad[i] = -amp * cos
-	}
-	return wave, quad, nil
+	keying = append(keying,
+		dsp.Step{At: i, V: 1},
+		dsp.Step{At: i + int(tailSeconds*p.SampleRate)})
+	return keying, p.PressureAmplitude(driveV, f), nil
 }

@@ -62,9 +62,15 @@ func TestHigherVoltageMorePressure(t *testing.T) {
 func TestQueryWaveform(t *testing.T) {
 	p := testProjector(t)
 	q := frame.Query{Dest: 0x05, Command: frame.CmdPing}
-	w, _, err := p.Query(q, 100, 15000, 48, 0.05, 0)
+	keying, amp, err := p.Query(q, 100, 15000, 48, 0.05)
 	if err != nil {
 		t.Fatal(err)
+	}
+	carrier := make([]complex128, keying.End())
+	dsp.NewPhasor(15000, 96000).Modulate(carrier, 0, keying)
+	w := make([]float64, len(carrier))
+	for i, v := range carrier {
+		w[i] = amp * imag(v)
 	}
 	// The tail should be continuous carrier (high RMS); the PWM section
 	// has gaps so its average power is lower.
